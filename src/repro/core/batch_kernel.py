@@ -55,7 +55,7 @@ from .scheduler import DenseKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.message import Message
-    from ..network.omega import OmegaNetwork
+    from ..network.multistage import MultistageNetwork
     from .machine import ProgramDriver, Ultracomputer, _ProgramPE
     from .results import RunResult
 
@@ -77,7 +77,7 @@ class _CopyState:
     same perfect shuffle everywhere, so one table serves all stages.
     """
 
-    def __init__(self, np_mod: Any, network: "OmegaNetwork", kernel: "BatchKernel"):
+    def __init__(self, np_mod: Any, network: "MultistageNetwork", kernel: "BatchKernel"):
         self._np = np_mod
         self.network = network
         self.kernel = kernel

@@ -15,7 +15,11 @@ point by point:
   pre-backend defaults exactly;
 * results stream back in completion order through :meth:`stream`, each
   one written to the cache the moment it lands, or arrive sorted by
-  point index from :meth:`run`.
+  point index from :meth:`run`;
+* each execution is one :class:`SweepCall` holding that call's own
+  state (cache hits, pending points, trace id); the serving tier's
+  :class:`~repro.serve.SweepService` drives the same object, so there
+  is one point-level contract.
 
 Every payload — computed in-process, computed in a worker, or read from
 the cache — passes through one JSON canonicalization, so all the
@@ -165,6 +169,115 @@ class SweepResult:
         }
 
 
+class SweepCall:
+    """One execution of a spec: its cache probe, then its residual points.
+
+    Constructing one probes the cache.  It is never shared between calls,
+    so one runner (or service) can drive overlapping sweeps.  Every
+    driver — :meth:`SweepRunner.stream`, :meth:`SweepRunner.run` and
+    the serving tier — goes through the same three steps: take
+    :attr:`cached`, feed each of :meth:`completions` to :meth:`complete`,
+    and build the :meth:`result`.  :meth:`completions` touches no
+    cache, so it may run in another thread; :meth:`complete` is the
+    one place a computed point is written to the cache.
+    """
+
+    def __init__(
+        self,
+        runner: "SweepRunner",
+        spec: ExperimentSpec,
+        indices: Optional[Iterable[int]] = None,
+    ) -> None:
+        self.started = time.perf_counter()
+        self.runner = runner
+        self.spec = spec
+        wanted = None if indices is None else set(indices)
+        self.cached: list[PointOutcome] = []
+        self.pending: dict[int, tuple[SweepPoint, str]] = {}
+        for point in spec.points():
+            if wanted is not None and point.index not in wanted:
+                continue
+            key = point_hash(spec.experiment, point)
+            payload = None if runner.refresh else runner.cache.get(key)
+            if payload is not None:
+                self.cached.append(PointOutcome(
+                    index=point.index,
+                    params=point.as_dict(),
+                    payload=payload,
+                    cached=True,
+                ))
+            else:
+                self.pending[point.index] = (point, key)
+        #: one trace per computation: every fleet event the backend (and
+        #: its workers) log for this batch carries it; a fully cached
+        #: call touches no backend and has none
+        self.trace_id = new_trace_id() if self.pending else ""
+        self.backend = (
+            runner.backend.name if runner.backend is not None else "serial"
+        )
+
+    def completions(self) -> Iterator[tuple[int, Any, float]]:
+        """The backend's ``(index, payload, elapsed)`` stream for the
+        pending points, in completion order."""
+        if not self.pending:
+            return
+        backend, owned = self.runner._backend_for(len(self.pending))
+        self.backend = backend.name
+        tasks = [
+            (index, self.spec.experiment,
+             json.dumps(point.as_dict(), sort_keys=True))
+            for index, (point, _) in self.pending.items()
+        ]
+        keys = [key for _, key in self.pending.values()]
+        try:
+            yield from backend.run_tasks(
+                tasks, batch_id=self.spec.spec_hash(), keys=keys,
+                trace_id=self.trace_id,
+            )
+        finally:
+            if owned:
+                backend.shutdown()
+
+    def complete(self, index: int, payload: Any, elapsed: float) -> PointOutcome:
+        """Write one computed point to the cache; return its outcome."""
+        point, key = self.pending[index]
+        params = point.as_dict()
+        self.runner.cache.put(
+            key,
+            payload,
+            meta={"experiment": self.spec.experiment, "point": params},
+        )
+        return PointOutcome(
+            index=index,
+            params=params,
+            payload=payload,
+            cached=False,
+            elapsed=elapsed,
+        )
+
+    def outcomes(self) -> Iterator[PointOutcome]:
+        """Cached points first, then computed ones as they complete."""
+        yield from self.cached
+        for completion in self.completions():
+            yield self.complete(*completion)
+
+    def result(self, outcomes: list[PointOutcome]) -> SweepResult:
+        """The call's :class:`SweepResult`, outcomes sorted by index."""
+        runner = self.runner
+        if runner.backend is not None:
+            workers = runner.backend.workers
+        else:
+            workers = runner._effective_workers(max(1, self.spec.n_points))
+        return SweepResult(
+            spec=self.spec,
+            outcomes=sorted(outcomes, key=lambda outcome: outcome.index),
+            workers=workers,
+            wall_time=time.perf_counter() - self.started,
+            backend=self.backend,
+            trace_id=self.trace_id,
+        )
+
+
 class SweepRunner:
     """Executes specs: cache lookup, then backend fan-out.
 
@@ -213,10 +326,6 @@ class SweepRunner:
             )
         else:
             self.backend = backend
-        self._last_backend_name = (
-            self.backend.name if self.backend is not None else "serial"
-        )
-        self._last_trace_id = ""
 
     def _effective_workers(self, pending: int) -> int:
         workers = self.workers or os.cpu_count() or 1
@@ -245,71 +354,7 @@ class SweepRunner:
         the sweep to a subset of the grid (the adaptive sampler's
         refinement path).
         """
-        wanted = None if indices is None else set(indices)
-        self._last_trace_id = ""  # fully-cached sweeps touch no backend
-        pending: list[tuple[SweepPoint, str]] = []
-        for point in spec.points():
-            if wanted is not None and point.index not in wanted:
-                continue
-            key = point_hash(spec.experiment, point)
-            payload = None if self.refresh else self.cache.get(key)
-            if payload is not None:
-                yield PointOutcome(
-                    index=point.index,
-                    params=point.as_dict(),
-                    payload=payload,
-                    cached=True,
-                )
-            else:
-                pending.append((point, key))
-
-        if not pending:
-            return
-
-        by_index = {point.index: (point, key) for point, key in pending}
-        tasks = [
-            (point.index, spec.experiment, json.dumps(point.as_dict(),
-                                                      sort_keys=True))
-            for point, _ in pending
-        ]
-        keys = [key for _, key in pending]
-        backend, owned = self._backend_for(len(pending))
-        self._last_backend_name = backend.name
-        # One trace per sweep: every fleet event the backend (and its
-        # workers) log for this batch carries this id.
-        trace_id = new_trace_id()
-        self._last_trace_id = trace_id
-        try:
-            for index, payload, elapsed in backend.run_tasks(
-                tasks, batch_id=spec.spec_hash(), keys=keys,
-                trace_id=trace_id,
-            ):
-                yield self._complete(spec, by_index, index, payload, elapsed)
-        finally:
-            if owned:
-                backend.shutdown()
-
-    def _complete(
-        self,
-        spec: ExperimentSpec,
-        by_index: dict[int, tuple[SweepPoint, str]],
-        index: int,
-        payload: Any,
-        elapsed: float,
-    ) -> PointOutcome:
-        point, key = by_index[index]
-        self.cache.put(
-            key,
-            payload,
-            meta={"experiment": spec.experiment, "point": point.as_dict()},
-        )
-        return PointOutcome(
-            index=index,
-            params=point.as_dict(),
-            payload=payload,
-            cached=False,
-            elapsed=elapsed,
-        )
+        yield from SweepCall(self, spec, indices).outcomes()
 
     def run(
         self,
@@ -319,25 +364,13 @@ class SweepRunner:
         indices: Optional[Iterable[int]] = None,
     ) -> SweepResult:
         """Execute the whole sweep; outcomes come back sorted by index."""
-        started = time.perf_counter()
+        call = SweepCall(self, spec, indices)
         outcomes: list[PointOutcome] = []
-        for outcome in self.stream(spec, indices=indices):
+        for outcome in call.outcomes():
             if on_point is not None:
                 on_point(outcome)
             outcomes.append(outcome)
-        outcomes.sort(key=lambda outcome: outcome.index)
-        if self.backend is not None:
-            workers = self.backend.workers
-        else:
-            workers = self._effective_workers(max(1, spec.n_points))
-        return SweepResult(
-            spec=spec,
-            outcomes=outcomes,
-            workers=workers,
-            wall_time=time.perf_counter() - started,
-            backend=self._last_backend_name,
-            trace_id=self._last_trace_id,
-        )
+        return call.result(outcomes)
 
 
 def serial_runner() -> SweepRunner:

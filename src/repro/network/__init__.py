@@ -3,8 +3,7 @@
 from .circuit import CircuitStats, CircuitSwitchedOmega, sustained_throughput
 from .interfaces import MNI, PNI, OutstandingConflictError, ReplyRecord
 from .message import Message, PACKETS_WITH_DATA, PACKETS_WITHOUT_DATA
-from .multistage import MultistageNetwork
-from .omega import NetworkConfig, OmegaNetwork
+from .multistage import MultistageNetwork, NetworkConfig
 from .switch import Switch, SwitchStats
 from .topologies import HypercubeTopology, MeshTopology
 from .systolic_queue import (
@@ -40,7 +39,6 @@ __all__ = [
     "Message",
     "MultistageNetwork",
     "NetworkConfig",
-    "OmegaNetwork",
     "OmegaTopology",
     "Topology",
     "OutstandingConflictError",

@@ -17,9 +17,9 @@ wherever the geometry allows:
 The network proper owns only the switches and the wiring; endpoints
 (PNIs on the PE side, MNIs on the memory side) are connected through
 sink callbacks so the same network serves the full machine, the
-synthetic-traffic benchmarks, and the unit tests.
-:class:`~repro.network.omega.OmegaNetwork` is this class pinned to the
-Omega geometry.
+synthetic-traffic benchmarks, and the unit tests.  The paper's Omega
+network is this class built over
+:class:`~repro.network.topology.OmegaTopology`.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ one level up:
   Lines are flushed as written, so a SIGKILLed worker's log ends at
   its true last action — which is exactly what the flight recorder
   needs for a postmortem.
-* **One trace per sweep.**  The driver (``SweepRunner`` or
-  ``SweepService``) mints a ``trace_id`` and propagates it through the
+* **One trace per sweep.**  The engine's per-call
+  :class:`~repro.exp.engine.SweepCall` (driven by ``SweepRunner`` or
+  ``SweepService``) mints a ``trace_id`` when it has points to compute
+  and propagates it through the
   :class:`~repro.exp.backend.ExecutionBackend` protocol; shard workers
   read it back out of the batch manifest.  Every event carries
   ``(trace, worker, span, parent)``, so the per-process logs of one

@@ -1,48 +1,32 @@
-"""Async sweep execution over the shared execution backend.
+"""Async sweep execution: the serving tier's shell over the sweep engine.
 
-:class:`SweepService` is the serving-tier counterpart of
-:class:`~repro.exp.SweepRunner`: the same point-level execution
-contract (cache probe by content address, fan the residual points out
-to workers, canonical-JSON payloads), but shaped for a long-lived
-asyncio server.  Since the backend refactor both tiers drive the same
-execution plane — :mod:`repro.exp.backend` — so the service no longer
-owns a private ``ProcessPoolExecutor``:
+:class:`SweepService` drives a spec through the same
+:class:`~repro.exp.engine.SweepCall` as :class:`~repro.exp.SweepRunner`
+— one cache probe, one task and trace-id rule, one cache write per
+computed point — so its payloads are the runner's by construction.
+What it adds is the asyncio glue for a long-lived server:
 
-* the default backend is a **persistent** ``pool``
-  (:class:`~repro.exp.backend.PoolBackend`) created once and reused
-  across requests, so a request never pays pool start-up cost; any
-  registered backend (``serial``, ``sharded``) drops in via the
-  ``--backend`` flag;
-* execution is ``await``-able and never blocks the event loop: cached
-  points are disk reads in the loop, and the backend's completion
-  stream is driven from a small thread pool, each completion hopped
-  back onto the loop;
-* per-point completions are reported through an ``on_progress``
-  callback as they land (completion order), feeding the server's
-  progress streams;
-* a worker crash raises
-  :class:`~repro.exp.backend.WorkerCrashError` after the backend has
-  rebuilt its pool, so one poisoned request cannot brick the server.
-
-Bit parity with the runner is load-bearing: the payload list this
-service produces for a spec is byte-identical to
-``SweepRunner.run(spec).to_dict()["results"]`` — both funnel every
-point through :func:`repro.exp.engine._execute_task`'s canonical JSON
-round trip, and the differential tests assert it.
+* the backend (default: a persistent ``pool``) is created once and
+  reused across requests, so a request never pays pool start-up cost;
+* only the backend's completion stream runs in a driver thread; each
+  completion hops back onto the event loop, where the cache is read and
+  written, so the cache's counters see one writer;
+* per-point completions reach an ``on_progress`` callback as they land,
+  feeding the server's progress streams;
+* a worker crash raises :class:`~repro.exp.backend.WorkerCrashError`
+  after the backend has rebuilt its pool.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional, Union
 
 from ..exp.backend import ExecutionBackend, WorkerCrashError, make_backend
 from ..exp.cache import ResultCache
-from ..exp.spec import ExperimentSpec, point_hash
-from ..obs.events import new_trace_id
+from ..exp.engine import PointOutcome, SweepCall, SweepRunner
+from ..exp.spec import ExperimentSpec
 
 __all__ = ["SweepService", "WorkerCrashError"]
 
@@ -84,10 +68,11 @@ class SweepService:
             backend = make_backend(
                 backend, workers=workers, shards=shards or workers
             )
+        self.runner = SweepRunner(workers, cache, refresh=refresh,
+                                  backend=backend)
         self.backend = backend
         self.workers = backend.workers
-        self.cache = cache if cache is not None else ResultCache()
-        self.refresh = refresh
+        self.cache = self.runner.cache
         self._drivers: Optional[ThreadPoolExecutor] = None
 
     @property
@@ -126,105 +111,38 @@ class SweepService:
         spec: ExperimentSpec,
         on_progress: Optional[Callable[[dict[str, Any]], None]] = None,
     ) -> dict[str, Any]:
-        """Run a whole spec; returns the sweep payload dict.
+        """Run a whole spec; returns :meth:`SweepResult.to_dict` plus
+        the sweep's ``trace_id`` (``""`` when every point was cached).
 
-        The returned dict has the :meth:`~repro.exp.SweepResult.to_dict`
-        shape (``spec``/``spec_hash``/``backend``/``workers``/
-        ``wall_time``/``cached_points``/``computed_points``/
-        ``results``), with ``results`` ordered by point index and
-        byte-identical to a direct runner execution of the same spec.
+        ``results`` is ordered by point index and byte-identical to a
+        direct runner execution of the same spec.
         """
-        started = time.perf_counter()
-        loop = asyncio.get_running_loop()
-        total = spec.n_points
-        # One fleet trace per computation: coalesced followers share the
-        # leader's, since they share the execution.
-        trace_id = new_trace_id()
+        call = SweepCall(self.runner, spec)
+        outcomes: list[PointOutcome] = []
 
-        payload_by_index: dict[int, Any] = {}
-        pending: list[tuple[int, str, str]] = []  # (index, key, params_json)
-        cached_points = 0
-        for point in spec.points():
-            key = point_hash(spec.experiment, point)
-            payload = None if self.refresh else self.cache.get(key)
-            if payload is not None:
-                cached_points += 1
-                payload_by_index[point.index] = payload
-                if on_progress is not None:
-                    on_progress({
-                        "event": "point", "index": point.index,
-                        "cached": True, "done": len(payload_by_index),
-                        "total": total,
-                    })
-            else:
-                params_json = json.dumps(point.as_dict(), sort_keys=True)
-                pending.append((point.index, key, params_json))
+        def land(outcome: PointOutcome) -> None:
+            outcomes.append(outcome)
+            if on_progress is not None:
+                elapsed = {} if outcome.cached else {"elapsed": outcome.elapsed}
+                on_progress({"event": "point", "index": outcome.index,
+                             "cached": outcome.cached, **elapsed,
+                             "done": len(outcomes), "total": spec.n_points})
 
-        if pending:
-            key_by_index = {index: key for index, key, _ in pending}
-            meta_by_index = {
-                index: json.loads(params_json)
-                for index, _, params_json in pending
-            }
-            tasks = [
-                (index, spec.experiment, params_json)
-                for index, _, params_json in pending
-            ]
-            keys = [key for _, key, _ in pending]
-            batch_id = spec.spec_hash()
+        for outcome in call.cached:
+            land(outcome)
+        if call.pending:
+            loop = asyncio.get_running_loop()
             queue: asyncio.Queue = asyncio.Queue()
 
             def drive() -> None:
-                # Runs in a driver thread: consume the backend's
-                # completion stream, hop each item onto the loop.
                 try:
-                    for completion in self.backend.run_tasks(
-                        tasks, batch_id=batch_id, keys=keys,
-                        trace_id=trace_id,
-                    ):
-                        loop.call_soon_threadsafe(
-                            queue.put_nowait, ("point", completion))
-                except BaseException as exc:
-                    loop.call_soon_threadsafe(
-                        queue.put_nowait, ("error", exc))
-                else:
-                    loop.call_soon_threadsafe(
-                        queue.put_nowait, ("done", None))
+                    for completion in call.completions():
+                        loop.call_soon_threadsafe(queue.put_nowait, completion)
+                finally:
+                    loop.call_soon_threadsafe(queue.put_nowait, None)
 
             driver = loop.run_in_executor(self._driver_pool(), drive)
-            while True:
-                kind, item = await queue.get()
-                if kind == "done":
-                    # drive() has returned; this await is instantaneous
-                    # and keeps the executor future retrieved.
-                    await driver
-                    break
-                if kind == "error":
-                    await driver
-                    raise item
-                index, payload, elapsed = item
-                self.cache.put(
-                    key_by_index[index],
-                    payload,
-                    meta={"experiment": spec.experiment,
-                          "point": meta_by_index[index]},
-                )
-                payload_by_index[index] = payload
-                if on_progress is not None:
-                    on_progress({
-                        "event": "point", "index": index,
-                        "cached": False, "elapsed": elapsed,
-                        "done": len(payload_by_index), "total": total,
-                    })
-
-        return {
-            "spec": spec.to_dict(),
-            "spec_hash": spec.spec_hash(),
-            "backend": self.backend.name,
-            "workers": self.workers,
-            "wall_time": time.perf_counter() - started,
-            "cached_points": cached_points,
-            "computed_points": total - cached_points,
-            "trace_id": trace_id,
-            "results": [payload_by_index[i] for i in range(total)],
-        }
+            while (completion := await queue.get()) is not None:
+                land(call.complete(*completion))
+            await driver  # re-raises the backend's error, if any
+        return {**call.result(outcomes).to_dict(), "trace_id": call.trace_id}

@@ -185,3 +185,29 @@ class TestPoolExecution:
     def test_workers_clamped_to_pending(self, tmp_path):
         runner = SweepRunner(workers=8, cache=NullCache())
         assert runner._effective_workers(2) == 2
+
+
+class TestPerCallState:
+    """Regression: the runner kept its last call's trace id and backend
+    name on itself, so a sweep run from inside another sweep's
+    ``on_point`` callback overwrote the outer result's metadata."""
+
+    def test_nested_run_keeps_each_results_own_metadata(self):
+        runner = SweepRunner(workers=2, cache=NullCache())
+        inner = []
+
+        def on_point(outcome):
+            if not inner:
+                inner.append(runner.run(double_spec((7,))))
+
+        outer = runner.run(double_spec((1, 2, 3)), on_point=on_point)
+        assert outer.backend == "pool" and inner[0].backend == "serial"
+        assert len(outer.trace_id) == len(inner[0].trace_id) == 16
+        assert outer.trace_id != inner[0].trace_id
+
+    def test_fully_cached_call_has_no_trace(self, tmp_path):
+        runner = SweepRunner(workers=1, cache=ResultCache(tmp_path / "c"))
+        cold = runner.run(double_spec())
+        warm = runner.run(double_spec())
+        assert len(cold.trace_id) == 16
+        assert warm.trace_id == ""

@@ -4,13 +4,20 @@ import pytest
 
 from repro.core.memory_ops import FetchAdd, Load, Store
 from repro.network.message import Message
-from repro.network.omega import NetworkConfig, OmegaNetwork
+from repro.network.multistage import MultistageNetwork, NetworkConfig
+from repro.network.topology import OmegaTopology
+
+
+def omega(**config) -> MultistageNetwork:
+    """The combining Omega network: the switch grid on the Omega wiring."""
+    config = NetworkConfig(**config)
+    return MultistageNetwork(config, OmegaTopology(config.n_ports, config.k))
 
 
 class Harness:
     """Endpoints for a bare network: records deliveries, echoes replies."""
 
-    def __init__(self, network: OmegaNetwork):
+    def __init__(self, network: MultistageNetwork):
         self.network = network
         self.at_mm: list[tuple[int, Message]] = []
         self.at_pe: list[tuple[int, Message]] = []
@@ -44,7 +51,7 @@ def request(network, op, pe, mm, tag):
 
 @pytest.fixture
 def net8():
-    return OmegaNetwork(NetworkConfig(n_ports=8, k=2))
+    return omega(n_ports=8, k=2)
 
 
 class TestDelivery:
@@ -66,7 +73,7 @@ class TestDelivery:
         assert cycles == net8.topology.stages  # one cycle per stage
 
     def test_all_pairs_delivered(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2))
+        network = omega(n_ports=8, k=2)
         harness = Harness(network)
         tag = 0
         for pe in range(8):
@@ -101,7 +108,7 @@ class TestDelivery:
         assert harness.at_pe == [(6, reply)]
 
     def test_k4_network_round_trip(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=16, k=4))
+        network = omega(n_ports=16, k=4)
         harness = Harness(network)
         message = request(network, Load(3), pe=13, mm=6, tag=9)
         network.offer_request(13, message)
@@ -136,7 +143,7 @@ class TestPipelining:
         """All 8 PEs fetch-and-add one cell simultaneously: the switch
         tree combines them into a single memory access (the section
         3.1.2 key property)."""
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2, combining=True))
+        network = omega(n_ports=8, k=2, combining=True)
         harness = Harness(network)
         for pe in range(8):
             message = request(network, FetchAdd(0, 1), pe=pe, mm=0, tag=100 + pe)
@@ -153,7 +160,7 @@ class TestPipelining:
         assert values == list(range(8))  # distinct prefix sums
 
     def test_without_combining_all_requests_reach_memory(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2, combining=False))
+        network = omega(n_ports=8, k=2, combining=False)
         harness = Harness(network)
         for pe in range(8):
             message = request(network, FetchAdd(0, 1), pe=pe, mm=0, tag=100 + pe)
@@ -173,7 +180,7 @@ class TestDrainAccounting:
         assert net8.is_drained()  # delivered out of the network
 
     def test_wait_records_pending_until_reply(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2))
+        network = omega(n_ports=8, k=2)
         harness = Harness(network)
         for pe in (0, 4):
             # PEs 0 and 4 share a first-stage switch input pair? inject
@@ -189,6 +196,6 @@ class TestDrainAccounting:
             assert network.pending_wait_records() == 0
 
     def test_endpoints_required(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2))
+        network = omega(n_ports=8, k=2)
         with pytest.raises(RuntimeError, match="not connected"):
             network.step_forward()

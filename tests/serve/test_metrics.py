@@ -110,6 +110,19 @@ class TestServeFleetLog:
         assert served[-1].fields["served_by"] == "computed"
         assert served[-1].fields["sweep_trace"] == sweep_trace
 
+    def test_cache_hits_carry_no_sweep_trace(self, serve_app):
+        """A fully cached response touched no backend, so it names no
+        sweep trace — the same "" a direct runner reports."""
+        client = serve_app.client()
+        client.run(ECHO_SPEC)
+        envelope = client.run(ECHO_SPEC)
+        assert envelope["served_by"] == "cache"
+        assert envelope["sweep"]["trace_id"] == ""
+        served = [e for e in serve_app.app.fleet.tail()
+                  if e.kind == "served"]
+        assert served[-1].fields["served_by"] == "cache"
+        assert "sweep_trace" not in served[-1].fields
+
     def test_error_requests_logged_without_trace(self, serve_app):
         client = serve_app.client()
         try:

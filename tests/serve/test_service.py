@@ -78,16 +78,46 @@ class TestCache:
 
     def test_refresh_recomputes_but_rewrites(self, tmp_path):
         cache = ResultCache(tmp_path / "e")
+        execute(SweepService(workers=2, cache=cache), SPEC)
+        writes = cache.writes
+        refreshed = execute(
+            SweepService(workers=2, cache=cache, refresh=True), SPEC
+        )
+        assert refreshed["computed_points"] == 4
+        assert cache.writes == writes + 4
+
+    def test_concurrent_distinct_specs(self, tmp_path):
+        """Overlapping executes on one service each get their own
+        result, and every cache read and write is counted."""
+        specs = [
+            ExperimentSpec(experiment="debug.echo", base={"tag": tag},
+                           axes=(("n", tuple(range(points))),), seed=6)
+            for tag, points in (("a", 2), ("b", 3), ("c", 4))
+        ]
+        cache = ResultCache(tmp_path / "i")
         service = SweepService(workers=2, cache=cache)
-        try:
-            asyncio.run(service.execute(SPEC))
-            refreshed = asyncio.run(
-                SweepService(workers=2, cache=cache, refresh=True)
-                .execute(SPEC)
+
+        async def gather():
+            return await asyncio.gather(
+                *(service.execute(spec) for spec in specs)
             )
+
+        try:
+            served = asyncio.run(gather())
         finally:
             service.shutdown()
-        assert refreshed["computed_points"] == 4
+        shared = ("spec", "spec_hash", "cached_points", "computed_points",
+                  "results")
+        for spec, payload in zip(specs, served):
+            direct = SweepRunner(workers=1, cache=NullCache()).run(spec)
+            assert canonical({k: payload[k] for k in shared}) == canonical(
+                {k: direct.to_dict()[k] for k in shared})
+            assert len(payload["trace_id"]) == 16
+        assert len({payload["trace_id"] for payload in served}) == 3
+        stats = cache.stats()
+        assert stats["writes"] == sum(
+            payload["computed_points"] for payload in served) == 9
+        assert stats["hits"] + stats["misses"] == 9
 
 
 class TestProgress:

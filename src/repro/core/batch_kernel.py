@@ -1,30 +1,42 @@
-"""The batch kernel: struct-of-arrays stage stepping for 1024–4096 PEs.
+"""The batch kernel: struct-of-arrays message plane for 1024–4096 PEs.
 
 The paper's design point is a 4096-PE machine behind a 12-stage Omega
 network — roughly 25k switches, 100k queues.  The dense kernel ticks
 every one of them every cycle and the event kernel still pays per-object
 Python costs for each awake component; neither reaches that scale.  This
-kernel gets there by splitting each cycle into a *schedule* computed on
-numpy arrays and a *per-message* part executed on the ordinary switch
-objects:
+kernel gets there by owning every message resident in the network in
+numpy arrays and moving a whole stage of them per vectorized step:
 
-* **Struct-of-arrays schedule.**  For every (direction, stage) the
-  kernel mirrors the only two facts that decide whether a (switch, port)
-  can transmit — queue length and output-link ``busy_until`` — into
-  ``(switches_per_stage, k)`` arrays.  One vectorized mask per stage
-  (``qlen > 0 & busy <= cycle``) finds every transmitting port; its
-  ``flatnonzero`` order is row-major (switch ascending, port ascending),
-  exactly the dense kernel's nested sweep, so offer order — who wins the
-  last slot of a filling queue, which trace event lands first — is
-  preserved bit for bit.
-* **Object-level message semantics.**  Each scheduled head is then moved
-  through the *same* ``Switch.offer_forward`` / ``offer_return`` calls
-  the dense kernel uses, so combining, decombining, wait-buffer records,
-  instrumentation counters, and trace events are identical by
-  construction rather than by re-implementation.  Combining matches
-  themselves are found through the keyed-address index inside
-  :class:`~repro.network.systolic_queue.CombiningQueue` (one dict hit
-  per (stage, queue) instead of a linear scan).
+* **Message plane.**  Each network copy is a :class:`_MessagePlane`.
+  Every (direction, stage) is a :class:`_Lane`: a ring of message ids
+  per (switch, port) queue plus its length, used packets, and
+  output-link ``busy_until``.  Each message id stores its packets, a
+  hash of its ``(mm, offset)`` cell and its amalgam digits.  ``Message``
+  objects are touched only at the four endpoints (PNI → stage 0, last
+  stage → MNI, MNI → last stage, stage 0 → PNI) and on the combining
+  path.
+* **One hop per stage.**  The transmit mask ``qlen != 0 & busy <=
+  cycle`` finds every sending port of a direction at once; a stage's
+  heads are gathered, their targets computed from the static wiring
+  tables and digits, and pops, pushes, link occupancy and the
+  routed/blocked counters are committed by scatter.  Offers to one
+  target queue are settled in row-major (switch, port) order — the
+  dense kernel's nested sweep — so who wins the last slot of a filling
+  queue is preserved bit for bit.
+* **Combining on a per-message path.**  A request whose target queue
+  holds (or this step received) an uncombined request for the same
+  cell, and a reply whose tag has a wait record at its target stage,
+  are offered one at a time through the same ``try_combine`` plans,
+  ``ReplyRule.materialize`` and ``Message.make_reply`` the switches
+  use, against live :class:`~repro.network.wait_buffer.WaitBuffer`
+  objects.  Every other message moves in the vectorized step.  A stage
+  step with only a few senders (small machines, light load) skips the
+  vectorized step's fixed cost and offers all its heads this way.
+* **Object view.**  The switch objects remain the reference model for
+  the dense and event kernels.  Under this kernel the plane is
+  authoritative and :meth:`_MessagePlane.flush` writes queue contents,
+  port state and switch counters back at each public boundary, for the
+  queues touched since the previous flush only.
 * **Active-set endpoints.**  MNIs are visited only while assembling or
   serving (a set maintained at delivery time), PNI/MNI outbound queues
   only while non-empty, and the built-in :class:`ProgramDriver` is run
@@ -38,7 +50,8 @@ The contract is the registry-wide one (see :mod:`repro.core.scheduler`):
 ``RunResult.to_dict()`` — including per-PE stats, instrumentation
 snapshot, and the cycle trace — must be bit-identical to the dense
 kernel for any workload; ``tests/integration/test_kernel_equivalence.py``
-sweeps the differential grid over all three kernels.
+sweeps the differential grid over all three kernels and
+``tests/integration/test_batch_fuzz.py`` fuzzes the machine knobs.
 
 Requires numpy (the optional ``repro[batch]`` extra); constructing the
 kernel without it raises an actionable error, while the kernel *name*
@@ -49,8 +62,13 @@ import.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..network.systolic_queue import _Slot
+from ..network.wait_buffer import WaitRecord
+from .combining import try_combine
+from .memory_ops import PACKETS_WITH_DATA, PACKETS_WITHOUT_DATA
 from .scheduler import DenseKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,223 +84,758 @@ __all__ = ["BatchKernel"]
 # and mirror the branch order of ProgramDriver.tick.
 _FRESH, _COMPUTING, _WAITING, _PENDING, _DONE = range(5)
 
+#: ring slots per queue before the first growth (a lane's rings double
+#: whenever one of its queues outgrows them)
+_RING_START = 4
 
-class _CopyState:
-    """Array mirror of one network copy's schedulable state.
 
-    Holds, per (direction, stage), the queue-length and link-busy
-    arrays, the per-stage resident-message totals, and the static wiring
-    tables (flattened to ``switch * k + port`` so the hot loop indexes
-    plain Python lists).  The wiring between consecutive stages is the
-    same perfect shuffle everywhere, so one table serves all stages.
+class _Lane:
+    """One (direction, stage) of a network copy, as arrays.
+
+    Queue ``f = switch * k + port`` is the ToMM queue of that port for a
+    forward lane and the ToPE queue for a return lane.  ``ring[f]``
+    holds its message ids, oldest at ``head[f]``; ``len``/``used``/
+    ``busy``/``peak`` mirror the queue's length, used packets, output
+    link ``busy_until`` and peak packets.  ``ins``/``sent``/``routed``/
+    ``blocked`` accumulate counter deltas and ``dirty`` marks queues
+    changed since the last flush.  ``len`` and ``busy`` are rows of
+    per-direction ``(stages, queues)`` arrays, so one mask finds the
+    senders of every stage.
     """
 
-    def __init__(self, np_mod: Any, network: "MultistageNetwork", kernel: "BatchKernel"):
-        self._np = np_mod
+    __slots__ = (
+        "stage", "forward", "switches", "queues", "ports", "hist",
+        "len", "used", "busy", "peak", "head", "ring", "slots", "ins", "sent",
+        "dirty", "routed", "blocked", "tot",
+    )
+
+    def __init__(self, np: Any, stage: int, forward: bool, switches: list,
+                 ring_slots: int, length: Any, busy: Any) -> None:
+        self.stage = stage
+        self.forward = forward
+        self.switches = switches
+        self.queues = [q for sw in switches
+                       for q in (sw.to_mm if forward else sw.to_pe)]
+        self.ports = [p for sw in switches
+                      for p in (sw.mm_ports if forward else sw.pe_ports)]
+        self.hist = self.queues[0]._occupancy_histogram
+        n = len(self.queues)
+        self.len = length
+        self.used = np.zeros(n, dtype=np.int32)
+        self.busy = busy
+        self.peak = np.zeros(n, dtype=np.int32)
+        self.head = np.zeros(n, dtype=np.int32)
+        self.ring = np.zeros((n, ring_slots), dtype=np.int32)
+        self.slots = ring_slots
+        self.ins = np.zeros(n, dtype=np.int32)
+        self.sent = np.zeros(n, dtype=np.int32)
+        self.dirty = np.zeros(n, dtype=bool)
+        self.routed = np.zeros(len(switches), dtype=np.int64)
+        self.blocked = np.zeros(len(switches), dtype=np.int64)
+        self.tot = 0
+
+    def grow(self, np: Any) -> None:
+        """Double the ring, unrolling every queue to start at slot 0."""
+        slots = self.slots
+        order = (self.head[:, None] + np.arange(slots)) % slots
+        ring = np.zeros((self.ring.shape[0], 2 * slots), dtype=np.int32)
+        ring[:, :slots] = np.take_along_axis(self.ring, order, axis=1)
+        self.ring = ring
+        self.slots = 2 * slots
+        self.head[:] = 0
+
+    def contents(self, np: Any, queues: Any) -> tuple[Any, Any]:
+        """Message ids of ``queues``, queue by queue and oldest first,
+        with each queue's length."""
+        slots = self.slots
+        lengths = self.len[queues]
+        pos = np.arange(slots)
+        order = (self.head[queues][:, None] + pos) % slots
+        rows = np.take_along_axis(self.ring[queues], order, axis=1)
+        return rows[pos < lengths[:, None]], lengths
+
+
+class _MessagePlane:
+    """Every message resident in one network copy, in struct-of-arrays
+    form, moved a stage at a time (see the module docstring)."""
+
+    #: a stage step with fewer sending heads than this moves them one at
+    #: a time: below it the vectorized step's fixed cost is the larger
+    vector_min = 32
+
+    def __init__(self, np_mod: Any, network: "MultistageNetwork",
+                 kernel: "BatchKernel") -> None:
+        np = self._np = np_mod
         self.network = network
         self.kernel = kernel
         topo = network.topology
-        self.k = topo.k
+        config = network.config
+        k = self.k = topo.k
         self.D = topo.stages
         self.S = topo.switches_per_stage
-        self.rows = network.stages
-        np = np_mod
-        shape = (self.S, self.k)
-        self.fwd_len = [np.zeros(shape, dtype=np.int32) for _ in range(self.D)]
-        self.fwd_busy = [np.zeros(shape, dtype=np.int64) for _ in range(self.D)]
-        self.ret_len = [np.zeros(shape, dtype=np.int32) for _ in range(self.D)]
-        self.ret_busy = [np.zeros(shape, dtype=np.int64) for _ in range(self.D)]
-        self.fwd_tot = [0] * self.D
-        self.ret_tot = [0] * self.D
-        # Static wiring, flat-indexed by f = switch * k + port:
-        # PE -> (stage-0 switch, in_port) for injections;
-        # stage s output f -> (stage s+1 switch, in_port) forward;
-        # stage s output f -> (stage s-1 switch, mm_port) return;
-        # stage 0 output f -> PE line for reply delivery.
-        self.entry = [topo.stage_input(pe) for pe in range(topo.n_ports)]
-        self.fwd_next = [topo.stage_input(f) for f in range(topo.n_ports)]
-        self.ret_prev = [
-            divmod(topo.unshuffle(f), self.k) for f in range(topo.n_ports)
-        ]
-        self.pe_line = [topo.unshuffle(f) for f in range(topo.n_ports)]
+        self.cap = config.queue_capacity_packets
+        self.pairwise = config.pairwise_only
+        self.combining = config.combining and config.wait_buffer_capacity != 0
+        instr = network.instrumentation
+        self._instr = instr
+        self._instr_on = instr.enabled
+        slots = _RING_START
+        shape = (self.D, self.S * k)
+        self.fwd_len, self.fwd_busy = np.zeros(shape, np.int32), np.zeros(shape, np.int64)
+        self.ret_len, self.ret_busy = np.zeros(shape, np.int32), np.zeros(shape, np.int64)
+        self.fwd = [_Lane(np, s, True, row, slots, self.fwd_len[s],
+                          self.fwd_busy[s])
+                    for s, row in enumerate(network.stages)]
+        self.ret = [_Lane(np, s, False, row, slots, self.ret_len[s],
+                          self.ret_busy[s])
+                    for s, row in enumerate(network.stages)]
+        # Static wiring, indexed by line f = switch * k + port: the
+        # perfect shuffle takes PE f, or output f of stage s, to
+        # (switch, in_port) of the next stage; its inverse takes output
+        # f of stage s to (switch, mm_port) of stage s-1, or of stage 0
+        # to a PE.  Lists serve the one-message-at-a-time paths.
+        lines = range(topo.n_ports)
+        shuffled = np.array([topo.shuffle(f) for f in lines])
+        unshuffled = np.array([topo.unshuffle(f) for f in lines])
+        self.next_sw, self.next_port = shuffled // k, shuffled % k
+        self.prev_sw, self.prev_port = unshuffled // k, unshuffled % k
+        self.next_sw_l, self.next_port_l = self.next_sw.tolist(), self.next_port.tolist()
+        self.prev_sw_l, self.prev_port_l = self.prev_sw.tolist(), self.prev_port.tolist()
+        self.pe_line = unshuffled.tolist()
         self.resync()
 
     # ------------------------------------------------------------------
-    # array <-> object reconciliation
+    # message ids
+    # ------------------------------------------------------------------
+    def _new_pool(self, size: int) -> None:
+        np = self._np
+        self.obj: list[Optional["Message"]] = [None] * size
+        self.pk = np.zeros(size, dtype=np.int64)
+        self.key = np.zeros(size, dtype=np.int64)
+        self.comb = np.zeros(size, dtype=bool)
+        self.wm = np.zeros(size, dtype=np.int64)
+        self.dig = np.zeros((size, self.D), dtype=np.int32)
+        self._free = list(range(size - 1, -1, -1))
+
+    def _grow_pool(self) -> None:
+        np = self._np
+        size = len(self.obj)
+        self.obj.extend([None] * size)
+        for name in ("pk", "key", "comb", "wm", "dig"):
+            old = getattr(self, name)
+            new = np.zeros((2 * size,) + old.shape[1:], dtype=old.dtype)
+            new[:size] = old
+            setattr(self, name, new)
+        self._free.extend(range(2 * size - 1, size - 1, -1))
+
+    def _admit(self, message: "Message", combined: bool = False) -> int:
+        """Give ``message`` an id (its entry into the plane)."""
+        if not self._free:
+            self._grow_pool()
+        i = self._free.pop()
+        self.obj[i] = message
+        self.pk[i] = message.packets
+        self.key[i] = hash((message.mm, message.offset))
+        self.dig[i] = message.digits
+        self.comb[i] = combined
+        self.wm[i] = self.rec.get(message.tag, 0) if message.is_reply else 0
+        return i
+
+    def _release(self, i: int) -> None:
+        self.obj[i] = None
+        self._free.append(i)
+
+    # ------------------------------------------------------------------
+    # object view
     # ------------------------------------------------------------------
     def resync(self) -> None:
-        """Rebuild every array from the switch objects (the objects are
-        authoritative; the arrays are a mirror).  Used at construction
-        and by the round-trip property tests."""
-        for stage in range(self.D):
-            fl, fb = self.fwd_len[stage], self.fwd_busy[stage]
-            rl, rb = self.ret_len[stage], self.ret_busy[stage]
-            for sw in self.rows[stage]:
-                i = sw.index
-                for p in range(self.k):
-                    fl[i, p] = len(sw.to_mm[p]._slots)
-                    fb[i, p] = sw.mm_ports[p].busy_until
-                    rl[i, p] = len(sw.to_pe[p]._slots)
-                    rb[i, p] = sw.pe_ports[p].busy_until
-            self.fwd_tot[stage] = int(fl.sum())
-            self.ret_tot[stage] = int(rl.sum())
+        """Rebuild the whole plane from the switch objects.
+
+        Used at construction (the objects may already hold traffic) and
+        by the round-trip tests, which compare a flushed plane against
+        one rebuilt from its own object view."""
+        np = self._np
+        lanes = self.fwd + self.ret
+        lengths = [[len(q._slots) for q in lane.queues] for lane in lanes]
+        self._new_pool(max(1024, 2 * sum(map(sum, lengths))))
+        # Stage bitmask of the wait records keyed by each tag: a reply
+        # takes the per-message path exactly at those stages.
+        self.rec: dict[int, int] = {}
+        for stage, row in enumerate(self.network.stages):
+            for sw in row:
+                for wb in sw.wait_buffers:
+                    for tag in wb._records:
+                        self.rec[tag] = self.rec.get(tag, 0) | (1 << stage)
+        for lane, held in zip(lanes, lengths):
+            lane.slots = max(lane.slots, max(held))
+            lane.ring = np.zeros((len(held), lane.slots), dtype=np.int32)
+            lane.len[:] = held
+            lane.head[:] = 0
+            lane.used[:] = [q.used_packets for q in lane.queues]
+            lane.peak[:] = [q.peak_packets for q in lane.queues]
+            lane.busy[:] = [p.busy_until for p in lane.ports]
+            for arr in (lane.ins, lane.sent, lane.routed, lane.blocked):
+                arr[:] = 0
+            lane.dirty[:] = False
+            lane.tot = sum(held)
+            for f in np.flatnonzero(lane.len).tolist():
+                for j, slot in enumerate(lane.queues[f]._slots):
+                    lane.ring[f, j] = self._admit(slot.message,
+                                                  slot.already_combined)
 
     def export_state(self) -> dict[str, Any]:
-        """Copy of the mirrored arrays (round-trip tests compare this
-        against a freshly resynced mirror)."""
+        """Copy of the schedulable arrays (round-trip tests compare this
+        against the arrays rebuilt by :meth:`resync`)."""
+        shape = (self.S, self.k)
         return {
-            "fwd_len": [a.copy() for a in self.fwd_len],
-            "fwd_busy": [a.copy() for a in self.fwd_busy],
-            "ret_len": [a.copy() for a in self.ret_len],
-            "ret_busy": [a.copy() for a in self.ret_busy],
-            "fwd_tot": list(self.fwd_tot),
-            "ret_tot": list(self.ret_tot),
+            "fwd_len": [lane.len.reshape(shape).copy() for lane in self.fwd],
+            "fwd_busy": [lane.busy.reshape(shape).copy() for lane in self.fwd],
+            "ret_len": [lane.len.reshape(shape).copy() for lane in self.ret],
+            "ret_busy": [lane.busy.reshape(shape).copy() for lane in self.ret],
+            "fwd_tot": [lane.tot for lane in self.fwd],
+            "ret_tot": [lane.tot for lane in self.ret],
         }
 
+    def flush(self) -> None:
+        """Write the plane back into the switch objects: contents,
+        packet counts and statistics of every queue touched since the
+        last flush, its output port, and the switch counters."""
+        np = self._np
+        pairwise = self.pairwise
+        obj = self.obj
+        for lane in self.fwd + self.ret:
+            touched = np.flatnonzero(lane.dirty)
+            if touched.size:
+                ids, lengths = lane.contents(np, touched)
+                ids_l = ids.tolist()
+                combined_l = self.comb[ids].tolist()
+                if lane.forward:
+                    for i, digits in zip(ids_l, self.dig[ids].tolist()):
+                        obj[i].digits = digits
+                queues, ports = lane.queues, lane.ports
+                start = 0
+                for f, n, used, peak, ins, busy, sent in zip(
+                    touched.tolist(), lengths.tolist(),
+                    lane.used[touched].tolist(), lane.peak[touched].tolist(),
+                    lane.ins[touched].tolist(), lane.busy[touched].tolist(),
+                    lane.sent[touched].tolist(),
+                ):
+                    queue = queues[f]
+                    if n:
+                        end = start + n
+                        slots = deque()
+                        index: dict[tuple[int, int], list[_Slot]] = {}
+                        for i, combined in zip(ids_l[start:end],
+                                               combined_l[start:end]):
+                            m = obj[i]
+                            slot = _Slot(m, combined)
+                            slots.append(slot)
+                            if not (pairwise and combined):
+                                key = (m.mm, m.offset)
+                                if key in index:
+                                    index[key].append(slot)
+                                else:
+                                    index[key] = [slot]
+                        queue._slots = slots
+                        queue._by_key = index
+                        start = end
+                    elif queue._slots:
+                        queue._slots = deque()
+                        queue._by_key = {}
+                    queue.used_packets = used
+                    queue.peak_packets = peak
+                    if ins:
+                        queue.total_inserted += ins
+                    if sent:
+                        port = ports[f]
+                        port.busy_until = busy
+                        port.messages_sent += sent
+                lane.ins[touched] = 0
+                lane.sent[touched] = 0
+                lane.dirty[touched] = False
+            for counts, field in ((lane.routed, "requests_routed"
+                                   if lane.forward else "replies_routed"),
+                                  (lane.blocked, "forward_blocked_cycles"
+                                   if lane.forward else "return_blocked_cycles")):
+                hit = np.flatnonzero(counts)
+                if hit.size:
+                    switches = lane.switches
+                    for i, n in zip(hit.tolist(), counts[hit].tolist()):
+                        stats = switches[i].stats
+                        setattr(stats, field, getattr(stats, field) + n)
+                    counts[hit] = 0
+
     def has_messages(self) -> bool:
-        return any(self.fwd_tot) or any(self.ret_tot)
+        return any(lane.tot for lane in self.fwd) or any(
+            lane.tot for lane in self.ret)
 
     # ------------------------------------------------------------------
     # injections (PNI -> stage 0, MNI -> stage D-1)
     # ------------------------------------------------------------------
     def inject_request(self, pe: int, message: "Message", cycle: int) -> bool:
-        sw_i, in_port = self.entry[pe]
-        sw = self.rows[0][sw_i]
-        out_digit = message.digits[0]
-        combines_before = sw.stats.combines
-        if sw.offer_forward(in_port, message, cycle):
-            if sw.stats.combines == combines_before:
-                self.fwd_len[0][sw_i, out_digit] += 1
-                self.fwd_tot[0] += 1
+        i = self._admit(message)
+        if self._offer_forward(self.fwd[0], self.next_sw_l[pe],
+                               self.next_port_l[pe], message.digits[0], i,
+                               cycle):
             return True
+        self._release(i)
         return False
 
     def inject_reply(self, mm: int, message: "Message", cycle: int) -> bool:
         last = self.D - 1
         sw_i, mm_port = divmod(mm, self.k)
-        sw = self.rows[last][sw_i]
-        to_pe = sw.to_pe
-        before = [len(q._slots) for q in to_pe]
-        if sw.offer_return(mm_port, message, cycle):
-            added = 0
-            rl = self.ret_len[last]
-            for j in range(self.k):
-                d = len(to_pe[j]._slots) - before[j]
-                if d:
-                    rl[sw_i, j] += d
-                    added += d
-            self.ret_tot[last] += added
+        i = self._admit(message)
+        if self._offer_return(self.ret[last], sw_i, mm_port,
+                              message.digits[last], i, cycle):
             return True
+        self._release(i)
         return False
 
     # ------------------------------------------------------------------
-    # one hop per resident message, whole stages at a time
+    # one message at a time: endpoints and the combining path (scalar
+    # reads go through ``item``, which skips numpy's scalar boxing)
+    # ------------------------------------------------------------------
+    def _push(self, lane: _Lane, q: int, i: int, packets: int) -> None:
+        n = lane.len.item(q)
+        if n == lane.slots:
+            lane.grow(self._np)
+        lane.ring[q, (lane.head.item(q) + n) % lane.slots] = i
+        lane.len[q] = n + 1
+        used = lane.used.item(q) + packets
+        lane.used[q] = used
+        if used > lane.peak.item(q):
+            lane.peak[q] = used
+        lane.ins[q] = lane.ins.item(q) + 1
+        lane.dirty[q] = True
+        lane.tot += 1
+        if lane.hist is not None:
+            lane.hist.observe(used)
+
+    def _pop(self, lane: _Lane, f: int, packets: int, cycle: int) -> None:
+        head = lane.head.item(f) + 1
+        lane.head[f] = 0 if head == lane.slots else head
+        lane.len[f] = lane.len.item(f) - 1
+        lane.used[f] = lane.used.item(f) - packets
+        lane.busy[f] = cycle + packets
+        lane.sent[f] = lane.sent.item(f) + 1
+        lane.dirty[f] = True
+        lane.tot -= 1
+
+    def _offer_forward(self, lane: _Lane, sw_i: int, in_port: int, out: int,
+                       i: int, cycle: int) -> bool:
+        """``Switch.offer_forward`` on the plane: combine with a queued
+        partner, or append if the queue has room; refuse otherwise."""
+        q = sw_i * self.k + out
+        sw = lane.switches[sw_i]
+        obj = self.obj
+        message = obj[i]
+        partner = None
+        held = lane.len.item(q)
+        if self.combining and held:
+            mm, offset = message.mm, message.offset
+            row = lane.ring[q].tolist()
+            head = lane.head.item(q)
+            for j in (row[head:] + row[:head])[:held]:
+                queued = obj[j]
+                if queued.offset != offset or queued.mm != mm or (
+                        self.pairwise and self.comb.item(j)):
+                    continue
+                if sw.wait_buffers[out].is_full():
+                    break  # nowhere to put the decombining record
+                plan = try_combine(queued.op, message.op)
+                if plan is not None:
+                    partner = (j, plan)
+                    break
+        packets = message.packets
+        if partner is None and self.cap is not None and (
+                lane.used.item(q) + packets > self.cap):
+            return False
+        stage = lane.stage
+        self.dig[i, stage] = in_port
+        if partner is None:
+            self.comb[i] = False  # a new slot, not yet combined here
+            self._push(lane, q, i, packets)
+            if self._instr_on:
+                self._instr.record("enqueue", cycle, tag=message.tag,
+                                   pe=message.origin, stage=stage)
+        else:
+            j, plan = partner
+            message.digits = self.dig[i].tolist()
+            self._release(i)
+            queued = self.obj[j]
+            before = queued.packets
+            queued.replace_op(plan.forward)
+            queued.combine_depth = max(queued.combine_depth,
+                                       message.combine_depth) + 1
+            self.comb[j] = True
+            self.pk[j] = queued.packets
+            used = lane.used.item(q) + queued.packets - before
+            lane.used[q] = used
+            if used > lane.peak.item(q):
+                lane.peak[q] = used
+            lane.queues[q].total_combined += 1
+            lane.dirty[q] = True
+            sw.wait_buffers[out].insert(WaitRecord(
+                key_tag=queued.tag, plan=plan, new_message=message,
+                stage=stage, created_cycle=cycle))
+            self.rec[queued.tag] = self.rec.get(queued.tag, 0) | (1 << stage)
+            sw.stats.combines += 1
+            if self._instr_on:
+                sw._combine_counter.inc()
+                self._instr.record("combine", cycle, tag=message.tag,
+                                   pe=message.origin, stage=stage,
+                                   tag2=queued.tag)
+        lane.routed[sw_i] = lane.routed.item(sw_i) + 1
+        return True
+
+    def _offer_return(self, lane: _Lane, sw_i: int, mm_port: int, out: int,
+                      i: int, cycle: int) -> bool:
+        """``Switch.offer_return`` on the plane: route the reply, and on
+        a wait-buffer hit unwind the decombining stack into one reply per
+        absorbed partner, all or nothing."""
+        k = self.k
+        sw = lane.switches[sw_i]
+        message = self.obj[i]
+        stage = lane.stage
+        records = (sw.wait_buffers[mm_port].peek_all(message.tag)
+                   if self.wm.item(i) >> stage & 1 else ())
+        if not records:
+            packets = message.packets
+            q = sw_i * k + out
+            if self.cap is not None and lane.used.item(q) + packets > self.cap:
+                return False
+            self._push(lane, q, i, packets)
+            lane.routed[sw_i] = lane.routed.item(sw_i) + 1
+            return True
+
+        value = message.value
+        partner_replies: list["Message"] = []
+        for record in reversed(records):
+            new_value = record.plan.new_rule.materialize(value)
+            partner_replies.append(record.new_message.make_reply(new_value))
+            value = record.plan.old_rule.materialize(value)
+        old_packets = PACKETS_WITH_DATA if value is not None else PACKETS_WITHOUT_DATA
+        if self.cap is not None:
+            needed: dict[int, int] = {}
+            for reply in partner_replies:
+                port = reply.digits[stage]
+                needed[port] = needed.get(port, 0) + reply.packets
+            needed[out] = needed.get(out, 0) + old_packets
+            for port, packets in needed.items():
+                if lane.used.item(sw_i * k + port) + packets > self.cap:
+                    return False
+
+        sw.wait_buffers[mm_port].match_all(message.tag)
+        bits = self.rec.pop(message.tag, 0) & ~(1 << stage)
+        if bits:
+            self.rec[message.tag] = bits
+        message.set_value(value)
+        self.pk[i] = message.packets
+        for reply in partner_replies:
+            self._push(lane, sw_i * k + reply.digits[stage], self._admit(reply),
+                       reply.packets)
+            sw.stats.decombines += 1
+        self._push(lane, sw_i * k + out, i, message.packets)
+        lane.routed[sw_i] = lane.routed.item(sw_i) + 1 + len(partner_replies)
+        if self._instr_on:
+            sw._decombine_counter.inc(len(records))
+            for record in records:
+                sw._wait_residency.observe(cycle - record.created_cycle)
+                self._instr.record("decombine", cycle,
+                                   tag=record.new_message.tag,
+                                   pe=record.new_message.origin,
+                                   stage=stage, tag2=message.tag)
+        return True
+
+    # ------------------------------------------------------------------
+    # one hop per resident message, a whole stage per step
     # ------------------------------------------------------------------
     def step_forward(self, cycle: int) -> None:
-        """Move requests one hop toward memory (dense phase 2).
-
-        Stages are processed memory side first and the per-stage
-        transmit mask is evaluated in row-major (switch, port) order, so
-        every offer lands in exactly the dense kernel's sequence."""
-        np = self._np
-        k = self.k
-        kernel = self.kernel
-        fwd_next = self.fwd_next
+        """Move requests one hop toward memory (dense phase 2), memory
+        side first so each message advances at most one stage."""
+        senders = self._senders(self.fwd, self.fwd_len, self.fwd_busy, cycle)
+        if senders is None:
+            return
         last = self.D - 1
         for stage in range(last, -1, -1):
-            if self.fwd_tot[stage] == 0:
-                continue
-            qlen = self.fwd_len[stage]
-            busy = self.fwd_busy[stage]
-            flat = np.flatnonzero((qlen.ravel() != 0) & (busy.ravel() <= cycle))
-            if flat.size == 0:
-                continue
-            row = self.rows[stage]
-            at_last = stage == last
-            if not at_last:
-                next_row = self.rows[stage + 1]
-                nlen = self.fwd_len[stage + 1]
-                next_digit = stage + 1
-            for f in flat.tolist():
-                sw_i, port = divmod(f, k)
-                sw = row[sw_i]
-                queue = sw.to_mm[port]
-                head = queue._slots[0].message
-                if at_last:
-                    accepted = kernel._mm_sink(f, head)
+            src = senders[stage]
+            if src.size:
+                if stage == last:
+                    self._exit(self.fwd[stage], src, cycle)
                 else:
-                    t_i, t_port = fwd_next[f]
-                    target = next_row[t_i]
-                    out_digit = head.digits[next_digit]
-                    combines_before = target.stats.combines
-                    accepted = target.offer_forward(t_port, head, cycle)
-                    if accepted and target.stats.combines == combines_before:
-                        nlen[t_i, out_digit] += 1
-                        self.fwd_tot[stage + 1] += 1
-                if accepted:
-                    queue.pop()
-                    qlen[sw_i, port] -= 1
-                    self.fwd_tot[stage] -= 1
-                    until = cycle + head.packets
-                    port_obj = sw.mm_ports[port]
-                    port_obj.busy_until = until
-                    port_obj.messages_sent += 1
-                    busy[sw_i, port] = until
-                else:
-                    sw.stats.forward_blocked_cycles += 1
+                    self._hop(self.fwd[stage], self.fwd[stage + 1], src, cycle)
 
     def step_return(self, cycle: int) -> None:
         """Move replies one hop toward the PEs (dense phase 4)."""
-        np = self._np
-        k = self.k
-        kernel = self.kernel
-        ret_prev = self.ret_prev
-        pe_line = self.pe_line
+        senders = self._senders(self.ret, self.ret_len, self.ret_busy, cycle)
+        if senders is None:
+            return
         for stage in range(self.D):
-            if self.ret_tot[stage] == 0:
-                continue
-            qlen = self.ret_len[stage]
-            busy = self.ret_busy[stage]
-            flat = np.flatnonzero((qlen.ravel() != 0) & (busy.ravel() <= cycle))
-            if flat.size == 0:
-                continue
-            row = self.rows[stage]
-            at_first = stage == 0
-            if not at_first:
-                prev_row = self.rows[stage - 1]
-                plen = self.ret_len[stage - 1]
-            for f in flat.tolist():
-                sw_i, port = divmod(f, k)
-                sw = row[sw_i]
-                queue = sw.to_pe[port]
-                head = queue._slots[0].message
-                if at_first:
-                    accepted = kernel._pe_sink(pe_line[f], head)
+            src = senders[stage]
+            if src.size:
+                if stage == 0:
+                    self._exit(self.ret[stage], src, cycle)
                 else:
-                    p_i, mm_port = ret_prev[f]
-                    target = prev_row[p_i]
-                    to_pe = target.to_pe
-                    before = [len(q._slots) for q in to_pe]
-                    accepted = target.offer_return(mm_port, head, cycle)
-                    if accepted:
-                        added = 0
-                        for j in range(k):
-                            d = len(to_pe[j]._slots) - before[j]
-                            if d:
-                                plen[p_i, j] += d
-                                added += d
-                        self.ret_tot[stage - 1] += added
-                if accepted:
-                    queue.pop()
-                    qlen[sw_i, port] -= 1
-                    self.ret_tot[stage] -= 1
-                    until = cycle + head.packets
-                    port_obj = sw.pe_ports[port]
-                    port_obj.busy_until = until
-                    port_obj.messages_sent += 1
-                    busy[sw_i, port] = until
+                    self._hop(self.ret[stage], self.ret[stage - 1], src, cycle)
+
+    def _senders(self, lanes: list[_Lane], length: Any, busy: Any,
+                 cycle: int) -> Optional[list[Any]]:
+        """Transmitting queues of every stage, each in row-major order
+        (None when the direction is empty).
+
+        One mask serves the whole direction: a stage's queues change
+        during a step only through its own pops and through pushes from
+        the stage processed after it, so its senders are fixed before
+        the step starts."""
+        if not any(lane.tot for lane in lanes):
+            return None
+        np = self._np
+        stages, queues = np.nonzero((length != 0) & (busy <= cycle))
+        bounds = np.searchsorted(stages, np.arange(self.D + 1)).tolist()
+        return [queues[bounds[s]:bounds[s + 1]] for s in range(self.D)]
+
+    def _exit(self, lane: _Lane, src: Any, cycle: int) -> None:
+        """Hand every sending head to its endpoint (MNI or PNI)."""
+        np = self._np
+        src_l = src.tolist()
+        small = len(src_l) < self.vector_min
+        if small:
+            ring, head = lane.ring, lane.head
+            ids = ids_l = [ring.item(f, head.item(f)) for f in src_l]
+        else:
+            ids = lane.ring[src, lane.head[src]]
+            ids_l = ids.tolist()
+        obj = self.obj
+        if lane.forward:
+            sink = self.kernel._mm_sink
+            ends = src_l
+            for i, digits in zip(ids_l, self.dig[ids].tolist()):
+                obj[i].digits = digits
+        else:
+            sink = self.kernel._pe_sink
+            ends = [self.pe_line[f] for f in src_l]
+        if small:
+            k = self.k
+            for f, i, end in zip(src_l, ids_l, ends):
+                message = obj[i]
+                if sink(end, message):
+                    self._pop(lane, f, message.packets, cycle)
+                    self._release(i)
                 else:
-                    sw.stats.return_blocked_cycles += 1
+                    lane.blocked[f // k] = lane.blocked.item(f // k) + 1
+            return
+        accepted = [n for n, (i, end) in enumerate(zip(ids_l, ends))
+                    if sink(end, obj[i])]
+        packets = self.pk[ids]
+        for n in accepted:
+            self._release(ids_l[n])
+        self._pop_many(lane, src, packets, np.asarray(accepted, dtype=np.int64),
+                       cycle)
+
+    def _pop_many(self, lane: _Lane, src: Any, packets: Any, accepted: Any,
+                  cycle: int) -> None:
+        """Commit the sending side: pop the accepted heads (``accepted``
+        indexes ``src``), occupy their links, count the refused ones."""
+        np = self._np
+        if accepted.size < src.size:
+            refused = np.ones(src.size, dtype=bool)
+            refused[accepted] = False
+            np.add.at(lane.blocked, src[refused] // self.k, 1)
+        if not accepted.size:
+            return
+        f = src[accepted]
+        p = packets[accepted]
+        lane.head[f] = (lane.head[f] + 1) % lane.slots
+        lane.len[f] -= 1
+        lane.used[f] -= p
+        lane.busy[f] = cycle + p
+        lane.sent[f] += 1
+        lane.dirty[f] = True
+        lane.tot -= accepted.size
+
+    def _hop(self, lane: _Lane, target: _Lane, src: Any, cycle: int) -> None:
+        """Move the heads of the sending queues ``src`` of ``lane``
+        into ``target``."""
+        np = self._np
+        if src.size < self.vector_min:
+            self._serial(lane, target, src.tolist(), cycle)
+            return
+        ids = lane.ring[src, lane.head[src]]
+        out = self.dig[ids, target.stage]
+        if lane.forward:
+            t_sw, t_port = self.next_sw[src], self.next_port[src]
+        else:
+            t_sw, t_port = self.prev_sw[src], self.prev_port[src]
+        tq = t_sw * self.k + out
+        order, rank, ranks = self._ranks(tq)
+        serial = self._serial_mask(lane, target, ids, tq, order)
+        if serial is None:
+            self._commit(lane, target, src, ids, tq, t_sw, t_port, cycle,
+                         rank, ranks)
+            return
+        if self._instr_on:
+            # The trace records every offer in row-major order.
+            self._serial(lane, target, src.tolist(), cycle)
+            return
+        # Offers interact only through their target queue (forward: its
+        # slots and wait buffer) or target switch (return: a decombining
+        # fan-out reaches every port), so taking the heads in rank order
+        # within those groups is the row-major outcome; within a rank
+        # the plain heads move vectorized and the rest one at a time.
+        if not lane.forward:
+            _, rank, ranks = self._ranks(t_sw)
+        for r in range(ranks):
+            phase = rank == r
+            plain = np.flatnonzero(phase & ~serial)
+            if plain.size:
+                self._commit(lane, target, src[plain], ids[plain], tq[plain],
+                             t_sw[plain], t_port[plain], cycle)
+            self._serial(lane, target, src[phase & serial].tolist(), cycle)
+
+    def _ranks(self, group: Any) -> tuple[Any, Any, int]:
+        """A stable sort of ``group``, each entry's position among the
+        entries of its group (in order), and the number of positions."""
+        np = self._np
+        n = group.size
+        if n < 2:
+            return np.arange(n), np.zeros(n, dtype=np.int64), 1
+        order = np.argsort(group, kind="stable")
+        grouped = group[order]
+        pos = np.arange(n)
+        starts = np.where(np.r_[True, grouped[1:] != grouped[:-1]], pos, 0)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = pos - np.maximum.accumulate(starts)
+        return order, rank, int(rank.max()) + 1
+
+    def _serial_mask(self, lane: _Lane, target: _Lane, ids: Any, tq: Any,
+                     order: Any) -> Optional[Any]:
+        """Heads that must take the per-message path, or None if none.
+
+        A request needs it when its target queue holds an uncombined
+        request for the same cell or an earlier head of this step goes
+        to the same queue with the same cell (``order`` sorts the heads
+        stably by target queue); a reply needs it when its tag has a
+        wait record at the target stage.  Cells are compared by a hash
+        of ``(mm, offset)``: a collision only sends a head down the
+        exact per-message path."""
+        np = self._np
+        if not lane.forward:
+            if not self.rec:
+                return None
+            serial = (self.wm[ids] >> target.stage) & 1 != 0
+            return serial if serial.any() else None
+        if not self.combining:
+            return None
+        key = self.key[ids]
+        serial = np.zeros(ids.size, dtype=bool)
+        by_queue, by_key = tq[order], key[order]
+        # A queue has at most k senders, so an earlier one with the same
+        # cell sits fewer than k places before in the sorted order.
+        for d in range(1, min(self.k, ids.size)):
+            same = (by_queue[d:] == by_queue[:-d]) & (by_key[d:] == by_key[:-d])
+            serial[order[d:][same]] = True
+        held = target.len[tq]
+        busy = np.flatnonzero(held)
+        if busy.size:
+            q = tq[busy]
+            slots = target.slots
+            pos = np.arange(slots)
+            resident = target.ring[q[:, None],
+                                   (target.head[q][:, None] + pos) % slots]
+            hit = ((pos < held[busy][:, None])
+                   & (self.key[resident] == key[busy][:, None]))
+            if self.pairwise:
+                hit &= ~self.comb[resident]
+            serial[busy] |= hit.any(axis=1)
+        return serial if serial.any() else None
+
+    def _serial(self, lane: _Lane, target: _Lane, src: list[int],
+                cycle: int) -> None:
+        """Offer the heads of the sending queues ``src`` one at a time,
+        in row-major order."""
+        if lane.forward:
+            offer, t_sw, t_port = self._offer_forward, self.next_sw_l, self.next_port_l
+        else:
+            offer, t_sw, t_port = self._offer_return, self.prev_sw_l, self.prev_port_l
+        ring, head, dig, obj = lane.ring, lane.head, self.dig, self.obj
+        forward = lane.forward
+        stage = target.stage
+        k = self.k
+        for f in src:
+            i = ring.item(f, head.item(f))
+            message = obj[i]
+            packets = message.packets
+            if offer(target, t_sw[f], t_port[f], dig.item(i, stage), i, cycle):
+                if not forward:
+                    packets = message.packets  # decombining rewrites it
+                self._pop(lane, f, packets, cycle)
+            else:
+                lane.blocked[f // k] = lane.blocked.item(f // k) + 1
+
+    def _commit(self, lane: _Lane, target: _Lane, src: Any, ids: Any, tq: Any,
+                t_sw: Any, t_port: Any, cycle: int, rank: Any = None,
+                ranks: int = 1) -> None:
+        """Vectorized offers of heads that neither combine nor decombine.
+
+        Offers to one queue are taken in rank order (``rank`` = position
+        among this step's offers to that queue, row-major; None when the
+        target queues are distinct), each against the capacity left by
+        the ranks before it — the greedy check
+        ``Switch.offer_forward``/``offer_return`` make in offer order."""
+        np = self._np
+        n = src.size
+        packets = self.pk[ids]
+        while int(target.len[tq].max()) + ranks > target.slots:
+            target.grow(np)
+        slots = target.slots
+        cap = self.cap
+        accepted = np.ones(n, dtype=bool) if cap is None else np.zeros(n, dtype=bool)
+        post = np.zeros(n, dtype=np.int64) if target.hist is not None else None
+        for r in range(ranks):
+            sel = np.flatnonzero(rank == r) if ranks > 1 else np.arange(n)
+            q = tq[sel]
+            used = target.used[q] + packets[sel]
+            if cap is not None:
+                fits = used <= cap
+                sel, q, used = sel[fits], q[fits], used[fits]
+                accepted[sel] = True
+            held = target.len[q]
+            target.ring[q, (target.head[q] + held) % slots] = ids[sel]
+            target.len[q] = held + 1
+            target.used[q] = used
+            target.ins[q] += 1
+            if post is not None:
+                post[sel] = used
+        taken = np.flatnonzero(accepted)
+        if taken.size:
+            q = tq[taken]
+            target.peak[q] = np.maximum(target.peak[q], target.used[q])
+            target.dirty[q] = True
+            target.tot += taken.size
+            np.add.at(target.routed, t_sw[taken], 1)
+            if lane.forward:
+                moved = ids[taken]
+                self.dig[moved, target.stage] = t_port[taken]
+                self.comb[moved] = False  # new slots, not yet combined
+            if self._instr_on:
+                self._record_appends(target, ids[taken], post, taken, cycle)
+        self._pop_many(lane, src, packets, taken, cycle)
+
+    def _record_appends(self, target: _Lane, ids: Any, post: Any, taken: Any,
+                        cycle: int) -> None:
+        """Instrumentation of vectorized appends, in offer order: the
+        queue-occupancy observation and (forward) the enqueue event."""
+        stage = target.stage
+        record = self._instr.record
+        hist = target.hist
+        occupancy = post[taken].tolist() if post is not None else None
+        for n, i in enumerate(ids.tolist()):
+            if target.forward:
+                message = self.obj[i]
+                record("enqueue", cycle, tag=message.tag, pe=message.origin,
+                       stage=stage)
+            if hist is not None:
+                hist.observe(occupancy[n])
 
 
 class _VectorPrograms:
@@ -473,10 +1026,10 @@ class BatchKernel(DenseKernel):
     """Vectorized stage-stepping kernel (``MachineConfig(kernel="batch")``).
 
     Executes the exact dense cycle — same seven phases, same component
-    order — but schedules each phase from numpy mirrors of the
-    schedulable state and visits only components that can act.  See the
-    module docstring for the design; bit-identity with the dense kernel
-    is enforced by the differential grid.
+    order — but moves network traffic a stage at a time in each copy's
+    :class:`_MessagePlane` and visits only endpoints that can act.  See
+    the module docstring for the design; bit-identity with the dense
+    kernel is enforced by the differential grid.
     """
 
     name = "batch"
@@ -492,7 +1045,7 @@ class BatchKernel(DenseKernel):
         super().__init__(machine)
         self._np = numpy
         self._built = False
-        self._states: list[_CopyState] = []
+        self._states: list[_MessagePlane] = []
         self._vpes: Optional[_VectorPrograms] = None
         self._solo = True
         # Endpoint active sets: MNIs assembling/serving, MNIs with
@@ -505,7 +1058,7 @@ class BatchKernel(DenseKernel):
     def _ensure_state(self) -> None:
         m = self.machine
         if not self._built:
-            self._states = [_CopyState(self._np, net, self) for net in m.networks]
+            self._states = [_MessagePlane(self._np, net, self) for net in m.networks]
             self._vpes = _VectorPrograms(self, m.programs, self._np)
             self._built = True
         # Solo mode: the built-in ProgramDriver is the only driver, so
@@ -516,8 +1069,16 @@ class BatchKernel(DenseKernel):
         self._solo = len(m.drivers) == 1 and m.drivers[0] is m.programs
 
     def _flush(self) -> None:
+        """Bring the object view up to date (queues, ports, switch and
+        PE counters) for readers outside the kernel."""
         if self._vpes is not None:
             self._vpes.flush()
+        for state in self._states:
+            state.flush()
+
+    def _timeout(self, max_cycles: int) -> RuntimeError:
+        self._flush()  # the message counts in-flight traffic
+        return super()._timeout(max_cycles)
 
     # -- endpoint sinks (dense semantics + active-set maintenance) -----
     def _mm_sink(self, mm: int, message: "Message") -> bool:
@@ -616,7 +1177,8 @@ class BatchKernel(DenseKernel):
     # ------------------------------------------------------------------
     def _maybe_quiescent(self) -> bool:
         """Cheap necessary condition for quiescence; when it holds the
-        authoritative ``machine.quiescent()`` is consulted."""
+        object view is flushed and the authoritative
+        ``machine.quiescent()`` is consulted."""
         if self._mni_active or self._mni_out:
             return False
         for state in self._states:
@@ -627,6 +1189,10 @@ class BatchKernel(DenseKernel):
                 return False
             if not self._vpes.done():
                 return False
+        elif not all(driver.done() for driver in self.machine.drivers):
+            return False
+        for state in self._states:
+            state.flush()
         return True
 
     def _next_event_cycle(self) -> Optional[int]:

@@ -80,11 +80,12 @@ class MachineConfig:
     #: simulation kernel: ``"dense"`` ticks every component every cycle
     #: (the reference semantics); ``"event"`` skips idle components and
     #: fast-forwards globally quiet cycles; ``"batch"`` (requires numpy,
-    #: the ``repro[batch]`` extra) mirrors per-stage switch state into
-    #: struct-of-arrays form and advances whole stages per vectorized
-    #: step — the 1024–4096-PE scaling kernel.  All kernels produce
-    #: bit-identical results; valid names come from the pluggable
-    #: registry in :mod:`repro.core.scheduler`.
+    #: the ``repro[batch]`` extra) keeps every in-flight message in
+    #: struct-of-arrays form and moves a whole stage of them per
+    #: vectorized step — the 1024–4096-PE scaling kernel (omega only;
+    #: the switch objects are written back at each step/run boundary).
+    #: All kernels produce bit-identical results; valid names come from
+    #: the pluggable registry in :mod:`repro.core.scheduler`.
     kernel: str = "dense"
     #: network geometry, resolved through the topology registry in
     #: :mod:`repro.network.topology`: ``"omega"`` (the paper's machine),

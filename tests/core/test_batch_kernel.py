@@ -1,13 +1,13 @@
 """Unit and property tests for the batch kernel's array state.
 
-The batch kernel mirrors each network copy's schedulable state (queue
-lengths, link busy-until times) into numpy arrays and maintains them
-incrementally as messages move.  The switch objects stay authoritative,
-so the correctness condition is a round-trip: after any number of
-executed cycles, the incrementally-maintained arrays must equal a
-mirror rebuilt from scratch off the objects (``_CopyState.resync``).
-Hypothesis drives machines through varied sizes, workloads, and seeds
-and checks the round-trip at an arbitrary cut point.
+The batch kernel keeps every message resident in a network copy in
+numpy arrays (its ``_MessagePlane``) and writes the switch objects back
+at each public boundary.  The correctness condition is a round-trip:
+after any number of executed cycles, the incrementally-maintained
+arrays must equal a plane rebuilt from scratch off the written-back
+objects (``_MessagePlane.resync``).  Hypothesis drives machines through
+varied sizes, workloads, and seeds and checks the round-trip at an
+arbitrary cut point.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _program(pe_id, rounds, seed):
 
 
 def _mirror_states(machine):
-    """The kernel's per-copy array mirrors (forces state construction)."""
+    """The kernel's per-copy message planes (forces state construction)."""
     kernel = machine.kernel
     kernel._ensure_state()
     return kernel._states

@@ -1,0 +1,155 @@
+"""Knob fuzz: the batch kernel against dense across the machine's knobs.
+
+The differential grid in ``test_kernel_equivalence.py`` runs a fixed
+set of configurations.  This test lets hypothesis draw the knobs the
+batch kernel's message plane has to honour — switch arity, network
+copies, finite switch queues, finite wait buffers, combining on/off,
+pairwise-only combining, MNI back-pressure, address hashing and the
+PNI window — and checks that ``RunResult.to_dict()``, including the
+instrumentation snapshot and the cycle trace, is bit-identical to the
+dense kernel's.  Two workload kinds run on each draw: closed programs
+mixing fetch-and-add, load and store on a few shared cells (combining
+and decombining of every pairing), and open-loop hot-spot traffic that
+is offered for a while and then drained one ``step()`` at a time (the
+custom-driver path, with an object-view flush per step).
+
+Machines this small send only a few messages per stage and cycle, which
+the kernel moves one at a time; each draw also picks whether to force
+every stage step through the vectorized path instead, so both paths
+meet every knob.  Uninstrumented draws compare the result without the
+metrics and trace, which lets the kernel mix vectorized and
+per-message offers within a stage step.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+from hypothesis import HealthCheck, example, given, settings
+import hypothesis.strategies as st
+
+from repro.core.machine import MachineConfig, Ultracomputer
+from repro.core.memory_ops import FetchAdd, Load, Store
+from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
+
+#: offered cycles of open-loop traffic before the drain
+OFFERED = 40
+#: drain bound (in single steps) of the open-loop runs
+DRAIN = 600
+#: cycle budget of the closed runs
+MAX_CYCLES = 5_000
+
+
+@st.composite
+def configs(draw) -> dict:
+    return {
+        "k": draw(st.sampled_from([2, 4])),
+        "n_pes": draw(st.sampled_from([4, 16, 64])),
+        "copies": draw(st.sampled_from([1, 2])),
+        "queue_capacity_packets": draw(st.sampled_from([None, 4, 15])),
+        "wait_buffer_capacity": draw(st.sampled_from([None, 1, 2])),
+        "combining": draw(st.booleans()),
+        "pairwise_only": draw(st.booleans()),
+        "mni_inbound_capacity_packets": draw(st.sampled_from([None, 3])),
+        "translation": draw(st.sampled_from(["interleaved", "hashed"])),
+        "max_outstanding": draw(st.sampled_from([None, 2])),
+        "instrument": draw(st.booleans()),
+        "vectorized": draw(st.booleans()),
+    }
+
+
+def _machine(kernel: str, knobs: dict) -> Ultracomputer:
+    knobs = dict(knobs)
+    instrument = knobs.pop("instrument")
+    vectorized = knobs.pop("vectorized")
+    machine = Ultracomputer(
+        MachineConfig(kernel=kernel, instrument=instrument,
+                      trace_capacity=(1 << 13) if instrument else 0, **knobs)
+    )
+    if kernel == "batch" and vectorized:
+        machine.kernel._ensure_state()
+        for plane in machine.kernel._states:
+            plane.vector_min = 1  # every stage step takes the numpy path
+    return machine
+
+
+def mixed_program(pe_id, rounds, seed):
+    """Fetch-and-adds, loads and stores on three shared cells and one
+    private one, with short compute gaps."""
+    rng = random.Random((seed << 16) | pe_id)
+    acc = 0
+    for i in range(rounds):
+        yield rng.randrange(1, 6)
+        address = rng.choice((0, 1, 2, 256 + pe_id))
+        kind = rng.randrange(3)
+        if kind == 0:
+            acc += yield FetchAdd(address, pe_id + 1)
+        elif kind == 1:
+            yield Store(address, acc + i)
+        else:
+            acc += (yield Load(address)) or 0
+    return acc
+
+
+def _closed(kernel: str, knobs: dict, seed: int) -> tuple:
+    """The run's result, or its timeout and the state it stopped in:
+    unlimited combining into a 4-packet queue can wedge a decombining
+    fan-out for good, and then every kernel must wedge the same way."""
+    machine = _machine(kernel, knobs)
+    machine.spawn_many(knobs["n_pes"], mixed_program, 4, seed)
+    try:
+        return "done", machine.run(max_cycles=MAX_CYCLES).to_dict()
+    except RuntimeError as timeout:
+        return str(timeout), machine.stats().to_dict()
+
+
+def _open(kernel: str, knobs: dict, seed: int, rate: float) -> dict:
+    machine = _machine(kernel, knobs)
+    driver = SyntheticTrafficDriver(
+        machine,
+        TrafficSpec(rate=rate, pattern="hotspot", hot_fraction=0.5, seed=seed),
+    )
+    machine.attach_driver(driver)
+    machine.run_cycles(OFFERED)
+    driver.spec = dataclasses.replace(driver.spec, rate=0.0)
+    for _ in range(DRAIN):
+        if all(pni.outstanding() == 0 for pni in machine.pnis):
+            break
+        machine.step()
+    return machine.stats().to_dict()
+
+
+_SETTINGS = settings(
+    max_examples=75,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestBatchKnobFuzz:
+    @_SETTINGS
+    @given(knobs=configs(), seed=st.integers(min_value=0, max_value=2**16))
+    def test_closed_programs_identical(self, knobs, seed):
+        assert _closed("batch", knobs, seed) == _closed("dense", knobs, seed)
+
+    @_SETTINGS
+    @given(
+        knobs=configs(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        rate=st.sampled_from([0.1, 0.3]),
+    )
+    # A decombining reply and a plain reply to another port of the same
+    # switch in one vectorized step, against 4-packet queues: their order
+    # decides which fits.
+    @example(
+        knobs={"k": 4, "n_pes": 16, "copies": 1, "queue_capacity_packets": 4,
+               "wait_buffer_capacity": None, "combining": True,
+               "pairwise_only": True, "mni_inbound_capacity_packets": None,
+               "translation": "interleaved", "max_outstanding": None,
+               "instrument": False, "vectorized": True},
+        seed=965,
+        rate=0.1,
+    )
+    def test_open_loop_hotspot_identical(self, knobs, seed, rate):
+        assert _open("batch", knobs, seed, rate) == _open("dense", knobs, seed, rate)

@@ -6,15 +6,19 @@ the check to the scale the batch kernel exists for.  The dense
 comparison runs a short window (dense at 1024 PEs costs ~3 ms/cycle, so
 a full run would dominate the suite); the batch-only test runs a
 barrier-round workload to completion and checks the paper-level
-outcome — near-total combining of synchronized fetch-and-adds.
+outcome — near-total combining of synchronized fetch-and-adds.  The
+uniform-traffic tests run the benchmark's traffic shape (Bernoulli
+offers from a custom driver, then a drain one ``step()`` at a time).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd
+from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 
 N_PES = 1024
 
@@ -44,6 +48,35 @@ class TestThousandPEParity:
             machine.spawn_many(N_PES, hotspot_program, 3, 17)
             results.append(machine.run_cycles(60).to_dict())
         assert results[0] == results[1]
+
+
+def uniform_drained(n_pes, kernel, offered=30, **overrides):
+    """Uniform open-loop traffic at rate 0.05 for ``offered`` cycles,
+    then drained with single steps (the ``fig7`` benchmark's shape)."""
+    machine = Ultracomputer(MachineConfig(n_pes=n_pes, kernel=kernel, **overrides))
+    driver = SyntheticTrafficDriver(
+        machine, TrafficSpec(rate=0.05, pattern="uniform", seed=5)
+    )
+    machine.attach_driver(driver)
+    machine.run_cycles(offered)
+    driver.spec = dataclasses.replace(driver.spec, rate=0.0)
+    for _ in range(offered * 4):
+        if all(pni.outstanding() == 0 for pni in machine.pnis):
+            break
+        machine.step()
+    assert all(pni.outstanding() == 0 for pni in machine.pnis)
+    return machine.stats().to_dict()
+
+
+class TestUniformTrafficParity:
+    def test_thousand_pe_uniform_drain_identical(self):
+        assert uniform_drained(N_PES, "batch") == uniform_drained(N_PES, "dense")
+
+    def test_instrumented_uniform_drain_identical(self):
+        knobs = {"instrument": True, "trace_capacity": 1 << 16}
+        assert uniform_drained(256, "batch", **knobs) == uniform_drained(
+            256, "dense", **knobs
+        )
 
 
 class TestThousandPECompletion:

@@ -12,13 +12,20 @@ numpy arrays and moving a whole stage of them per vectorized step:
   per (switch, port) queue plus its length, used packets, and
   output-link ``busy_until``.  Each message id stores its packets, a
   hash of its ``(mm, offset)`` cell and its amalgam digits.  ``Message``
-  objects are touched only at the four endpoints (PNI → stage 0, last
-  stage → MNI, MNI → last stage, stage 0 → PNI) and on the combining
+  objects are touched only at the endpoints (PNI → stage 0, any stage →
+  MNI, MNI → the reply-entry stage, stage 0 → PNI) and on the combining
   path.
+* **Wiring from the topology.**  Each lane's per-queue tables (target
+  kind, next switch and port, endpoint line) come from the targets
+  :class:`~repro.network.multistage.MultistageNetwork` resolved at
+  build, and injections go through the topology's ``inject_point`` and
+  ``reply_entry``, so every registered fabric runs here.  A stage whose
+  queues both eject and hop (hypercube, mesh) sends its endpoint-bound
+  heads and its hopping heads as two groups.
 * **One hop per stage.**  The transmit mask ``qlen != 0 & busy <=
   cycle`` finds every sending port of a direction at once; a stage's
-  heads are gathered, their targets computed from the static wiring
-  tables and digits, and pops, pushes, link occupancy and the
+  heads are gathered, their targets computed from the wiring tables
+  and digits, and pops, pushes, link occupancy and the
   routed/blocked counters are committed by scatter.  Offers to one
   target queue are settled in row-major (switch, port) order — the
   dense kernel's nested sweep — so who wins the last slot of a filling
@@ -51,12 +58,8 @@ The contract is the registry-wide one (see :mod:`repro.core.scheduler`):
 snapshot, and the cycle trace — must be bit-identical to the dense
 kernel for any workload; ``tests/integration/test_kernel_equivalence.py``
 sweeps the differential grid over all three kernels and
-``tests/integration/test_batch_fuzz.py`` fuzzes the machine knobs.
-
-Requires numpy (the optional ``repro[batch]`` extra); constructing the
-kernel without it raises an actionable error, while the kernel *name*
-stays registered so config validation and CLI listings never need the
-import.
+``tests/integration/test_batch_fuzz.py`` fuzzes the machine knobs on
+every fabric.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
+import numpy as np
+
+from ..network.switch import decombine_fits
 from ..network.systolic_queue import _Slot
 from ..network.wait_buffer import WaitRecord
 from .combining import try_combine
@@ -88,12 +94,41 @@ _FRESH, _COMPUTING, _WAITING, _PENDING, _DONE = range(5)
 #: whenever one of its queues outgrows them)
 _RING_START = 4
 
+#: where a queue's output leads: a switch of the next stage in the
+#: direction of travel, an endpoint (MNI or PNI), or nowhere
+_HOP, _END, _UNUSED = range(3)
+
+
+class _Wiring:
+    """Where the queues of a lane lead (queue ``f = switch * k + port``),
+    from the targets the network resolved at build.
+
+    ``kinds[f]`` is the target kind (``kind`` is that kind when every
+    queue shares it, else None); ``to[f]`` is the next-stage switch of a
+    hop or the endpoint line of an exit, and ``port[f]`` the hop's input
+    port.  The ``*_l`` lists serve the one-message-at-a-time paths.
+    """
+
+    __slots__ = ("kind", "kinds", "to", "port", "to_l", "port_l")
+
+    def __init__(self, targets: list) -> None:
+        kinds = [_UNUSED if t is None else _HOP if t[0] == "switch" else _END
+                 for t in targets]
+        self.kind = kinds[0] if len(set(kinds)) == 1 else None
+        self.kinds = np.array(kinds, dtype=np.int8)
+        self.to_l = [0 if t is None else t[1] for t in targets]
+        self.port_l = [t[2] if kind == _HOP else 0
+                       for t, kind in zip(targets, kinds)]
+        self.to = np.array(self.to_l, dtype=np.int64)
+        self.port = np.array(self.port_l, dtype=np.int64)
+
 
 class _Lane:
     """One (direction, stage) of a network copy, as arrays.
 
-    Queue ``f = switch * k + port`` is the ToMM queue of that port for a
-    forward lane and the ToPE queue for a return lane.  ``ring[f]``
+    Queue ``f = switch * k + port`` (``k`` ports per switch) is the ToMM
+    queue of that port for a forward lane and the ToPE queue for a
+    return lane; ``wire`` says where its output leads.  ``ring[f]``
     holds its message ids, oldest at ``head[f]``; ``len``/``used``/
     ``busy``/``peak`` mirror the queue's length, used packets, output
     link ``busy_until`` and peak packets.  ``ins``/``sent``/``routed``/
@@ -106,11 +141,11 @@ class _Lane:
     __slots__ = (
         "stage", "forward", "switches", "queues", "ports", "hist",
         "len", "used", "busy", "peak", "head", "ring", "slots", "ins", "sent",
-        "dirty", "routed", "blocked", "tot",
+        "dirty", "routed", "blocked", "tot", "wire",
     )
 
-    def __init__(self, np: Any, stage: int, forward: bool, switches: list,
-                 ring_slots: int, length: Any, busy: Any) -> None:
+    def __init__(self, stage: int, forward: bool, switches: list,
+                 wire: _Wiring, ring_slots: int, length: Any, busy: Any) -> None:
         self.stage = stage
         self.forward = forward
         self.switches = switches
@@ -133,8 +168,9 @@ class _Lane:
         self.routed = np.zeros(len(switches), dtype=np.int64)
         self.blocked = np.zeros(len(switches), dtype=np.int64)
         self.tot = 0
+        self.wire = wire
 
-    def grow(self, np: Any) -> None:
+    def grow(self) -> None:
         """Double the ring, unrolling every queue to start at slot 0."""
         slots = self.slots
         order = (self.head[:, None] + np.arange(slots)) % slots
@@ -144,7 +180,7 @@ class _Lane:
         self.slots = 2 * slots
         self.head[:] = 0
 
-    def contents(self, np: Any, queues: Any) -> tuple[Any, Any]:
+    def contents(self, queues: Any) -> tuple[Any, Any]:
         """Message ids of ``queues``, queue by queue and oldest first,
         with each queue's length."""
         slots = self.slots
@@ -163,14 +199,13 @@ class _MessagePlane:
     #: a time: below it the vectorized step's fixed cost is the larger
     vector_min = 32
 
-    def __init__(self, np_mod: Any, network: "MultistageNetwork",
+    def __init__(self, network: "MultistageNetwork",
                  kernel: "BatchKernel") -> None:
-        np = self._np = np_mod
         self.network = network
         self.kernel = kernel
-        topo = network.topology
+        topo = self.topo = network.topology
         config = network.config
-        k = self.k = topo.k
+        k = self.k = topo.switch_arity
         self.D = topo.stages
         self.S = topo.switches_per_stage
         self.cap = config.queue_capacity_packets
@@ -183,32 +218,23 @@ class _MessagePlane:
         shape = (self.D, self.S * k)
         self.fwd_len, self.fwd_busy = np.zeros(shape, np.int32), np.zeros(shape, np.int64)
         self.ret_len, self.ret_busy = np.zeros(shape, np.int32), np.zeros(shape, np.int64)
-        self.fwd = [_Lane(np, s, True, row, slots, self.fwd_len[s],
-                          self.fwd_busy[s])
+        wires: dict[int, _Wiring] = {}  # stages wired alike share a list
+        for targets in network.forward_targets + network.return_targets:
+            if id(targets) not in wires:
+                wires[id(targets)] = _Wiring(targets)
+        self.fwd = [_Lane(s, True, row, wires[id(network.forward_targets[s])],
+                          slots, self.fwd_len[s], self.fwd_busy[s])
                     for s, row in enumerate(network.stages)]
-        self.ret = [_Lane(np, s, False, row, slots, self.ret_len[s],
-                          self.ret_busy[s])
+        self.ret = [_Lane(s, False, row, wires[id(network.return_targets[s])],
+                          slots, self.ret_len[s], self.ret_busy[s])
                     for s, row in enumerate(network.stages)]
-        # Static wiring, indexed by line f = switch * k + port: the
-        # perfect shuffle takes PE f, or output f of stage s, to
-        # (switch, in_port) of the next stage; its inverse takes output
-        # f of stage s to (switch, mm_port) of stage s-1, or of stage 0
-        # to a PE.  Lists serve the one-message-at-a-time paths.
-        lines = range(topo.n_ports)
-        shuffled = np.array([topo.shuffle(f) for f in lines])
-        unshuffled = np.array([topo.unshuffle(f) for f in lines])
-        self.next_sw, self.next_port = shuffled // k, shuffled % k
-        self.prev_sw, self.prev_port = unshuffled // k, unshuffled % k
-        self.next_sw_l, self.next_port_l = self.next_sw.tolist(), self.next_port.tolist()
-        self.prev_sw_l, self.prev_port_l = self.prev_sw.tolist(), self.prev_port.tolist()
-        self.pe_line = unshuffled.tolist()
+        self.inject_points = [topo.inject_point(pe) for pe in range(topo.n_ports)]
         self.resync()
 
     # ------------------------------------------------------------------
     # message ids
     # ------------------------------------------------------------------
     def _new_pool(self, size: int) -> None:
-        np = self._np
         self.obj: list[Optional["Message"]] = [None] * size
         self.pk = np.zeros(size, dtype=np.int64)
         self.key = np.zeros(size, dtype=np.int64)
@@ -218,7 +244,6 @@ class _MessagePlane:
         self._free = list(range(size - 1, -1, -1))
 
     def _grow_pool(self) -> None:
-        np = self._np
         size = len(self.obj)
         self.obj.extend([None] * size)
         for name in ("pk", "key", "comb", "wm", "dig"):
@@ -254,7 +279,6 @@ class _MessagePlane:
         Used at construction (the objects may already hold traffic) and
         by the round-trip tests, which compare a flushed plane against
         one rebuilt from its own object view."""
-        np = self._np
         lanes = self.fwd + self.ret
         lengths = [[len(q._slots) for q in lane.queues] for lane in lanes]
         self._new_pool(max(1024, 2 * sum(map(sum, lengths))))
@@ -300,13 +324,12 @@ class _MessagePlane:
         """Write the plane back into the switch objects: contents,
         packet counts and statistics of every queue touched since the
         last flush, its output port, and the switch counters."""
-        np = self._np
         pairwise = self.pairwise
         obj = self.obj
         for lane in self.fwd + self.ret:
             touched = np.flatnonzero(lane.dirty)
             if touched.size:
-                ids, lengths = lane.contents(np, touched)
+                ids, lengths = lane.contents(touched)
                 ids_l = ids.tolist()
                 combined_l = self.comb[ids].tolist()
                 if lane.forward:
@@ -370,23 +393,22 @@ class _MessagePlane:
             lane.tot for lane in self.ret)
 
     # ------------------------------------------------------------------
-    # injections (PNI -> stage 0, MNI -> stage D-1)
+    # injections (PNI -> stage 0, MNI -> the reply-entry stage)
     # ------------------------------------------------------------------
     def inject_request(self, pe: int, message: "Message", cycle: int) -> bool:
+        sw_i, in_port = self.inject_points[pe]
         i = self._admit(message)
-        if self._offer_forward(self.fwd[0], self.next_sw_l[pe],
-                               self.next_port_l[pe], message.digits[0], i,
-                               cycle):
+        if self._offer_forward(self.fwd[0], sw_i, in_port, message.digits[0],
+                               i, cycle):
             return True
         self._release(i)
         return False
 
     def inject_reply(self, mm: int, message: "Message", cycle: int) -> bool:
-        last = self.D - 1
-        sw_i, mm_port = divmod(mm, self.k)
+        stage, sw_i, mm_port = self.topo.reply_entry(mm, message.origin)
         i = self._admit(message)
-        if self._offer_return(self.ret[last], sw_i, mm_port,
-                              message.digits[last], i, cycle):
+        if self._offer_return(self.ret[stage], sw_i, mm_port,
+                              message.digits[stage], i, cycle):
             return True
         self._release(i)
         return False
@@ -398,7 +420,7 @@ class _MessagePlane:
     def _push(self, lane: _Lane, q: int, i: int, packets: int) -> None:
         n = lane.len.item(q)
         if n == lane.slots:
-            lane.grow(self._np)
+            lane.grow()
         lane.ring[q, (lane.head.item(q) + n) % lane.slots] = i
         lane.len[q] = n + 1
         used = lane.used.item(q) + packets
@@ -444,7 +466,11 @@ class _MessagePlane:
                     break  # nowhere to put the decombining record
                 plan = try_combine(queued.op, message.op)
                 if plan is not None:
-                    partner = (j, plan)
+                    if decombine_fits(self.cap, lane.stage,
+                                      self.dig.item(j, lane.stage),
+                                      sw.wait_buffers[out].peek_all(queued.tag),
+                                      in_port, plan):
+                        partner = (j, plan)
                     break
         packets = message.packets
         if partner is None and self.cap is not None and (
@@ -553,50 +579,58 @@ class _MessagePlane:
     def step_forward(self, cycle: int) -> None:
         """Move requests one hop toward memory (dense phase 2), memory
         side first so each message advances at most one stage."""
-        senders = self._senders(self.fwd, self.fwd_len, self.fwd_busy, cycle)
-        if senders is None:
-            return
-        last = self.D - 1
-        for stage in range(last, -1, -1):
-            src = senders[stage]
-            if src.size:
-                if stage == last:
-                    self._exit(self.fwd[stage], src, cycle)
-                else:
-                    self._hop(self.fwd[stage], self.fwd[stage + 1], src, cycle)
+        self._step(self.fwd, self.fwd_len, self.fwd_busy, cycle)
 
     def step_return(self, cycle: int) -> None:
         """Move replies one hop toward the PEs (dense phase 4)."""
-        senders = self._senders(self.ret, self.ret_len, self.ret_busy, cycle)
-        if senders is None:
-            return
-        for stage in range(self.D):
-            src = senders[stage]
-            if src.size:
-                if stage == 0:
-                    self._exit(self.ret[stage], src, cycle)
-                else:
-                    self._hop(self.ret[stage], self.ret[stage - 1], src, cycle)
+        self._step(self.ret, self.ret_len, self.ret_busy, cycle)
 
-    def _senders(self, lanes: list[_Lane], length: Any, busy: Any,
-                 cycle: int) -> Optional[list[Any]]:
-        """Transmitting queues of every stage, each in row-major order
-        (None when the direction is empty).
+    def _step(self, lanes: list[_Lane], length: Any, busy: Any,
+              cycle: int) -> None:
+        """Send the head of every transmitting queue of a direction, a
+        stage at a time in the dense order (queues row-major within it).
 
         One mask serves the whole direction: a stage's queues change
         during a step only through its own pops and through pushes from
         the stage processed after it, so its senders are fixed before
         the step starts."""
         if not any(lane.tot for lane in lanes):
-            return None
-        np = self._np
+            return
         stages, queues = np.nonzero((length != 0) & (busy <= cycle))
         bounds = np.searchsorted(stages, np.arange(self.D + 1)).tolist()
-        return [queues[bounds[s]:bounds[s + 1]] for s in range(self.D)]
+        forward = lanes[0].forward
+        for stage in range(self.D - 1, -1, -1) if forward else range(self.D):
+            src = queues[bounds[stage]:bounds[stage + 1]]
+            if src.size:
+                nxt = stage + 1 if forward else stage - 1
+                self._move(lanes[stage], lanes[nxt] if 0 <= nxt < self.D else None,
+                           src, cycle)
+
+    def _move(self, lane: _Lane, target: Optional[_Lane], src: Any,
+              cycle: int) -> None:
+        """Send the heads of ``src``: endpoint-bound ones leave the
+        network, the rest hop into ``target``.  The two groups do not
+        interact (distinct receivers, and an endpoint delivery records
+        no trace event), so taking them apart keeps the row-major
+        outcome."""
+        wire = lane.wire
+        if wire.kind == _HOP:
+            self._hop(lane, target, src, cycle)
+            return
+        if wire.kind == _END:
+            self._exit(lane, src, cycle)
+            return
+        kinds = wire.kinds[src]
+        assert not (kinds == _UNUSED).any(), "routed out an unused port"
+        ends = src[kinds == _END]
+        if ends.size:
+            self._exit(lane, ends, cycle)
+        hops = src[kinds == _HOP]
+        if hops.size:
+            self._hop(lane, target, hops, cycle)
 
     def _exit(self, lane: _Lane, src: Any, cycle: int) -> None:
         """Hand every sending head to its endpoint (MNI or PNI)."""
-        np = self._np
         src_l = src.tolist()
         small = len(src_l) < self.vector_min
         if small:
@@ -608,12 +642,12 @@ class _MessagePlane:
         obj = self.obj
         if lane.forward:
             sink = self.kernel._mm_sink
-            ends = src_l
             for i, digits in zip(ids_l, self.dig[ids].tolist()):
                 obj[i].digits = digits
         else:
             sink = self.kernel._pe_sink
-            ends = [self.pe_line[f] for f in src_l]
+        line = lane.wire.to_l
+        ends = [line[f] for f in src_l]
         if small:
             k = self.k
             for f, i, end in zip(src_l, ids_l, ends):
@@ -636,7 +670,6 @@ class _MessagePlane:
                   cycle: int) -> None:
         """Commit the sending side: pop the accepted heads (``accepted``
         indexes ``src``), occupy their links, count the refused ones."""
-        np = self._np
         if accepted.size < src.size:
             refused = np.ones(src.size, dtype=bool)
             refused[accepted] = False
@@ -656,16 +689,12 @@ class _MessagePlane:
     def _hop(self, lane: _Lane, target: _Lane, src: Any, cycle: int) -> None:
         """Move the heads of the sending queues ``src`` of ``lane``
         into ``target``."""
-        np = self._np
         if src.size < self.vector_min:
             self._serial(lane, target, src.tolist(), cycle)
             return
         ids = lane.ring[src, lane.head[src]]
         out = self.dig[ids, target.stage]
-        if lane.forward:
-            t_sw, t_port = self.next_sw[src], self.next_port[src]
-        else:
-            t_sw, t_port = self.prev_sw[src], self.prev_port[src]
+        t_sw, t_port = lane.wire.to[src], lane.wire.port[src]
         tq = t_sw * self.k + out
         order, rank, ranks = self._ranks(tq)
         serial = self._serial_mask(lane, target, ids, tq, order)
@@ -695,7 +724,6 @@ class _MessagePlane:
     def _ranks(self, group: Any) -> tuple[Any, Any, int]:
         """A stable sort of ``group``, each entry's position among the
         entries of its group (in order), and the number of positions."""
-        np = self._np
         n = group.size
         if n < 2:
             return np.arange(n), np.zeros(n, dtype=np.int64), 1
@@ -718,7 +746,6 @@ class _MessagePlane:
         wait record at the target stage.  Cells are compared by a hash
         of ``(mm, offset)``: a collision only sends a head down the
         exact per-message path."""
-        np = self._np
         if not lane.forward:
             if not self.rec:
                 return None
@@ -753,12 +780,10 @@ class _MessagePlane:
                 cycle: int) -> None:
         """Offer the heads of the sending queues ``src`` one at a time,
         in row-major order."""
-        if lane.forward:
-            offer, t_sw, t_port = self._offer_forward, self.next_sw_l, self.next_port_l
-        else:
-            offer, t_sw, t_port = self._offer_return, self.prev_sw_l, self.prev_port_l
-        ring, head, dig, obj = lane.ring, lane.head, self.dig, self.obj
         forward = lane.forward
+        offer = self._offer_forward if forward else self._offer_return
+        t_sw, t_port = lane.wire.to_l, lane.wire.port_l
+        ring, head, dig, obj = lane.ring, lane.head, self.dig, self.obj
         stage = target.stage
         k = self.k
         for f in src:
@@ -782,11 +807,10 @@ class _MessagePlane:
         target queues are distinct), each against the capacity left by
         the ranks before it — the greedy check
         ``Switch.offer_forward``/``offer_return`` make in offer order."""
-        np = self._np
         n = src.size
         packets = self.pk[ids]
         while int(target.len[tq].max()) + ranks > target.slots:
-            target.grow(np)
+            target.grow()
         slots = target.slots
         cap = self.cap
         accepted = np.ones(n, dtype=bool) if cap is None else np.zeros(n, dtype=bool)
@@ -854,10 +878,9 @@ class _VectorPrograms:
     anything reads per-PE statistics.
     """
 
-    def __init__(self, kernel: "BatchKernel", driver: "ProgramDriver", np_mod: Any):
+    def __init__(self, kernel: "BatchKernel", driver: "ProgramDriver"):
         self.kernel = kernel
         self.driver = driver
-        self._np = np_mod
         self.n = -1
         self.rebuild()
 
@@ -866,7 +889,6 @@ class _VectorPrograms:
         and whenever PEs were spawned since the last build."""
         if self.n >= 0:
             self.flush()
-        np = self._np
         pes = self.driver.pes
         self.n = len(pes)
         self.state = np.full(self.n, _FRESH, dtype=np.int8)
@@ -897,7 +919,6 @@ class _VectorPrograms:
         """Write accumulated array counters back to the PE objects."""
         if self.n <= 0:
             return
-        np = self._np
         pes = self.driver.pes
         dirty = np.flatnonzero(self.idle)
         for i in dirty.tolist():
@@ -936,7 +957,6 @@ class _VectorPrograms:
             self.rebuild()
         if self.running == 0:
             return
-        np = self._np
         driver = self.driver
         pes = driver.pes
         state0 = self.state.copy()
@@ -1035,15 +1055,7 @@ class BatchKernel(DenseKernel):
     name = "batch"
 
     def __init__(self, machine: "Ultracomputer") -> None:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - numpy is a test dep here
-            raise RuntimeError(
-                "kernel 'batch' requires numpy; install the optional extra "
-                "(pip install 'repro[batch]') or use kernel='dense'/'event'"
-            ) from None
         super().__init__(machine)
-        self._np = numpy
         self._built = False
         self._states: list[_MessagePlane] = []
         self._vpes: Optional[_VectorPrograms] = None
@@ -1058,8 +1070,8 @@ class BatchKernel(DenseKernel):
     def _ensure_state(self) -> None:
         m = self.machine
         if not self._built:
-            self._states = [_MessagePlane(self._np, net, self) for net in m.networks]
-            self._vpes = _VectorPrograms(self, m.programs, self._np)
+            self._states = [_MessagePlane(net, self) for net in m.networks]
+            self._vpes = _VectorPrograms(self, m.programs)
             self._built = True
         # Solo mode: the built-in ProgramDriver is the only driver, so
         # the kernel sees every PNI issue and can keep a precise

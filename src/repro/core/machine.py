@@ -27,7 +27,7 @@ from ..network.topology import make_topology, topology_names, validate_topology_
 from .memory_ops import Op
 from .paracomputer import Program, ProgramFactory
 from .results import PEResult, RunResult
-from .scheduler import kernel_names, kernel_topologies, make_kernel
+from .scheduler import kernel_names, make_kernel
 
 __all__ = [
     "Driver",
@@ -79,11 +79,11 @@ class MachineConfig:
     trace_capacity: int = 0
     #: simulation kernel: ``"dense"`` ticks every component every cycle
     #: (the reference semantics); ``"event"`` skips idle components and
-    #: fast-forwards globally quiet cycles; ``"batch"`` (requires numpy,
-    #: the ``repro[batch]`` extra) keeps every in-flight message in
-    #: struct-of-arrays form and moves a whole stage of them per
-    #: vectorized step — the 1024–4096-PE scaling kernel (omega only;
-    #: the switch objects are written back at each step/run boundary).
+    #: fast-forwards globally quiet cycles; ``"batch"`` keeps every
+    #: in-flight message in struct-of-arrays form and moves a whole
+    #: stage of them per vectorized step — the 1024–4096-PE scaling
+    #: kernel (the switch objects are written back at each step/run
+    #: boundary).
     #: All kernels produce bit-identical results; valid names come from
     #: the pluggable registry in :mod:`repro.core.scheduler`.
     kernel: str = "dense"
@@ -172,15 +172,6 @@ class MachineConfig:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; choose from "
                 f"{sorted(kernel_names())}"
-            )
-        allowed = kernel_topologies(self.kernel)
-        if allowed is not None and self.topology not in allowed:
-            raise ValueError(
-                f"kernel {self.kernel!r} supports only the "
-                f"{sorted(allowed)} topolog{'y' if len(allowed) == 1 else 'ies'}, "
-                f"not topology={self.topology!r}; run this topology under "
-                "an unrestricted kernel (e.g. kernel='dense' or "
-                "kernel='event')"
             )
 
     # -- canonical serialization (the experiment subsystem rides on

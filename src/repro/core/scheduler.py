@@ -29,9 +29,10 @@ the *semantics* of a cycle from the *schedule* that executes it:
      busy MNIs gain ``busy_cycles``.
 
 A third kernel lives in :mod:`repro.core.batch_kernel`:
-``MachineConfig(kernel="batch")`` keeps per-stage switch state mirrored
-in numpy arrays and advances whole stages per vectorized step — the
-1024–4096-PE scaling kernel.  Kernels are *pluggable*: each registers a
+``MachineConfig(kernel="batch")`` keeps every in-flight message in numpy
+arrays and advances whole stages per vectorized step — the
+1024–4096-PE scaling kernel.  Every kernel runs every registered
+topology.  Kernels are *pluggable*: each registers a
 factory under its config name via :func:`register_kernel`, and both
 ``MachineConfig.validate()`` and the CLI's ``--kernel`` choices derive
 from the registry, so new kernels need no config or CLI changes.
@@ -73,7 +74,6 @@ __all__ = [
     "Kernel",
     "KernelFactory",
     "kernel_names",
-    "kernel_topologies",
     "make_kernel",
     "register_kernel",
 ]
@@ -106,41 +106,22 @@ class Kernel(Protocol):
 
 
 #: A kernel factory receives the fully wired machine and returns a
-#: :class:`Kernel` bound to it.  Factories run at machine construction
-#: time, so they may import optional dependencies lazily and raise an
-#: informative error when one is missing (the ``batch`` kernel gates its
-#: numpy import this way) — registration alone must stay import-free so
-#: ``MachineConfig.validate()`` and the CLI can list every kernel name.
+#: :class:`Kernel` bound to it; factories run at machine construction.
 KernelFactory = Callable[["Ultracomputer"], "Kernel"]
 
 #: Kernel registry keyed by the ``MachineConfig.kernel`` string.  Extend
 #: it with :func:`register_kernel`; read names with :func:`kernel_names`.
 KERNELS: dict[str, KernelFactory] = {}
 
-#: Per-kernel topology restrictions, parallel to :data:`KERNELS` (kept
-#: out of the factory values so callers that stash and re-register
-#: factories keep working).  Absent or ``None`` means the kernel runs
-#: any registered topology; a tuple names the only ones it supports.
-KERNEL_TOPOLOGIES: dict[str, Optional[tuple[str, ...]]] = {}
-
-
-def register_kernel(
-    name: str,
-    factory: KernelFactory,
-    *,
-    topologies: Optional[tuple[str, ...]] = None,
-    replace: bool = False,
-) -> None:
+def register_kernel(name: str, factory: KernelFactory, *, replace: bool = False) -> None:
     """Register a simulation kernel under ``MachineConfig.kernel=name``.
 
     ``MachineConfig.validate()`` and the CLI's ``--kernel`` choices both
     derive from this registry, so a plugged-in kernel is selectable
-    everywhere without touching config or CLI code.  ``topologies``
-    restricts the kernel to named network geometries (the batch kernel
-    vectorizes the shuffle wiring specifically, so it declares
-    ``("omega",)``); ``None`` supports every topology.  Re-registering a
-    name is an error unless ``replace=True`` (tests use ``replace`` to
-    install instrumented stand-ins).
+    everywhere without touching config or CLI code.  Every kernel runs
+    every registered topology.  Re-registering a name is an error unless
+    ``replace=True`` (tests use ``replace`` to install instrumented
+    stand-ins).
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"kernel name must be a non-empty string, got {name!r}")
@@ -150,21 +131,11 @@ def register_kernel(
             "override it"
         )
     KERNELS[name] = factory
-    KERNEL_TOPOLOGIES[name] = tuple(topologies) if topologies is not None else None
 
 
 def kernel_names() -> tuple[str, ...]:
     """Registered kernel names, sorted (the valid ``--kernel`` choices)."""
     return tuple(sorted(KERNELS))
-
-
-def kernel_topologies(name: str) -> Optional[tuple[str, ...]]:
-    """Topologies kernel ``name`` supports; ``None`` means all of them."""
-    if name not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r}; choose from {sorted(KERNELS)}"
-        )
-    return KERNEL_TOPOLOGIES.get(name)
 
 
 class DenseKernel:
@@ -361,18 +332,10 @@ def make_kernel(name: str, machine: "Ultracomputer") -> "Kernel":
     return factory(machine)
 
 
-def _batch_factory(machine: "Ultracomputer") -> "Kernel":
-    # Imported lazily: the batch kernel needs numpy (the optional
-    # ``repro[batch]`` extra), but its *name* must be listable without it.
-    from .batch_kernel import BatchKernel
-
-    return BatchKernel(machine)
-
-
 register_kernel(DenseKernel.name, DenseKernel)
 register_kernel(EventKernel.name, EventKernel)
-# The batch kernel mirrors the perfect-shuffle wiring into per-stage
-# numpy arrays; it is Omega-specific by construction, and the registry
-# records that so MachineConfig.validate() rejects the combination with
-# an actionable error instead of failing inside the mirror build.
-register_kernel("batch", _batch_factory, topologies=("omega",))
+
+# Imported last: the batch kernel subclasses DenseKernel.
+from .batch_kernel import BatchKernel  # noqa: E402
+
+register_kernel(BatchKernel.name, BatchKernel)

@@ -259,6 +259,19 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     )
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool worker initializer: exit as soon as the driver process is
+    gone.  A SIGKILLed driver cannot shut its pool down, and the
+    workers would otherwise live on, reparented, waiting for tasks."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def _warm_task(_: int) -> int:
     """No-op task used to force worker processes into existence."""
     return os.getpid()
@@ -309,7 +322,8 @@ class PoolBackend(ExecutionBackend):
         with self._lock:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self._workers, mp_context=_pool_context()
+                    max_workers=self._workers, mp_context=_pool_context(),
+                    initializer=_exit_with_parent, initargs=(os.getpid(),),
                 )
             return self._executor
 

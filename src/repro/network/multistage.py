@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from ..instrumentation import DISABLED, Instrumentation
 from .message import Message
-from .switch import Switch
+from .switch import Deliver, Switch
 from .topology import Topology
 
 #: Endpoint sinks: called with (endpoint index, message); return True to
@@ -108,109 +108,89 @@ class MultistageNetwork:
     # static wiring
     # ------------------------------------------------------------------
     def _build_wiring(self) -> None:
-        """Precompute one delivery callback per (stage, switch, port).
+        """Resolve the topology's wiring once and bind one delivery
+        callback per (stage, switch, port).
 
-        The topology's wiring is static, so each output port's target —
-        switch object, input port, dirty-set marker or endpoint line —
-        is resolved once here and prebound into its own callable; the
-        per-cycle hot path then runs with no lookups or tuple unpacking.
-        The callbacks also mark the receiving switch's wake set on
-        acceptance, which is how traffic propagates through the event
-        kernel's dirty sets.
+        ``forward_targets[stage][q]`` and ``return_targets[stage][q]``
+        hold the target of output ``q = switch * switch_arity + port``
+        as :meth:`~repro.network.topology.Topology.forward_target` and
+        ``return_target`` give it (stages wired alike share one list).
+        This is the network's only wiring resolution, read both here and
+        by the batch kernel's message plane.  Each callback prebinds its
+        target — switch, input port, dirty-set marker or endpoint line —
+        so the per-cycle hot path runs with no lookups or tuple
+        unpacking.  The callbacks also mark the receiving switch's wake
+        set on acceptance, which is how traffic propagates through the
+        event kernel's dirty sets.
         """
         topo = self.topology
         arity = topo.switch_arity
+        queues = range(topo.switches_per_stage * arity)
 
-        def fwd_sink(line: int) -> Callable[[Message], bool]:
-            def deliver(msg: Message) -> bool:
-                return self.mm_sink(line, msg)  # type: ignore[misc]
+        def resolve(target_of: Callable[[int, int, int], Optional[tuple]]) -> list:
+            rows: list[list] = []
+            for stage in range(topo.stages):
+                row = [target_of(stage, q // arity, q % arity) for q in queues]
+                rows.append(rows[-1] if rows and rows[-1] == row else row)
+            return rows
+
+        self.forward_targets = resolve(topo.forward_target)
+        self.return_targets = resolve(topo.return_target)
+
+        def sink(forward: bool, line: int) -> Deliver:
+            if forward:
+                return lambda msg: self.mm_sink(line, msg)  # type: ignore[misc]
+            return lambda msg: self.pe_sink(line, msg)  # type: ignore[misc]
+
+        def hop(forward: bool, target: Switch, port: int,
+                mark: Callable[[int], None], index: int) -> Deliver:
+            # Per direction: passing the method would add a cell per callback.
+            if forward:
+                def deliver(msg: Message) -> bool:
+                    if target.offer_forward(port, msg, self.cycle):
+                        mark(index)
+                        return True
+                    return False
+            else:
+                def deliver(msg: Message) -> bool:
+                    if target.offer_return(port, msg, self.cycle):
+                        mark(index)
+                        return True
+                    return False
 
             return deliver
 
-        def fwd_hop(
-            target: Switch, in_port: int, mark: Callable[[int], None], index: int
-        ) -> Callable[[Message], bool]:
-            def deliver(msg: Message) -> bool:
-                if target.offer_forward(in_port, msg, self.cycle):
-                    mark(index)
-                    return True
-                return False
-
-            return deliver
-
-        def unused(stage: int, index: int, port: int) -> Callable[[Message], bool]:
+        def unused(stage: int, q: int) -> Deliver:
             def deliver(msg: Message) -> bool:
                 raise AssertionError(
-                    f"message routed out unused port {port} of switch "
-                    f"{index} at stage {stage} — routing invariant broken"
+                    f"message routed out unused port {q % arity} of switch "
+                    f"{q // arity} at stage {stage} — routing invariant broken"
                 )
 
             return deliver
 
-        def ret_sink(line: int) -> Callable[[Message], bool]:
-            def deliver(msg: Message) -> bool:
-                return self.pe_sink(line, msg)  # type: ignore[misc]
-
-            return deliver
-
-        def ret_hop(
-            target: Switch, mm_port: int, mark: Callable[[int], None], index: int
-        ) -> Callable[[Message], bool]:
-            def deliver(msg: Message) -> bool:
-                if target.offer_return(mm_port, msg, self.cycle):
-                    mark(index)
-                    return True
-                return False
-
-            return deliver
-
-        def make_fwd(stage: int, index: int) -> list[Callable[[Message], bool]]:
+        def row(stage: int, targets: list, forward: bool) -> list[list[Deliver]]:
+            step = 1 if forward else -1
+            dirty = self._fwd_dirty if forward else self._ret_dirty
             delivers = []
-            for port in range(arity):
-                target = topo.forward_target(stage, index, port)
+            for q, target in enumerate(targets):
                 if target is None:
-                    delivers.append(unused(stage, index, port))
-                elif target[0] == "mm":
-                    delivers.append(fwd_sink(target[1]))
+                    delivers.append(unused(stage, q))
+                elif target[0] == "switch":
+                    _, index, port = target
+                    delivers.append(hop(forward, self.stages[stage + step][index],
+                                        port, dirty[stage + step].add, index))
                 else:
-                    _, next_switch, next_port = target
-                    delivers.append(
-                        fwd_hop(
-                            self.stages[stage + 1][next_switch],
-                            next_port,
-                            self._fwd_dirty[stage + 1].add,
-                            next_switch,
-                        )
-                    )
-            return delivers
-
-        def make_ret(stage: int, index: int) -> list[Callable[[Message], bool]]:
-            delivers = []
-            for port in range(arity):
-                target = topo.return_target(stage, index, port)
-                if target is None:
-                    delivers.append(unused(stage, index, port))
-                elif target[0] == "pe":
-                    delivers.append(ret_sink(target[1]))
-                else:
-                    _, prev_switch, mm_port = target
-                    delivers.append(
-                        ret_hop(
-                            self.stages[stage - 1][prev_switch],
-                            mm_port,
-                            self._ret_dirty[stage - 1].add,
-                            prev_switch,
-                        )
-                    )
-            return delivers
+                    delivers.append(sink(forward, target[1]))
+            return [delivers[q:q + arity] for q in range(0, len(delivers), arity)]
 
         self._fwd_deliver = [
-            [make_fwd(stage, index) for index in range(topo.switches_per_stage)]
-            for stage in range(topo.stages)
+            row(stage, targets, True)
+            for stage, targets in enumerate(self.forward_targets)
         ]
         self._ret_deliver = [
-            [make_ret(stage, index) for index in range(topo.switches_per_stage)]
-            for stage in range(topo.stages)
+            row(stage, targets, False)
+            for stage, targets in enumerate(self.return_targets)
         ]
 
     # ------------------------------------------------------------------

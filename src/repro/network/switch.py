@@ -32,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from ..core.combining import Combined, ReplyMode
 from ..core.memory_ops import PACKETS_WITH_DATA, PACKETS_WITHOUT_DATA
 from ..instrumentation import DISABLED, Instrumentation, LATENCY_BUCKETS
-from .message import Message
+from .message import Message, packets_for
 from .systolic_queue import CombiningQueue
 from .wait_buffer import WaitBuffer, WaitRecord
 
@@ -43,6 +44,34 @@ from .wait_buffer import WaitBuffer, WaitRecord
 #: structure accepted it this cycle.  Ticks take one prebound callable
 #: per output port.
 Deliver = Callable[[Message], bool]
+
+
+def decombine_fits(
+    capacity: Optional[int],
+    stage: int,
+    old_port: int,
+    records: Sequence[WaitRecord],
+    new_port: int,
+    plan: Combined,
+) -> bool:
+    """Whether combining R-new (arriving on ``new_port``) into R-old
+    (which arrived on ``old_port`` and holds ``records`` here, oldest
+    first) leaves a decombining fan-out that fits empty ToPE queues.
+
+    Every reply leaves by its request's arrival port in one cycle, so a
+    port that needs more than ``capacity`` packets wedges for good.
+    R-old's reply carries data unless its first combine's ``old_rule``
+    is a bare acknowledgement.
+    """
+    if capacity is None or capacity >= PACKETS_WITH_DATA * (len(records) + 2):
+        return True
+    replies = [(old_port, (records[0].plan if records else plan).old_rule)]
+    replies += [(r.new_message.digits[stage], r.plan.new_rule) for r in records]
+    replies.append((new_port, plan.new_rule))
+    needed: dict[int, int] = {}
+    for port, rule in replies:
+        needed[port] = needed.get(port, 0) + packets_for(rule.mode is not ReplyMode.ACK)
+    return max(needed.values()) <= capacity
 
 
 @dataclass(slots=True)
@@ -185,9 +214,17 @@ class Switch:
         wait_buffer = self.wait_buffers[out_port]
 
         # Combining must be suppressed while the wait buffer is full —
-        # there would be nowhere to put the decombining record.
+        # there would be nowhere to put the decombining record — and
+        # when its replies could never fit the ToPE queues.
         allow_combine = self.combining and not wait_buffer.is_full()
         partner = queue.find_partner(message, combining=allow_combine)
+        if partner is not None:
+            queued = partner[0].message
+            if not decombine_fits(
+                queue.capacity_packets, self.stage, queued.digits[self.stage],
+                wait_buffer.peek_all(queued.tag), in_port, partner[1],
+            ):
+                partner = None
         if partner is None and not queue.can_accept(message.packets):
             return False
 

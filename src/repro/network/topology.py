@@ -473,8 +473,8 @@ def _validate_mesh_size(n_ports: int, k: int) -> None:
 
 
 def _make_hypercube(n_ports: int, k: int) -> "Topology":
-    # Lazy import, like the batch kernel's factory: the registry must be
-    # enumerable without pulling in every geometry.
+    # Lazy import: the registry must be enumerable without pulling in
+    # every geometry.
     from .topologies import HypercubeTopology
 
     return HypercubeTopology(n_ports)

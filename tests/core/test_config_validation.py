@@ -3,6 +3,8 @@
 import pytest
 
 from repro import MachineConfig, Ultracomputer
+from repro.core.scheduler import kernel_names
+from repro.network.topology import topology_names
 
 
 def test_valid_config_passes():
@@ -53,12 +55,13 @@ class TestTopology:
     def test_mesh_accepts_non_power_of_two_squares(self):
         MachineConfig(n_pes=9, topology="mesh").validate()
 
-    def test_batch_kernel_is_omega_only(self):
-        with pytest.raises(ValueError, match="kernel 'batch' supports only"):
-            MachineConfig(n_pes=16, topology="mesh", kernel="batch").validate()
-        with pytest.raises(ValueError, match="dense"):
-            MachineConfig(n_pes=16, topology="hypercube", kernel="batch").validate()
-        MachineConfig(n_pes=16, topology="omega", kernel="batch").validate()
+    def test_every_kernel_runs_every_topology(self):
+        assert set(kernel_names()) == {"dense", "event", "batch"}
+        assert set(topology_names()) == {"omega", "hypercube", "mesh"}
+        for kernel in kernel_names():
+            for topology in topology_names():
+                MachineConfig(n_pes=16, topology=topology,
+                              kernel=kernel).validate()
 
 
 class TestComponentBounds:

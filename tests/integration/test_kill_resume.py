@@ -4,7 +4,8 @@ The engine's resume story has two layers and both are exercised here:
 
 * the **cache** layer — every completed point is written to the
   content-addressed cache before it is yielded, so a killed driver's
-  finished points are served from disk on restart;
+  finished points are served from disk on restart (and a pool
+  driver's workers exit with it instead of living on as orphans);
 * the **shard directory** layer — a sharded sweep's workers coordinate
   through files, so a SIGKILLed driver leaves a harvestable batch
   directory (and possibly orphan workers still draining the queue)
@@ -80,6 +81,25 @@ def _spawn_driver(cache_dir: Path, backend: str, shard_root: Path):
     )
 
 
+def _stat(pid: int) -> list[str]:
+    """Fields of ``/proc/<pid>/stat`` after the command name (state
+    first, then the parent pid); empty once the process is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return []
+    return text.rsplit(")", 1)[1].split()
+
+
+def _children(pid: int) -> list[int]:
+    return [int(entry.name) for entry in Path("/proc").iterdir()
+            if entry.name.isdigit() and _stat(int(entry.name))[1:2] == [str(pid)]]
+
+
+def _running(pid: int) -> bool:
+    return _stat(pid)[:1] not in ([], ["Z"])
+
+
 def _wait_for_cache_entry(cache_dir: Path, timeout: float = 60.0) -> int:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -98,6 +118,7 @@ def test_sigkill_mid_sweep_resumes_from_cache(tmp_path, backend):
     driver = _spawn_driver(cache_dir, backend, shard_root)
     try:
         _wait_for_cache_entry(cache_dir)
+        workers = _children(driver.pid) if backend == "pool" else []
         os.kill(driver.pid, signal.SIGKILL)
         driver.wait(timeout=30)
     finally:
@@ -105,6 +126,13 @@ def test_sigkill_mid_sweep_resumes_from_cache(tmp_path, backend):
             driver.kill()
             driver.wait(timeout=30)
     assert driver.returncode == -signal.SIGKILL
+    if backend == "pool":
+        # The pool's workers notice their driver is gone and exit.
+        assert len(workers) == 2, workers
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers)), "orphaned pool workers"
 
     # Restart over the same cache (and, for sharded, the same shard
     # root — the batch directory left behind must be re-adopted, not

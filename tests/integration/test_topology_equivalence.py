@@ -1,13 +1,14 @@
 """Differential regression: topologies are fabrics, kernels stay invisible.
 
-Two guarantees at once.  First, the event kernel must remain a pure
-optimization on *every* fabric: for any workload on the hypercube or
-mesh, ``RunResult.to_dict()`` — cycles, combines, per-PE outcomes, the
-instrumentation snapshot, and the cycle trace — must be bit-identical
-to the dense reference kernel.  Second, the machine itself must behave
-on the new fabrics: combining fires on hotspot traffic, fetch-and-add
-totals are exact, and the batch kernel's Omega-only restriction is
-enforced with an actionable error.
+Two guarantees at once.  First, the event and batch kernels must remain
+pure optimizations on *every* fabric: for any workload on the hypercube
+or mesh, ``RunResult.to_dict()`` — cycles, combines, per-PE outcomes,
+the instrumentation snapshot, and the cycle trace — must be
+bit-identical to the dense reference kernel.  The batch runs go through
+both of its message paths: one message at a time (the default at these
+sizes) and every stage step vectorized.  Second, the machine itself
+must behave on the new fabrics: combining fires on hotspot traffic and
+fetch-and-add totals are exact.
 """
 
 from __future__ import annotations
@@ -48,38 +49,47 @@ def uniform_program(pe_id, rounds=ROUNDS, seed=0):
 PROGRAMS = {"hotspot": hotspot_program, "uniform": uniform_program}
 
 
+#: kernels checked against dense; "batch-vector" is the batch kernel
+#: with every stage step forced through its vectorized path
+KERNELS = ["event", "batch", "batch-vector"]
+
+
 def _run(topology, n_pes, kernel, pattern, seed, **overrides):
+    vectorized = kernel == "batch-vector"
     machine = Ultracomputer(MachineConfig(
         n_pes=n_pes,
         topology=topology,
-        kernel=kernel,
+        kernel="batch" if vectorized else kernel,
         instrument=True,
         trace_capacity=1 << 14,
         **overrides,
     ))
+    if vectorized:
+        machine.kernel._ensure_state()
+        for plane in machine.kernel._states:
+            plane.vector_min = 1
     machine.spawn_many(n_pes, PROGRAMS[pattern], ROUNDS, seed)
     return machine.run().to_dict()
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 class TestKernelEquivalenceOffOmega:
     @pytest.mark.parametrize("n_pes", GRID_N_PES)
     @pytest.mark.parametrize("pattern", ["hotspot", "uniform"])
-    def test_event_identical_to_dense(self, topology, n_pes, pattern):
+    def test_event_identical_to_dense(self, topology, kernel, n_pes, pattern):
         dense = _run(topology, n_pes, "dense", pattern, seed=11)
-        event = _run(topology, n_pes, "event", pattern, seed=11)
-        assert dense == event
+        assert _run(topology, n_pes, kernel, pattern, seed=11) == dense
 
-    def test_identical_with_finite_queues_and_window(self, topology):
+    def test_identical_with_finite_queues_and_window(self, topology, kernel):
         kwargs = dict(queue_capacity_packets=4, max_outstanding=2)
         dense = _run(topology, 16, "dense", "uniform", seed=5, **kwargs)
-        event = _run(topology, 16, "event", "uniform", seed=5, **kwargs)
-        assert dense == event
+        assert _run(topology, 16, kernel, "uniform", seed=5, **kwargs) == dense
 
-    def test_identical_without_combining(self, topology):
+    def test_identical_without_combining(self, topology, kernel):
         dense = _run(topology, 16, "dense", "hotspot", seed=3, combining=False)
-        event = _run(topology, 16, "event", "hotspot", seed=3, combining=False)
-        assert dense == event
+        assert _run(topology, 16, kernel, "hotspot", seed=3,
+                    combining=False) == dense
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -117,9 +127,3 @@ class TestFabricSemantics:
             else:
                 assert result.combines == 0
         assert totals[True] == totals[False] == 48
-
-
-def test_batch_kernel_rejected_off_omega():
-    with pytest.raises(ValueError, match="kernel 'batch' supports only"):
-        Ultracomputer(MachineConfig(n_pes=16, topology="hypercube",
-                                    kernel="batch"))

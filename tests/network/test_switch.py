@@ -134,7 +134,8 @@ class TestCombineAndDecombine:
         assert switch.to_pe[1].head() is reply  # origin digit = port 1
 
     def test_reply_refused_when_tope_full_keeps_record(self):
-        switch = Switch(2, stage=0, index=0, queue_capacity_packets=3)
+        # 6 packets: room for both 3-packet replies in an empty queue
+        switch = Switch(2, stage=0, index=0, queue_capacity_packets=6)
         old = make_request(FetchAdd(4, 1), mm=0, topo=TOPO, origin=0, tag=10)
         new = make_request(FetchAdd(4, 2), mm=0, topo=TOPO, origin=0, tag=20)
         switch.offer_forward(0, old, 0)
@@ -148,6 +149,20 @@ class TestCombineAndDecombine:
         assert not switch.offer_return(0, reply, 5)
         assert switch.pending_wait_records() == 1  # record retained
         assert reply.value == 100  # rewrite undone for retry
+
+    def test_combine_refused_when_fan_out_cannot_fit(self):
+        """Both replies would leave through ToPE port 0: 6 packets that
+        a 4-packet queue can never hold, so the requests queue apart.
+        Arriving on different ports, the same pair combines."""
+        switch = Switch(2, stage=0, index=0, queue_capacity_packets=4)
+        old = make_request(FetchAdd(4, 1), mm=0, topo=TOPO, tag=10)
+        new = make_request(FetchAdd(4, 2), mm=0, topo=TOPO, tag=20)
+        assert switch.offer_forward(0, old, 0)
+        assert not switch.offer_forward(0, new, 0)  # no combine, no room
+        assert switch.stats.combines == 0
+        other = make_request(FetchAdd(4, 2), mm=0, topo=TOPO, tag=30)
+        assert switch.offer_forward(1, other, 0)
+        assert switch.stats.combines == 1
 
     def test_combining_suppressed_when_wait_buffer_full(self):
         switch = Switch(2, stage=0, index=0, wait_buffer_capacity=0)

@@ -11,10 +11,10 @@ numpy arrays and moving a whole stage of them per vectorized step:
   Every (direction, stage) is a :class:`_Lane`: a ring of message ids
   per (switch, port) queue plus its length, used packets, and
   output-link ``busy_until``.  Each message id stores its packets, a
-  hash of its ``(mm, offset)`` cell and its amalgam digits.  ``Message``
+  key of its ``(mm, offset)`` cell and its amalgam digits.  ``Message``
   objects are touched only at the endpoints (PNI → stage 0, any stage →
-  MNI, MNI → the reply-entry stage, stage 0 → PNI) and on the combining
-  path.
+  MNI, MNI → the reply-entry stage, stage 0 → PNI) and on the
+  per-message combining path.
 * **Wiring from the topology.**  Each lane's per-queue tables (target
   kind, next switch and port, endpoint line) come from the targets
   :class:`~repro.network.multistage.MultistageNetwork` resolved at
@@ -29,21 +29,36 @@ numpy arrays and moving a whole stage of them per vectorized step:
   routed/blocked counters are committed by scatter.  Offers to one
   target queue are settled in row-major (switch, port) order — the
   dense kernel's nested sweep — so who wins the last slot of a filling
-  queue is preserved bit for bit.
-* **Combining on a per-message path.**  A request whose target queue
-  holds (or this step received) an uncombined request for the same
-  cell, and a reply whose tag has a wait record at its target stage,
-  are offered one at a time through the same ``try_combine`` plans,
-  ``ReplyRule.materialize`` and ``Message.make_reply`` the switches
-  use, against live :class:`~repro.network.wait_buffer.WaitBuffer`
-  objects.  Every other message moves in the vectorized step.  A stage
-  step with only a few senders (small machines, light load) skips the
-  vectorized step's fixed cost and offers all its heads this way.
+  queue is preserved bit for bit.  Phase 3 offers every ready PNI head
+  to stage 0 the same way, in ascending-PE order.
+* **Vectorized combining and decombining.**  The wait records live in
+  the plane: a record is R-new's message id, kept alive as the frozen
+  payload, with its key tag, location, datum and creation cycle, and
+  each message id links per stage to its most recent record (earlier
+  ones chain behind it).  Offers are taken one rank at a time (rank =
+  position among this step's offers to a queue), so a head meets every
+  earlier-rank head as a queue resident.  A head whose first uncombined
+  same-cell resident is a homogeneous F&A/Load/Store partner combines
+  by array operations: the operand is scatter-added, the record
+  appended, and the partner's ``op`` is written back lazily.  On the
+  way back a reply whose tag has such a record at its target stage
+  decombines in one vectorized commit — Y for R-old, Y+e (or Y, or an
+  acknowledgement) for R-new, all or nothing against the target
+  switch's ToPE capacity — and R-new's reply ``Message`` is built only
+  when it exits to its PNI.  This covers the paper's pairwise switch
+  (``pairwise_only``) without instrumentation and with operands and
+  values that stay exact in int64 (:data:`_EXACT`).  Mixed kinds, other
+  phis, instrumented runs, the unlimited-combining ablation and stage
+  steps with few senders take the per-message path: the same
+  ``try_combine`` plans, ``ReplyRule.materialize`` and
+  ``Message.make_reply`` the switches use, against the same record
+  store.  ``decombine_fits`` is the combine-refusal rule on both paths.
 * **Object view.**  The switch objects remain the reference model for
   the dense and event kernels.  Under this kernel the plane is
   authoritative and :meth:`_MessagePlane.flush` writes queue contents,
-  port state and switch counters back at each public boundary, for the
-  queues touched since the previous flush only.
+  combined requests' ``op``/``combine_depth``, port state, wait buffers
+  and switch counters back at each public boundary, for the queues and
+  wait buffers touched since the previous flush only.
 * **Active-set endpoints.**  MNIs are visited only while assembling or
   serving (a set maintained at delivery time), PNI/MNI outbound queues
   only while non-empty, and the built-in :class:`ProgramDriver` is run
@@ -70,15 +85,15 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
+from ..network.message import Message, packets_for
 from ..network.switch import decombine_fits
 from ..network.systolic_queue import _Slot
 from ..network.wait_buffer import WaitRecord
-from .combining import try_combine
-from .memory_ops import PACKETS_WITH_DATA, PACKETS_WITHOUT_DATA
+from .combining import Combined, try_combine
+from .memory_ops import PACKETS_WITH_DATA, PACKETS_WITHOUT_DATA, FetchAdd, Load, Store
 from .scheduler import DenseKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..network.message import Message
     from ..network.multistage import MultistageNetwork
     from .machine import ProgramDriver, Ultracomputer, _ProgramPE
     from .results import RunResult
@@ -97,6 +112,78 @@ _RING_START = 4
 #: where a queue's output leads: a switch of the next stage in the
 #: direction of travel, an endpoint (MNI or PNI), or nowhere
 _HOP, _END, _UNUSED = range(3)
+
+#: request kinds the vectorized combining path handles (0: none of them)
+_FA, _LOAD, _STORE = 1, 2, 3
+
+#: operands and values below this magnitude stay exact in int64 through
+#: the one addition a combine (e + f) or a decombine (Y + e) makes
+_EXACT = 1 << 62
+
+#: per-id arrays of a plane's message pool: (name, dtype, fill)
+_POOL = (
+    ("pk", np.int64, 0), ("key", np.int64, 0), ("comb", bool, 0),
+    ("tag", np.int64, 0), ("depth", np.int64, 0),
+    # vectorized combining: kind and operand of a request; ``stale``
+    # marks a combined request whose op is not yet written back to its
+    # Message
+    ("vk", np.int8, 0), ("opnd", np.int64, 0), ("stale", bool, 0),
+    # replies: the value when it is exact in int64 (``vst`` 1), None
+    # (``vst`` 0) or only in the Message (``vst`` 2); ``lazy`` marks a
+    # decombined reply whose Message is not built yet
+    ("val", np.int64, 0), ("vst", np.int8, 0), ("lazy", bool, 0),
+    # wait records (the id is R-new's): flat wait-buffer index (-1: no
+    # record), the next older record with the same key and location,
+    # insertion order, creation cycle, datum (R-old's operand), key tag
+    # and the vectorized kind (0: the plan object is in ``w_plan``)
+    ("w_at", np.int32, -1), ("w_prev", np.int32, -1), ("w_seq", np.int64, 0),
+    ("w_made", np.int64, 0), ("w_dat", np.int64, 0), ("w_tag", np.int64, 0),
+    ("w_kind", np.int8, 0),
+)
+
+
+def _cell_key(message: "Message") -> int:
+    """The key a message's cell is searched by: exact (``mm``, then a
+    32-bit ``offset``) when the offset fits, else a hash — equal cells
+    always share a key, and a collision only costs a closer look."""
+    offset = message.offset
+    if type(offset) is int and 0 <= offset < 1 << 32:
+        return message.mm << 32 | offset
+    return hash((message.mm, offset))
+
+
+def _request_fields(message: "Message") -> tuple[int, int, int]:
+    """``(key, kind, operand)`` of a request: its :func:`_cell_key`, and
+    its kind and operand for the vectorized combining path — kind 0
+    (per-message path only) unless it is a plain F&A, Load or Store
+    whose operand and offset fit the arrays (so requests of one kind
+    with equal keys address one cell)."""
+    offset = message.offset
+    if type(offset) is not int or not 0 <= offset < 1 << 32:
+        return hash((message.mm, offset)), 0, 0
+    key = message.mm << 32 | offset
+    op = message.op
+    cls = type(op)
+    if cls is FetchAdd:
+        kind, operand = _FA, op.increment
+    elif cls is Load:
+        return key, _LOAD, 0
+    elif cls is Store:
+        kind, operand = _STORE, op.value
+    else:
+        return key, 0, 0
+    if type(operand) is not int or not -_EXACT < operand < _EXACT:
+        return key, 0, 0
+    return key, kind, operand
+
+
+def _op_of(kind: int, address: int, operand: int):
+    """The op of a vectorized kind with ``operand``."""
+    if kind == _FA:
+        return FetchAdd(address, operand)
+    if kind == _LOAD:
+        return Load(address)
+    return Store(address, operand)
 
 
 class _Wiring:
@@ -131,17 +218,18 @@ class _Lane:
     return lane; ``wire`` says where its output leads.  ``ring[f]``
     holds its message ids, oldest at ``head[f]``; ``len``/``used``/
     ``busy``/``peak`` mirror the queue's length, used packets, output
-    link ``busy_until`` and peak packets.  ``ins``/``sent``/``routed``/
-    ``blocked`` accumulate counter deltas and ``dirty`` marks queues
-    changed since the last flush.  ``len`` and ``busy`` are rows of
-    per-direction ``(stages, queues)`` arrays, so one mask finds the
-    senders of every stage.
+    link ``busy_until`` and peak packets.  ``ins``/``combs``/``sent``/
+    ``routed``/``merged``/``blocked`` accumulate counter deltas
+    (``merged`` counts a forward lane's combines and a return lane's
+    decombines) and ``dirty`` marks queues changed since the last
+    flush.  ``len`` and ``busy`` are rows of per-direction ``(stages,
+    queues)`` arrays, so one mask finds the senders of every stage.
     """
 
     __slots__ = (
         "stage", "forward", "switches", "queues", "ports", "hist",
-        "len", "used", "busy", "peak", "head", "ring", "slots", "ins", "sent",
-        "dirty", "routed", "blocked", "tot", "wire",
+        "len", "used", "busy", "peak", "head", "ring", "slots", "ins", "combs",
+        "sent", "dirty", "routed", "merged", "blocked", "tot", "wire",
     )
 
     def __init__(self, stage: int, forward: bool, switches: list,
@@ -163,9 +251,11 @@ class _Lane:
         self.ring = np.zeros((n, ring_slots), dtype=np.int32)
         self.slots = ring_slots
         self.ins = np.zeros(n, dtype=np.int32)
+        self.combs = np.zeros(n, dtype=np.int32)
         self.sent = np.zeros(n, dtype=np.int32)
         self.dirty = np.zeros(n, dtype=bool)
         self.routed = np.zeros(len(switches), dtype=np.int64)
+        self.merged = np.zeros(len(switches), dtype=np.int64)
         self.blocked = np.zeros(len(switches), dtype=np.int64)
         self.tot = 0
         self.wire = wire
@@ -183,20 +273,38 @@ class _Lane:
     def contents(self, queues: Any) -> tuple[Any, Any]:
         """Message ids of ``queues``, queue by queue and oldest first,
         with each queue's length."""
-        slots = self.slots
-        lengths = self.len[queues]
-        pos = np.arange(slots)
-        order = (self.head[queues][:, None] + pos) % slots
-        rows = np.take_along_axis(self.ring[queues], order, axis=1)
-        return rows[pos < lengths[:, None]], lengths
+        rows, live = self.residents(queues)
+        return rows[live], self.len[queues]
+
+    def residents(self, q: Any) -> tuple[Any, Any]:
+        """Ring rows of the queues ``q`` from their heads (oldest first),
+        and which slots hold a message."""
+        pos = np.arange(self.slots)
+        rows = self.ring[q[:, None], (self.head[q][:, None] + pos) % self.slots]
+        return rows, pos < self.len[q][:, None]
+
+    def push_many(self, q: Any, ids: Any, packets: Any) -> None:
+        """Append ``ids`` to the distinct queues ``q`` (no capacity check)."""
+        while int(self.len[q].max()) >= self.slots:
+            self.grow()
+        held = self.len[q]
+        self.ring[q, (self.head[q] + held) % self.slots] = ids
+        self.len[q] = held + 1
+        used = self.used[q] + packets
+        self.used[q] = used
+        self.peak[q] = np.maximum(self.peak[q], used)
+        self.ins[q] += 1
+        self.dirty[q] = True
+        self.tot += q.size
 
 
 class _MessagePlane:
     """Every message resident in one network copy, in struct-of-arrays
     form, moved a stage at a time (see the module docstring)."""
 
-    #: a stage step with fewer sending heads than this moves them one at
-    #: a time: below it the vectorized step's fixed cost is the larger
+    #: a stage step or injection with fewer heads than this moves them
+    #: one at a time: below it the vectorized step's fixed cost is the
+    #: larger
     vector_min = 32
 
     def __init__(self, network: "MultistageNetwork",
@@ -208,14 +316,18 @@ class _MessagePlane:
         k = self.k = topo.switch_arity
         self.D = topo.stages
         self.S = topo.switches_per_stage
+        self.Q = self.S * k
         self.cap = config.queue_capacity_packets
+        self.wcap = config.wait_buffer_capacity
         self.pairwise = config.pairwise_only
         self.combining = config.combining and config.wait_buffer_capacity != 0
         instr = network.instrumentation
         self._instr = instr
         self._instr_on = instr.enabled
+        #: whether combining and decombining may take the vectorized path
+        self.vector = self.combining and self.pairwise and not instr.enabled
         slots = _RING_START
-        shape = (self.D, self.S * k)
+        shape = (self.D, self.Q)
         self.fwd_len, self.fwd_busy = np.zeros(shape, np.int32), np.zeros(shape, np.int64)
         self.ret_len, self.ret_busy = np.zeros(shape, np.int32), np.zeros(shape, np.int64)
         wires: dict[int, _Wiring] = {}  # stages wired alike share a list
@@ -228,7 +340,23 @@ class _MessagePlane:
         self.ret = [_Lane(s, False, row, wires[id(network.return_targets[s])],
                           slots, self.ret_len[s], self.ret_busy[s])
                     for s, row in enumerate(network.stages)]
-        self.inject_points = [topo.inject_point(pe) for pe in range(topo.n_ports)]
+        points = [topo.inject_point(pe) for pe in range(topo.n_ports)]
+        self.inject_points = points
+        self.inject_sw = np.array([p[0] for p in points], dtype=np.int64)
+        self.inject_port = np.array([p[1] for p in points], dtype=np.int64)
+        # Wait buffers, flat index ``stage * Q + switch * k + port``.
+        self.wbs = [wb for row in network.stages for sw in row
+                    for wb in sw.wait_buffers]
+        # Whether a homogeneous pair of each vectorized kind may combine
+        # (indexed [kind, R-old and R-new arrived on the same port]):
+        # decombine_fits evaluated once per case.
+        self.fits = np.ones((4, 2), dtype=bool)
+        for kind in (_FA, _LOAD, _STORE):
+            op = _op_of(kind, 0, 1)
+            plan = try_combine(op, op)
+            for same in (0, 1):
+                self.fits[kind, same] = decombine_fits(
+                    self.cap, 0, 0, (), 1 - same, plan)
         self.resync()
 
     # ------------------------------------------------------------------
@@ -236,39 +364,169 @@ class _MessagePlane:
     # ------------------------------------------------------------------
     def _new_pool(self, size: int) -> None:
         self.obj: list[Optional["Message"]] = [None] * size
-        self.pk = np.zeros(size, dtype=np.int64)
-        self.key = np.zeros(size, dtype=np.int64)
-        self.comb = np.zeros(size, dtype=bool)
-        self.wm = np.zeros(size, dtype=np.int64)
+        self.w_plan: list[Optional[Combined]] = [None] * size
+        for name, dtype, fill in _POOL:
+            setattr(self, name, np.full(size, fill, dtype=dtype))
         self.dig = np.zeros((size, self.D), dtype=np.int32)
+        # link[i, s]: the most recent wait record keyed by i's tag at
+        # stage s (-1: none)
+        self.link = np.full((size, self.D), -1, dtype=np.int32)
         self._free = list(range(size - 1, -1, -1))
 
     def _grow_pool(self) -> None:
         size = len(self.obj)
         self.obj.extend([None] * size)
-        for name in ("pk", "key", "comb", "wm", "dig"):
+        self.w_plan.extend([None] * size)
+        for name, dtype, fill in _POOL + (("dig", np.int32, 0),
+                                          ("link", np.int32, -1)):
             old = getattr(self, name)
-            new = np.zeros((2 * size,) + old.shape[1:], dtype=old.dtype)
+            new = np.full((2 * size,) + old.shape[1:], fill, dtype=dtype)
             new[:size] = old
             setattr(self, name, new)
         self._free.extend(range(2 * size - 1, size - 1, -1))
 
     def _admit(self, message: "Message", combined: bool = False) -> int:
-        """Give ``message`` an id (its entry into the plane)."""
+        """Give ``message`` an id (its entry into the plane).  A free id
+        has no links and is neither stale nor lazy (see :meth:`_exit`)."""
         if not self._free:
             self._grow_pool()
         i = self._free.pop()
         self.obj[i] = message
         self.pk[i] = message.packets
-        self.key[i] = hash((message.mm, message.offset))
         self.dig[i] = message.digits
+        self.tag[i] = message.tag
         self.comb[i] = combined
-        self.wm[i] = self.rec.get(message.tag, 0) if message.is_reply else 0
+        if message.is_reply:
+            self.key[i] = _cell_key(message)
+            self._note_value(i, message.value)
+        else:
+            self.key[i], self.vk[i], self.opnd[i] = _request_fields(message)
+            self.depth[i] = message.combine_depth
         return i
+
+    def _admit_many(self, messages: list["Message"]) -> Any:
+        """:meth:`_admit` for a batch of requests, one array write per
+        field."""
+        n = len(messages)
+        while len(self._free) < n:
+            self._grow_pool()
+        ids_l = self._free[-n:]
+        del self._free[-n:]
+        obj = self.obj
+        for i, message in zip(ids_l, messages):
+            obj[i] = message
+        ids = np.array(ids_l, dtype=np.int64)
+        rows = np.array([(m.packets, m.tag, m.combine_depth) + _request_fields(m)
+                         for m in messages], dtype=np.int64)
+        for col, name in enumerate(("pk", "tag", "depth", "key", "vk", "opnd")):
+            getattr(self, name)[ids] = rows[:, col]
+        self.dig[ids] = [m.digits for m in messages]
+        self.comb[ids] = False
+        return ids
 
     def _release(self, i: int) -> None:
         self.obj[i] = None
         self._free.append(i)
+
+    def _note_value(self, i: int, value: Optional[int]) -> None:
+        if value is None:
+            self.vst[i] = 0
+        elif type(value) is int and -_EXACT < value < _EXACT:
+            self.vst[i] = 1
+            self.val[i] = value
+        else:
+            self.vst[i] = 2
+
+    def _sync(self, i: int) -> None:
+        """Write a vectorized combine's op and depth back to the Message."""
+        if self.stale.item(i):
+            message = self.obj[i]
+            message.replace_op(_op_of(self.vk.item(i), message.op.address,
+                                      self.opnd.item(i)))
+            message.combine_depth = self.depth.item(i)
+            self.stale[i] = False
+
+    def _reply(self, i: int) -> "Message":
+        """The reply Message of id ``i``, built now if it is lazy."""
+        if self.lazy.item(i):
+            self._build_replies(np.array([i]))
+        return self.obj[i]
+
+    def _build_replies(self, ids: Any) -> None:
+        """Build the reply Messages of the lazy ids ``ids``: what
+        ``make_reply`` makes of R-new's request (still in ``obj``, frozen
+        at its combine) with the decombined value."""
+        obj = self.obj
+        values = np.where(self.vst[ids] == 1, self.val[ids], 0).tolist()
+        for i, value, exact, stale, kind, operand, depth, digits in zip(
+            ids.tolist(), values, (self.vst[ids] == 1).tolist(),
+            self.stale[ids].tolist(), self.vk[ids].tolist(),
+            self.opnd[ids].tolist(), self.depth[ids].tolist(),
+            self.dig[ids].tolist(),
+        ):
+            request = obj[i]
+            op = request.op
+            obj[i] = Message(
+                op=_op_of(kind, op.address, operand) if stale else op,
+                mm=request.mm, offset=request.offset, origin=request.origin,
+                tag=request.tag, digits=digits, is_reply=True,
+                value=value if exact else None, combine_depth=depth,
+                issued_cycle=request.issued_cycle,
+            )
+        self.lazy[ids] = False
+        self.stale[ids] = False
+
+    # ------------------------------------------------------------------
+    # the wait-record store
+    # ------------------------------------------------------------------
+    def _chain(self, j: int, stage: int) -> list[int]:
+        """Records keyed by id ``j``'s tag at ``stage``, most recent first."""
+        chain = []
+        r = self.link.item(j, stage)
+        while r >= 0:
+            chain.append(r)
+            r = self.w_prev.item(r)
+        return chain
+
+    def _plan(self, r: int) -> Combined:
+        kind = self.w_kind.item(r)
+        if not kind:
+            return self.w_plan[r]
+        self._sync(r)
+        new = self.obj[r].op
+        return try_combine(_op_of(kind, new.address, self.w_dat.item(r)), new)
+
+    def _wait_record(self, r: int) -> WaitRecord:
+        """The object view of record ``r``."""
+        self._sync(r)
+        message = self.obj[r]
+        message.digits = self.dig[r].tolist()
+        return WaitRecord(key_tag=self.w_tag.item(r), plan=self._plan(r),
+                          new_message=message,
+                          stage=self.w_at.item(r) // self.Q,
+                          created_cycle=self.w_made.item(r))
+
+    def _insert_record(self, i: int, j: int, stage: int, wb: int, cycle: int,
+                       plan: Combined) -> None:
+        """Record R-new ``i`` absorbed into R-old ``j`` (per-message path)."""
+        self.w_at[i] = wb
+        self.w_prev[i] = self.link.item(j, stage)
+        self.link[j, stage] = i
+        self.w_tag[i] = self.tag.item(j)
+        self.w_made[i] = cycle
+        self.w_kind[i] = 0
+        self.w_plan[i] = plan
+        self.w_seq[i] = self._seq
+        self._seq += 1
+        occupancy = self.wb_occ.item(wb) + 1
+        self.wb_occ[wb] = occupancy
+        if occupancy > self.wb_peak.item(wb):
+            self.wb_peak[wb] = occupancy
+        self.wb_ins[wb] = self.wb_ins.item(wb) + 1
+        self.wb_dirty[wb] = True
+        hist = self.wbs[wb]._occupancy_histogram
+        if hist is not None:
+            hist.observe(occupancy)
 
     # ------------------------------------------------------------------
     # object view
@@ -281,15 +539,18 @@ class _MessagePlane:
         one rebuilt from its own object view."""
         lanes = self.fwd + self.ret
         lengths = [[len(q._slots) for q in lane.queues] for lane in lanes]
-        self._new_pool(max(1024, 2 * sum(map(sum, lengths))))
-        # Stage bitmask of the wait records keyed by each tag: a reply
-        # takes the per-message path exactly at those stages.
-        self.rec: dict[int, int] = {}
-        for stage, row in enumerate(self.network.stages):
-            for sw in row:
-                for wb in sw.wait_buffers:
-                    for tag in wb._records:
-                        self.rec[tag] = self.rec.get(tag, 0) | (1 << stage)
+        wbs = self.wbs
+        self.wb_occ = np.array([wb._occupancy for wb in wbs], dtype=np.int32)
+        self.wb_peak = np.array([wb.peak_occupancy for wb in wbs], dtype=np.int32)
+        self.wb_ins = np.zeros(len(wbs), dtype=np.int32)
+        self.wb_dirty = np.zeros(len(wbs), dtype=bool)
+        self._new_pool(max(1024, 2 * (sum(map(sum, lengths))
+                                      + int(self.wb_occ.sum()))))
+        # link rows of requests at an MNI, keyed by tag (their replies
+        # pick them up on injection)
+        self.carry: dict[int, Any] = {}
+        self._seq = 0
+        by_tag: dict[int, int] = {}
         for lane, held in zip(lanes, lengths):
             lane.slots = max(lane.slots, max(held))
             lane.ring = np.zeros((len(held), lane.slots), dtype=np.int32)
@@ -298,14 +559,41 @@ class _MessagePlane:
             lane.used[:] = [q.used_packets for q in lane.queues]
             lane.peak[:] = [q.peak_packets for q in lane.queues]
             lane.busy[:] = [p.busy_until for p in lane.ports]
-            for arr in (lane.ins, lane.sent, lane.routed, lane.blocked):
+            for arr in (lane.ins, lane.combs, lane.sent, lane.routed,
+                        lane.merged, lane.blocked):
                 arr[:] = 0
             lane.dirty[:] = False
             lane.tot = sum(held)
             for f in np.flatnonzero(lane.len).tolist():
                 for j, slot in enumerate(lane.queues[f]._slots):
-                    lane.ring[f, j] = self._admit(slot.message,
-                                                  slot.already_combined)
+                    i = self._admit(slot.message, slot.already_combined)
+                    lane.ring[f, j] = i
+                    by_tag[slot.message.tag] = i
+        found = []
+        for wb_index in np.flatnonzero(self.wb_occ).tolist():
+            for stack in wbs[wb_index]._records.values():
+                for record in stack:
+                    i = self._admit(record.new_message)
+                    by_tag[record.new_message.tag] = i
+                    found.append((wb_index, record, i))
+        for wb_index, record, i in found:  # oldest first within a key
+            stage = record.stage
+            holder = by_tag.get(record.key_tag)
+            if holder is None:  # R-old is at its memory module
+                row = self.carry.setdefault(
+                    record.key_tag, np.full(self.D, -1, dtype=np.int32))
+                self.w_prev[i] = row[stage]
+                row[stage] = i
+            else:
+                self.w_prev[i] = self.link.item(holder, stage)
+                self.link[holder, stage] = i
+            self.w_at[i] = wb_index
+            self.w_tag[i] = record.key_tag
+            self.w_made[i] = record.created_cycle
+            self.w_plan[i] = record.plan
+            self.w_kind[i] = 0
+            self.w_seq[i] = self._seq
+            self._seq += 1
 
     def export_state(self) -> dict[str, Any]:
         """Copy of the schedulable arrays (round-trip tests compare this
@@ -318,12 +606,15 @@ class _MessagePlane:
             "ret_busy": [lane.busy.reshape(shape).copy() for lane in self.ret],
             "fwd_tot": [lane.tot for lane in self.fwd],
             "ret_tot": [lane.tot for lane in self.ret],
+            "wait_occupancy": self.wb_occ.reshape(self.D, self.Q).copy(),
+            "wait_peak": self.wb_peak.reshape(self.D, self.Q).copy(),
         }
 
     def flush(self) -> None:
         """Write the plane back into the switch objects: contents,
         packet counts and statistics of every queue touched since the
-        last flush, its output port, and the switch counters."""
+        last flush, its output port, the wait buffers touched since then,
+        and the switch counters."""
         pairwise = self.pairwise
         obj = self.obj
         for lane in self.fwd + self.ret:
@@ -333,15 +624,21 @@ class _MessagePlane:
                 ids_l = ids.tolist()
                 combined_l = self.comb[ids].tolist()
                 if lane.forward:
+                    for i in ids[self.stale[ids]].tolist():
+                        self._sync(i)
                     for i, digits in zip(ids_l, self.dig[ids].tolist()):
                         obj[i].digits = digits
+                else:
+                    lazy = ids[self.lazy[ids]]
+                    if lazy.size:
+                        self._build_replies(lazy)
                 queues, ports = lane.queues, lane.ports
                 start = 0
-                for f, n, used, peak, ins, busy, sent in zip(
+                for f, n, used, peak, ins, combs, busy, sent in zip(
                     touched.tolist(), lengths.tolist(),
                     lane.used[touched].tolist(), lane.peak[touched].tolist(),
-                    lane.ins[touched].tolist(), lane.busy[touched].tolist(),
-                    lane.sent[touched].tolist(),
+                    lane.ins[touched].tolist(), lane.combs[touched].tolist(),
+                    lane.busy[touched].tolist(), lane.sent[touched].tolist(),
                 ):
                     queue = queues[f]
                     if n:
@@ -369,17 +666,21 @@ class _MessagePlane:
                     queue.peak_packets = peak
                     if ins:
                         queue.total_inserted += ins
+                    if combs:
+                        queue.total_combined += combs
                     if sent:
                         port = ports[f]
                         port.busy_until = busy
                         port.messages_sent += sent
-                lane.ins[touched] = 0
-                lane.sent[touched] = 0
+                for arr in (lane.ins, lane.combs, lane.sent):
+                    arr[touched] = 0
                 lane.dirty[touched] = False
-            for counts, field in ((lane.routed, "requests_routed"
-                                   if lane.forward else "replies_routed"),
-                                  (lane.blocked, "forward_blocked_cycles"
-                                   if lane.forward else "return_blocked_cycles")):
+            for counts, field in (
+                (lane.routed, "requests_routed" if lane.forward else "replies_routed"),
+                (lane.merged, "combines" if lane.forward else "decombines"),
+                (lane.blocked, "forward_blocked_cycles"
+                 if lane.forward else "return_blocked_cycles"),
+            ):
                 hit = np.flatnonzero(counts)
                 if hit.size:
                     switches = lane.switches
@@ -387,6 +688,34 @@ class _MessagePlane:
                         stats = switches[i].stats
                         setattr(stats, field, getattr(stats, field) + n)
                     counts[hit] = 0
+        self._flush_waits()
+
+    def _flush_waits(self) -> None:
+        """Rebuild the wait buffers touched since the last flush."""
+        touched = np.flatnonzero(self.wb_dirty)
+        if not touched.size:
+            return
+        records = np.flatnonzero(np.isin(self.w_at, touched))
+        records = records[np.argsort(self.w_seq[records], kind="stable")]
+        held: dict[int, dict[int, list[WaitRecord]]] = {}
+        for r, at in zip(records.tolist(), self.w_at[records].tolist()):
+            record = self._wait_record(r)
+            keyed = held.setdefault(at, {})
+            if record.key_tag in keyed:
+                keyed[record.key_tag].append(record)
+            else:
+                keyed[record.key_tag] = [record]
+        for at, occupancy, peak, ins in zip(
+            touched.tolist(), self.wb_occ[touched].tolist(),
+            self.wb_peak[touched].tolist(), self.wb_ins[touched].tolist(),
+        ):
+            wb = self.wbs[at]
+            wb._records = held.get(at, {})
+            wb._occupancy = occupancy
+            wb.peak_occupancy = peak
+            wb.total_insertions += ins
+        self.wb_ins[touched] = 0
+        self.wb_dirty[touched] = False
 
     def has_messages(self) -> bool:
         return any(lane.tot for lane in self.fwd) or any(
@@ -404,18 +733,51 @@ class _MessagePlane:
         self._release(i)
         return False
 
+    def inject_requests(self, pes: list[int], messages: list["Message"],
+                        cycle: int) -> list[bool]:
+        """Offer the head request of each PE in ``pes`` (ascending) to
+        stage 0, as one batch unless there are only a few."""
+        if len(pes) < self.vector_min:
+            return [self.inject_request(pe, message, cycle)
+                    for pe, message in zip(pes, messages)]
+        ids = self._admit_many(messages)
+        line = np.array(pes, dtype=np.int64)
+        accepted = np.zeros(len(pes), dtype=bool)
+        accepted[self._offer_requests(self.fwd[0], ids, self.inject_sw[line],
+                                      self.inject_port[line], cycle)] = True
+        for i in ids[~accepted].tolist():
+            self._release(i)
+        return accepted.tolist()
+
     def inject_reply(self, mm: int, message: "Message", cycle: int) -> bool:
         stage, sw_i, mm_port = self.topo.reply_entry(mm, message.origin)
         i = self._admit(message)
-        if self._offer_return(self.ret[stage], sw_i, mm_port,
-                              message.digits[stage], i, cycle):
-            return True
-        self._release(i)
-        return False
+        row = self.carry.get(message.tag)
+        if row is None:
+            taken = self._offer_return(self.ret[stage], sw_i, mm_port,
+                                       message.digits[stage], i, cycle)
+        else:
+            self.link[i] = row
+            if self.vector and row[stage] >= 0 and self.vector_min <= 1:
+                # a batch of one, vectorized only when every step is
+                taken = self._offer_replies(
+                    self.ret[stage], np.array([i]), np.array([sw_i]),
+                    np.array([mm_port]), cycle).size > 0
+            else:
+                taken = self._offer_return(self.ret[stage], sw_i, mm_port,
+                                           message.digits[stage], i, cycle)
+            if taken:
+                del self.carry[message.tag]
+            else:
+                self.link[i] = -1
+        if not taken:
+            self._release(i)
+        return taken
 
     # ------------------------------------------------------------------
-    # one message at a time: endpoints and the combining path (scalar
-    # reads go through ``item``, which skips numpy's scalar boxing)
+    # one message at a time: endpoints and the per-message combining
+    # path (scalar reads go through ``item``, which skips numpy's scalar
+    # boxing)
     # ------------------------------------------------------------------
     def _push(self, lane: _Lane, q: int, i: int, packets: int) -> None:
         n = lane.len.item(q)
@@ -445,69 +807,71 @@ class _MessagePlane:
 
     def _offer_forward(self, lane: _Lane, sw_i: int, in_port: int, out: int,
                        i: int, cycle: int) -> bool:
-        """``Switch.offer_forward`` on the plane: combine with a queued
-        partner, or append if the queue has room; refuse otherwise."""
+        """``Switch.offer_forward`` on the plane: combine with the first
+        queued partner ``try_combine`` accepts, or append if the queue
+        has room; refuse otherwise."""
         q = sw_i * self.k + out
-        sw = lane.switches[sw_i]
+        stage = lane.stage
+        wb = stage * self.Q + q
         obj = self.obj
-        message = obj[i]
         partner = None
         held = lane.len.item(q)
-        if self.combining and held:
-            mm, offset = message.mm, message.offset
+        if self.combining and held and (
+                self.wcap is None or self.wb_occ.item(wb) < self.wcap):
+            self._sync(i)
+            message = obj[i]
+            mm, offset, key = message.mm, message.offset, self.key.item(i)
             row = lane.ring[q].tolist()
             head = lane.head.item(q)
             for j in (row[head:] + row[:head])[:held]:
-                queued = obj[j]
-                if queued.offset != offset or queued.mm != mm or (
-                        self.pairwise and self.comb.item(j)):
+                if self.key.item(j) != key or (self.pairwise and self.comb.item(j)):
                     continue
-                if sw.wait_buffers[out].is_full():
-                    break  # nowhere to put the decombining record
+                queued = obj[j]
+                if queued.offset != offset or queued.mm != mm:
+                    continue
+                self._sync(j)
                 plan = try_combine(queued.op, message.op)
                 if plan is not None:
-                    if decombine_fits(self.cap, lane.stage,
-                                      self.dig.item(j, lane.stage),
-                                      sw.wait_buffers[out].peek_all(queued.tag),
+                    if decombine_fits(self.cap, stage, self.dig.item(j, stage),
+                                      [self._wait_record(r) for r in
+                                       reversed(self._chain(j, stage))],
                                       in_port, plan):
                         partner = (j, plan)
                     break
-        packets = message.packets
+        packets = self.pk.item(i)
         if partner is None and self.cap is not None and (
                 lane.used.item(q) + packets > self.cap):
             return False
-        stage = lane.stage
         self.dig[i, stage] = in_port
         if partner is None:
             self.comb[i] = False  # a new slot, not yet combined here
             self._push(lane, q, i, packets)
             if self._instr_on:
+                message = obj[i]
                 self._instr.record("enqueue", cycle, tag=message.tag,
                                    pe=message.origin, stage=stage)
         else:
             j, plan = partner
-            message.digits = self.dig[i].tolist()
-            self._release(i)
-            queued = self.obj[j]
+            queued = obj[j]
             before = queued.packets
             queued.replace_op(plan.forward)
-            queued.combine_depth = max(queued.combine_depth,
-                                       message.combine_depth) + 1
+            depth = max(self.depth.item(j), self.depth.item(i)) + 1
+            queued.combine_depth = depth
+            self.depth[j] = depth
+            _, self.vk[j], self.opnd[j] = _request_fields(queued)
             self.comb[j] = True
             self.pk[j] = queued.packets
             used = lane.used.item(q) + queued.packets - before
             lane.used[q] = used
             if used > lane.peak.item(q):
                 lane.peak[q] = used
-            lane.queues[q].total_combined += 1
+            lane.combs[q] = lane.combs.item(q) + 1
             lane.dirty[q] = True
-            sw.wait_buffers[out].insert(WaitRecord(
-                key_tag=queued.tag, plan=plan, new_message=message,
-                stage=stage, created_cycle=cycle))
-            self.rec[queued.tag] = self.rec.get(queued.tag, 0) | (1 << stage)
-            sw.stats.combines += 1
+            self._insert_record(i, j, stage, wb, cycle, plan)
+            lane.merged[sw_i] = lane.merged.item(sw_i) + 1
             if self._instr_on:
-                sw._combine_counter.inc()
+                message = obj[i]
+                lane.switches[sw_i]._combine_counter.inc()
                 self._instr.record("combine", cycle, tag=message.tag,
                                    pe=message.origin, stage=stage,
                                    tag2=queued.tag)
@@ -517,16 +881,12 @@ class _MessagePlane:
     def _offer_return(self, lane: _Lane, sw_i: int, mm_port: int, out: int,
                       i: int, cycle: int) -> bool:
         """``Switch.offer_return`` on the plane: route the reply, and on
-        a wait-buffer hit unwind the decombining stack into one reply per
+        a wait-record hit unwind the decombining stack into one reply per
         absorbed partner, all or nothing."""
         k = self.k
-        sw = lane.switches[sw_i]
-        message = self.obj[i]
         stage = lane.stage
-        records = (sw.wait_buffers[mm_port].peek_all(message.tag)
-                   if self.wm.item(i) >> stage & 1 else ())
-        if not records:
-            packets = message.packets
+        if self.link.item(i, stage) < 0:
+            packets = self.pk.item(i)
             q = sw_i * k + out
             if self.cap is not None and lane.used.item(q) + packets > self.cap:
                 return False
@@ -534,43 +894,52 @@ class _MessagePlane:
             lane.routed[sw_i] = lane.routed.item(sw_i) + 1
             return True
 
+        message = self._reply(i)
+        chain = self._chain(i, stage)  # most recent first
         value = message.value
-        partner_replies: list["Message"] = []
-        for record in reversed(records):
-            new_value = record.plan.new_rule.materialize(value)
-            partner_replies.append(record.new_message.make_reply(new_value))
-            value = record.plan.old_rule.materialize(value)
-        old_packets = PACKETS_WITH_DATA if value is not None else PACKETS_WITHOUT_DATA
+        partners: list[tuple[int, Optional[int]]] = []
+        for r in chain:
+            plan = self._plan(r)
+            partners.append((r, plan.new_rule.materialize(value)))
+            value = plan.old_rule.materialize(value)
         if self.cap is not None:
             needed: dict[int, int] = {}
-            for reply in partner_replies:
-                port = reply.digits[stage]
-                needed[port] = needed.get(port, 0) + reply.packets
-            needed[out] = needed.get(out, 0) + old_packets
+            for r, new_value in partners:
+                port = self.dig.item(r, stage)
+                needed[port] = needed.get(port, 0) + packets_for(new_value is not None)
+            needed[out] = needed.get(out, 0) + packets_for(value is not None)
             for port, packets in needed.items():
                 if lane.used.item(sw_i * k + port) + packets > self.cap:
                     return False
 
-        sw.wait_buffers[mm_port].match_all(message.tag)
-        bits = self.rec.pop(message.tag, 0) & ~(1 << stage)
-        if bits:
-            self.rec[message.tag] = bits
+        if self._instr_on:
+            sw = lane.switches[sw_i]
+            sw._decombine_counter.inc(len(chain))
+            for r in reversed(chain):
+                sw._wait_residency.observe(cycle - self.w_made.item(r))
+                self._instr.record("decombine", cycle, tag=self.tag.item(r),
+                                   pe=self.obj[r].origin, stage=stage,
+                                   tag2=message.tag)
+        self.link[i, stage] = -1
         message.set_value(value)
         self.pk[i] = message.packets
-        for reply in partner_replies:
-            self._push(lane, sw_i * k + reply.digits[stage], self._admit(reply),
-                       reply.packets)
-            sw.stats.decombines += 1
+        self._note_value(i, value)
+        for r, new_value in partners:
+            self._sync(r)
+            request = self.obj[r]
+            request.digits = self.dig[r].tolist()
+            reply = self.obj[r] = request.make_reply(new_value)
+            self.pk[r] = reply.packets
+            self._note_value(r, new_value)
+            self.w_at[r] = -1
+            self.w_plan[r] = None
+            self._push(lane, sw_i * k + self.dig.item(r, stage), r, reply.packets)
         self._push(lane, sw_i * k + out, i, message.packets)
-        lane.routed[sw_i] = lane.routed.item(sw_i) + 1 + len(partner_replies)
-        if self._instr_on:
-            sw._decombine_counter.inc(len(records))
-            for record in records:
-                sw._wait_residency.observe(cycle - record.created_cycle)
-                self._instr.record("decombine", cycle,
-                                   tag=record.new_message.tag,
-                                   pe=record.new_message.origin,
-                                   stage=stage, tag2=message.tag)
+        wb = stage * self.Q + sw_i * k + mm_port
+        self.wb_occ[wb] = self.wb_occ.item(wb) - len(chain)
+        self.wb_dirty[wb] = True
+        lane.merged[sw_i] = lane.merged.item(sw_i) + len(chain)
+        lane.routed[sw_i] = lane.routed.item(sw_i) + 1 + len(chain)
         return True
 
     # ------------------------------------------------------------------
@@ -630,41 +999,58 @@ class _MessagePlane:
             self._hop(lane, target, hops, cycle)
 
     def _exit(self, lane: _Lane, src: Any, cycle: int) -> None:
-        """Hand every sending head to its endpoint (MNI or PNI)."""
+        """Hand every sending head to its endpoint (MNI or PNI).  A
+        request leaves with its records' links in ``carry`` (its reply
+        picks them up); a reply leaves with none left, so freed ids keep
+        no links."""
         src_l = src.tolist()
-        small = len(src_l) < self.vector_min
-        if small:
-            ring, head = lane.ring, lane.head
-            ids = ids_l = [ring.item(f, head.item(f)) for f in src_l]
-        else:
-            ids = lane.ring[src, lane.head[src]]
-            ids_l = ids.tolist()
         obj = self.obj
-        if lane.forward:
-            sink = self.kernel._mm_sink
-            for i, digits in zip(ids_l, self.dig[ids].tolist()):
-                obj[i].digits = digits
-        else:
-            sink = self.kernel._pe_sink
+        forward = lane.forward
+        sink = self.kernel._mm_sink if forward else self.kernel._pe_sink
         line = lane.wire.to_l
-        ends = [line[f] for f in src_l]
-        if small:
-            k = self.k
-            for f, i, end in zip(src_l, ids_l, ends):
-                message = obj[i]
-                if sink(end, message):
-                    self._pop(lane, f, message.packets, cycle)
+        if len(src_l) < self.vector_min:
+            ring, head, k = lane.ring, lane.head, self.k
+            for f in src_l:
+                i = ring.item(f, head.item(f))
+                if forward:
+                    self._sync(i)
+                    message = obj[i]
+                    message.digits = self.dig[i].tolist()
+                else:
+                    message = self._reply(i)
+                if sink(line[f], message):
+                    if forward and self.link[i].max() >= 0:
+                        self.carry[message.tag] = self.link[i].copy()
+                        self.link[i] = -1
+                    self._pop(lane, f, self.pk.item(i), cycle)
                     self._release(i)
                 else:
                     lane.blocked[f // k] = lane.blocked.item(f // k) + 1
             return
-        accepted = [n for n, (i, end) in enumerate(zip(ids_l, ends))
-                    if sink(end, obj[i])]
+        ids = lane.ring[src, lane.head[src]]
+        ids_l = ids.tolist()
+        if forward:
+            for i in ids[self.stale[ids]].tolist():
+                self._sync(i)
+            for i, digits in zip(ids_l, self.dig[ids].tolist()):
+                obj[i].digits = digits
+        else:
+            lazy = ids[self.lazy[ids]]
+            if lazy.size:
+                self._build_replies(lazy)
+        accepted = np.array([n for n, (f, i) in enumerate(zip(src_l, ids_l))
+                             if sink(line[f], obj[i])], dtype=np.int64)
         packets = self.pk[ids]
-        for n in accepted:
-            self._release(ids_l[n])
-        self._pop_many(lane, src, packets, np.asarray(accepted, dtype=np.int64),
-                       cycle)
+        if accepted.size:
+            gone = ids[accepted]
+            if forward:
+                linked = gone[(self.link[gone] >= 0).any(axis=1)]
+                for i in linked.tolist():
+                    self.carry[self.tag.item(i)] = self.link[i].copy()
+                self.link[linked] = -1
+            for i in gone.tolist():
+                self._release(i)
+        self._pop_many(lane, src, packets, accepted, cycle)
 
     def _pop_many(self, lane: _Lane, src: Any, packets: Any, accepted: Any,
                   cycle: int) -> None:
@@ -693,33 +1079,17 @@ class _MessagePlane:
             self._serial(lane, target, src.tolist(), cycle)
             return
         ids = lane.ring[src, lane.head[src]]
-        out = self.dig[ids, target.stage]
         t_sw, t_port = lane.wire.to[src], lane.wire.port[src]
-        tq = t_sw * self.k + out
-        order, rank, ranks = self._ranks(tq)
-        serial = self._serial_mask(lane, target, ids, tq, order)
-        if serial is None:
-            self._commit(lane, target, src, ids, tq, t_sw, t_port, cycle,
-                         rank, ranks)
-            return
-        if self._instr_on:
-            # The trace records every offer in row-major order.
-            self._serial(lane, target, src.tolist(), cycle)
-            return
-        # Offers interact only through their target queue (forward: its
-        # slots and wait buffer) or target switch (return: a decombining
-        # fan-out reaches every port), so taking the heads in rank order
-        # within those groups is the row-major outcome; within a rank
-        # the plain heads move vectorized and the rest one at a time.
-        if not lane.forward:
-            _, rank, ranks = self._ranks(t_sw)
-        for r in range(ranks):
-            phase = rank == r
-            plain = np.flatnonzero(phase & ~serial)
-            if plain.size:
-                self._commit(lane, target, src[plain], ids[plain], tq[plain],
-                             t_sw[plain], t_port[plain], cycle)
-            self._serial(lane, target, src[phase & serial].tolist(), cycle)
+        if lane.forward:
+            # read first: a later offer may combine into an earlier head
+            packets = self.pk[ids]
+            taken = self._offer_requests(target, ids, t_sw, t_port, cycle)
+        else:
+            taken = self._offer_replies(target, ids, t_sw, t_port, cycle)
+            # a decombined reply pops with its rewritten packet count, as
+            # a switch's queue does
+            packets = self.pk[ids]
+        self._pop_many(lane, src, packets, taken, cycle)
 
     def _ranks(self, group: Any) -> tuple[Any, Any, int]:
         """A stable sort of ``group``, each entry's position among the
@@ -735,47 +1105,6 @@ class _MessagePlane:
         rank[order] = pos - np.maximum.accumulate(starts)
         return order, rank, int(rank.max()) + 1
 
-    def _serial_mask(self, lane: _Lane, target: _Lane, ids: Any, tq: Any,
-                     order: Any) -> Optional[Any]:
-        """Heads that must take the per-message path, or None if none.
-
-        A request needs it when its target queue holds an uncombined
-        request for the same cell or an earlier head of this step goes
-        to the same queue with the same cell (``order`` sorts the heads
-        stably by target queue); a reply needs it when its tag has a
-        wait record at the target stage.  Cells are compared by a hash
-        of ``(mm, offset)``: a collision only sends a head down the
-        exact per-message path."""
-        if not lane.forward:
-            if not self.rec:
-                return None
-            serial = (self.wm[ids] >> target.stage) & 1 != 0
-            return serial if serial.any() else None
-        if not self.combining:
-            return None
-        key = self.key[ids]
-        serial = np.zeros(ids.size, dtype=bool)
-        by_queue, by_key = tq[order], key[order]
-        # A queue has at most k senders, so an earlier one with the same
-        # cell sits fewer than k places before in the sorted order.
-        for d in range(1, min(self.k, ids.size)):
-            same = (by_queue[d:] == by_queue[:-d]) & (by_key[d:] == by_key[:-d])
-            serial[order[d:][same]] = True
-        held = target.len[tq]
-        busy = np.flatnonzero(held)
-        if busy.size:
-            q = tq[busy]
-            slots = target.slots
-            pos = np.arange(slots)
-            resident = target.ring[q[:, None],
-                                   (target.head[q][:, None] + pos) % slots]
-            hit = ((pos < held[busy][:, None])
-                   & (self.key[resident] == key[busy][:, None]))
-            if self.pairwise:
-                hit &= ~self.comb[resident]
-            serial[busy] |= hit.any(axis=1)
-        return serial if serial.any() else None
-
     def _serial(self, lane: _Lane, target: _Lane, src: list[int],
                 cycle: int) -> None:
         """Offer the heads of the sending queues ``src`` one at a time,
@@ -783,31 +1112,156 @@ class _MessagePlane:
         forward = lane.forward
         offer = self._offer_forward if forward else self._offer_return
         t_sw, t_port = lane.wire.to_l, lane.wire.port_l
-        ring, head, dig, obj = lane.ring, lane.head, self.dig, self.obj
+        ring, head, dig = lane.ring, lane.head, self.dig
         stage = target.stage
         k = self.k
         for f in src:
             i = ring.item(f, head.item(f))
-            message = obj[i]
-            packets = message.packets
             if offer(target, t_sw[f], t_port[f], dig.item(i, stage), i, cycle):
-                if not forward:
-                    packets = message.packets  # decombining rewrites it
-                self._pop(lane, f, packets, cycle)
+                self._pop(lane, f, self.pk.item(i), cycle)
             else:
                 lane.blocked[f // k] = lane.blocked.item(f // k) + 1
 
-    def _commit(self, lane: _Lane, target: _Lane, src: Any, ids: Any, tq: Any,
-                t_sw: Any, t_port: Any, cycle: int, rank: Any = None,
-                ranks: int = 1) -> None:
-        """Vectorized offers of heads that neither combine nor decombine.
+    def _one_by_one(self, target: _Lane, ids: Any, t_sw: Any, t_port: Any,
+                    out: Any, which: Any, accepted: Any, cycle: int) -> None:
+        """Per-message offers of the entries ``which`` (in order)."""
+        offer = self._offer_forward if target.forward else self._offer_return
+        for x, i, sw_i, port, o in zip(which.tolist(), ids[which].tolist(),
+                                       t_sw[which].tolist(), t_port[which].tolist(),
+                                       out[which].tolist()):
+            accepted[x] = offer(target, sw_i, port, o, i, cycle)
+
+    # -- requests -------------------------------------------------------
+    def _offer_requests(self, target: _Lane, ids: Any, t_sw: Any, t_port: Any,
+                        cycle: int) -> Any:
+        """Offer requests ``ids`` (in row-major order) to ``target``,
+        arriving at switches ``t_sw`` on ports ``t_port``; returns the
+        indices of those taken.
+
+        Offers interact only through their target queue (its slots and
+        wait buffer), so taking them in rank order within queues is the
+        row-major outcome: each rank settles completely, vectorized,
+        before the next meets its heads as residents."""
+        out = self.dig[ids, target.stage]
+        tq = t_sw * self.k + out
+        order, rank, ranks = self._ranks(tq)
+        flagged = self._flagged(target, ids, tq, order)
+        if flagged is None:
+            return self._append(target, ids, tq, t_sw, t_port, cycle, rank, ranks)
+        n = ids.size
+        accepted = np.zeros(n, dtype=bool)
+        if self._instr_on:
+            # The trace records every offer in offer order.
+            self._one_by_one(target, ids, t_sw, t_port, out, np.arange(n),
+                             accepted, cycle)
+            return np.flatnonzero(accepted)
+        for r in range(ranks):
+            phase = rank == r
+            plain = phase & ~flagged
+            pick = np.flatnonzero(phase & flagged)
+            if pick.size and self.vector:
+                pick = self._combine(target, ids, tq, t_sw, t_port, pick,
+                                     plain, accepted, cycle)
+            sel = np.flatnonzero(plain)
+            if sel.size:
+                accepted[sel[self._append(target, ids[sel], tq[sel], t_sw[sel],
+                                          t_port[sel], cycle)]] = True
+            self._one_by_one(target, ids, t_sw, t_port, out, pick, accepted,
+                             cycle)
+        return np.flatnonzero(accepted)
+
+    def _flagged(self, target: _Lane, ids: Any, tq: Any,
+                 order: Any) -> Optional[Any]:
+        """Requests that may combine, or None if none: the target queue
+        holds an uncombined request for the same cell, or an earlier
+        offer of this step goes to the same queue with the same cell
+        (``order`` sorts the offers stably by target queue).  Cells are
+        compared by key (:func:`_cell_key`)."""
+        if not self.combining:
+            return None
+        key = self.key[ids]
+        flagged = np.zeros(ids.size, dtype=bool)
+        by_queue, by_key = tq[order], key[order]
+        # A queue has at most k senders, so an earlier one with the same
+        # cell sits fewer than k places before in the sorted order.
+        for d in range(1, min(self.k, ids.size)):
+            same = (by_queue[d:] == by_queue[:-d]) & (by_key[d:] == by_key[:-d])
+            flagged[order[d:][same]] = True
+        busy = np.flatnonzero(target.len[tq])
+        if busy.size:
+            resident, live = target.residents(tq[busy])
+            hit = live & (self.key[resident] == key[busy][:, None])
+            if self.pairwise:
+                hit &= ~self.comb[resident]
+            flagged[busy] |= hit.any(axis=1)
+        return flagged if flagged.any() else None
+
+    def _combine(self, target: _Lane, ids: Any, tq: Any, t_sw: Any,
+                 t_port: Any, pick: Any, plain: Any, accepted: Any,
+                 cycle: int) -> Any:
+        """Vectorized combining of the offers ``pick`` (one rank, so
+        distinct target queues).  Each meets the first uncombined
+        resident with its cell key: a homogeneous F&A/Load/Store
+        partner within the exactness bound combines here; with none, a
+        full wait buffer or a fan-out ``decombine_fits`` refuses, the
+        offer is marked ``plain`` (an append); the rest are returned
+        for the per-message path."""
+        stage = target.stage
+        h, q = ids[pick], tq[pick]
+        resident, live = target.residents(q)
+        hit = live & (self.key[resident] == self.key[h][:, None]) & ~self.comb[resident]
+        found = hit.any(axis=1)
+        j = resident[np.arange(pick.size), hit.argmax(axis=1)]
+        wb = stage * self.Q + q
+        if self.wcap is not None:
+            found &= self.wb_occ[wb] < self.wcap
+        kind = self.vk[h]
+        e, f = self.opnd[j], self.opnd[h]
+        total = np.where(kind == _FA, e + f, np.where(kind == _STORE, f, 0))
+        same = (kind != 0) & (self.vk[j] == kind) & (np.abs(total) < _EXACT)
+        fits = self.fits[kind, (self.dig[j, stage] == t_port[pick]).astype(np.intp)]
+        go = found & same & fits
+        plain[pick[~found | (same & ~fits)]] = True
+        if go.any():
+            g, h, j, wb, kind = pick[go], h[go], j[go], wb[go], kind[go]
+            self.dig[h, stage] = t_port[g]
+            self.w_dat[h] = e[go]
+            self.opnd[j] = total[go]
+            self.depth[j] = np.maximum(self.depth[j], self.depth[h]) + 1
+            self.comb[j] = True
+            self.stale[j] = True
+            self.w_at[h] = wb
+            self.w_prev[h] = self.link[j, stage]
+            self.link[j, stage] = h
+            self.w_tag[h] = self.tag[j]
+            self.w_made[h] = cycle
+            self.w_kind[h] = kind
+            self.w_seq[h] = self._seq + np.arange(g.size)
+            self._seq += g.size
+            occupancy = self.wb_occ[wb] + 1
+            self.wb_occ[wb] = occupancy
+            self.wb_peak[wb] = np.maximum(self.wb_peak[wb], occupancy)
+            self.wb_ins[wb] += 1
+            self.wb_dirty[wb] = True
+            qg = q[go]
+            target.combs[qg] += 1
+            target.dirty[qg] = True
+            np.add.at(target.merged, t_sw[g], 1)
+            np.add.at(target.routed, t_sw[g], 1)
+            accepted[g] = True
+        return pick[found & ~same]
+
+    def _append(self, target: _Lane, ids: Any, tq: Any, t_sw: Any, t_port: Any,
+                cycle: int, rank: Any = None, ranks: int = 1) -> Any:
+        """Vectorized offers of messages that neither combine nor
+        decombine; returns the indices of those taken.
 
         Offers to one queue are taken in rank order (``rank`` = position
         among this step's offers to that queue, row-major; None when the
         target queues are distinct), each against the capacity left by
         the ranks before it — the greedy check
         ``Switch.offer_forward``/``offer_return`` make in offer order."""
-        n = src.size
+        n = ids.size
         packets = self.pk[ids]
         while int(target.len[tq].max()) + ranks > target.slots:
             target.grow()
@@ -837,13 +1291,13 @@ class _MessagePlane:
             target.dirty[q] = True
             target.tot += taken.size
             np.add.at(target.routed, t_sw[taken], 1)
-            if lane.forward:
+            if target.forward:
                 moved = ids[taken]
                 self.dig[moved, target.stage] = t_port[taken]
                 self.comb[moved] = False  # new slots, not yet combined
             if self._instr_on:
                 self._record_appends(target, ids[taken], post, taken, cycle)
-        self._pop_many(lane, src, packets, taken, cycle)
+        return taken
 
     def _record_appends(self, target: _Lane, ids: Any, post: Any, taken: Any,
                         cycle: int) -> None:
@@ -861,6 +1315,93 @@ class _MessagePlane:
             if hist is not None:
                 hist.observe(occupancy[n])
 
+    # -- replies --------------------------------------------------------
+    def _offer_replies(self, target: _Lane, ids: Any, t_sw: Any, t_port: Any,
+                       cycle: int) -> Any:
+        """Offer replies ``ids`` (in row-major order) to ``target``;
+        returns the indices of those taken.  A decombining fan-out reaches every
+        port of its switch, so once one is present the offers are taken
+        in rank order within target switches."""
+        stage = target.stage
+        out = self.dig[ids, stage]
+        tq = t_sw * self.k + out
+        records = self.link[ids, stage]
+        hits = records >= 0
+        if not hits.any():
+            _, rank, ranks = self._ranks(tq)
+            return self._append(target, ids, tq, t_sw, t_port, cycle, rank, ranks)
+        n = ids.size
+        accepted = np.zeros(n, dtype=bool)
+        if self._instr_on:
+            self._one_by_one(target, ids, t_sw, t_port, out, np.arange(n),
+                             accepted, cycle)
+            return np.flatnonzero(accepted)
+        _, rank, ranks = self._ranks(t_sw)
+        for r in range(ranks):
+            phase = rank == r
+            plain = np.flatnonzero(phase & ~hits)
+            if plain.size:
+                accepted[plain[self._append(target, ids[plain], tq[plain],
+                                            t_sw[plain], t_port[plain],
+                                            cycle)]] = True
+            pick = np.flatnonzero(phase & hits)
+            if pick.size and self.vector:
+                pick = self._decombine(target, ids, records, tq, t_sw, t_port,
+                                       pick, accepted)
+            self._one_by_one(target, ids, t_sw, t_port, out, pick, accepted,
+                             cycle)
+        return np.flatnonzero(accepted)
+
+    def _decombine(self, target: _Lane, ids: Any, records: Any, tq: Any,
+                   t_sw: Any, t_port: Any, pick: Any, accepted: Any) -> Any:
+        """Vectorized decombining of the replies ``pick`` (one rank, so
+        distinct target switches), each with one vectorized record: R-old
+        keeps Y and R-new's id leaves as the reply Y+e (F&A), Y (Load)
+        or an acknowledgement (Store), partner first when both take one
+        port.  Returns the offers left for the per-message path."""
+        stage = target.stage
+        h, r = ids[pick], records[pick]
+        kind = self.w_kind[r]
+        status = self.vst[h]
+        value = np.where(kind == _FA, self.val[h] + self.w_dat[r], self.val[h])
+        ok = ((kind != 0) & (self.w_prev[r] < 0)
+              & np.where(kind == _STORE, status == 0,
+                         (status == 1) & (np.abs(value) < _EXACT)))
+        serial = pick[~ok]
+        if not ok.any():
+            return serial
+        pick, h, r, kind, value = pick[ok], h[ok], r[ok], kind[ok], value[ok]
+        q_old = tq[pick]
+        q_new = t_sw[pick] * self.k + self.dig[r, stage]
+        p_old = self.pk[h]
+        p_new = np.where(kind == _STORE, PACKETS_WITHOUT_DATA, PACKETS_WITH_DATA)
+        if self.cap is not None:
+            used_old, used_new = target.used[q_old], target.used[q_new]
+            fit = np.where(q_old == q_new, used_old + p_old + p_new <= self.cap,
+                           (used_old + p_old <= self.cap)
+                           & (used_new + p_new <= self.cap))
+            if not fit.all():
+                pick, h, r, kind, value = (pick[fit], h[fit], r[fit], kind[fit],
+                                           value[fit])
+                q_old, q_new, p_old, p_new = (q_old[fit], q_new[fit],
+                                              p_old[fit], p_new[fit])
+        if not pick.size:
+            return serial
+        self.val[r] = value
+        self.vst[r] = kind != _STORE
+        self.pk[r] = p_new
+        self.lazy[r] = True
+        self.w_at[r] = -1
+        self.link[h, stage] = -1
+        target.push_many(q_new, r, p_new)
+        target.push_many(q_old, h, p_old)
+        wb = stage * self.Q + t_sw[pick] * self.k + t_port[pick]
+        self.wb_occ[wb] -= 1
+        self.wb_dirty[wb] = True
+        target.merged[t_sw[pick]] += 1
+        target.routed[t_sw[pick]] += 2
+        accepted[pick] = True
+        return serial
 
 class _VectorPrograms:
     """Vectorized executor for the machine's built-in ProgramDriver.
@@ -1113,6 +1654,47 @@ class BatchKernel(DenseKernel):
             index = m._copy_by_tag[message.tag]
         return self._states[index].inject_request(pe, message, m.cycle)
 
+    def _inject_heads(self, cycle: int) -> None:
+        """``PNI.tick_outbound`` for every PNI holding requests, as one
+        batched offer per network copy in ascending-PE order (offers to
+        different copies do not interact, but an instrumented run's
+        trace interleaves them, so it injects one PNI at a time)."""
+        m = self.machine
+        pnis = m.pnis
+        if self._states[0]._instr_on:
+            inject = self._inject_request
+            for pe in sorted(self._pni_out):
+                pni = pnis[pe]
+                pni.tick_outbound(cycle, inject)
+                if not pni.outbound:
+                    self._pni_out.discard(pe)
+            return
+        copy_by_tag = m._copy_by_tag
+        ready: dict[int, tuple[list[int], list["Message"]]] = {}
+        for pe in sorted(self._pni_out):
+            pni = pnis[pe]
+            if cycle >= pni._link_busy_until:
+                head = pni.outbound[0]
+                index = copy_by_tag.get(head.tag)
+                if index is None:
+                    m._copy_for_request(head)
+                    index = copy_by_tag[head.tag]
+                if index in ready:
+                    pes, heads = ready[index]
+                    pes.append(pe)
+                    heads.append(head)
+                else:
+                    ready[index] = ([pe], [head])
+        for index, (pes, heads) in ready.items():
+            taken = self._states[index].inject_requests(pes, heads, cycle)
+            for pe, head, ok in zip(pes, heads, taken):
+                if ok:
+                    pni = pnis[pe]
+                    pni.outbound.popleft()
+                    pni._link_busy_until = cycle + head.packets
+                    if not pni.outbound:
+                        self._pni_out.discard(pe)
+
     def _inject_reply(self, mm: int, message: "Message") -> bool:
         index = self.machine._copy_by_tag[message.tag]
         return self._states[index].inject_reply(mm, message, self.machine.cycle)
@@ -1141,13 +1723,7 @@ class BatchKernel(DenseKernel):
         # 3. PNIs inject queued requests into stage 0.
         if self._solo:
             if self._pni_out:
-                pnis = m.pnis
-                inject = self._inject_request
-                for pe in sorted(self._pni_out):
-                    pni = pnis[pe]
-                    pni.tick_outbound(cycle, inject)
-                    if not pni.outbound:
-                        self._pni_out.discard(pe)
+                self._inject_heads(cycle)
         else:
             inject = self._inject_request
             for pni in m.pnis:

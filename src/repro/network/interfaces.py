@@ -168,7 +168,10 @@ class PNI:
                 f"PE {self.pe_id} already has an outstanding reference to "
                 f"module {module} offset {offset}"
             )
-        physical_op = dataclasses.replace(op, address=offset)
+        # Ops are immutable, so one already addressed by its offset is
+        # shared rather than copied.
+        physical_op = op if op.address == offset else dataclasses.replace(
+            op, address=offset)
         tag = next(self._tags)
         message = Message(
             op=physical_op,

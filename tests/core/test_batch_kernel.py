@@ -12,12 +12,14 @@ arbitrary cut point.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import repro.core.batch_kernel as batch_kernel
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd, Load, Store
 
@@ -57,6 +59,10 @@ def _assert_mirror_matches_rebuild(state) -> None:
             )
     assert incremental["fwd_tot"] == rebuilt["fwd_tot"]
     assert incremental["ret_tot"] == rebuilt["ret_tot"]
+    for field in ("wait_occupancy", "wait_peak"):
+        assert (incremental[field] == rebuilt[field]).all(), (
+            f"{field} diverged from the wait buffers"
+        )
 
 
 class TestStateRoundTrip:
@@ -136,3 +142,129 @@ class TestConstruction:
     def test_unknown_kernel_still_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             Ultracomputer(MachineConfig(n_pes=4, kernel="vector"))
+
+
+def _barrier(pe_id, increments, gap):
+    fetched = []
+    for inc in increments:
+        yield gap
+        fetched.append((yield FetchAdd(0, inc)))
+    return fetched
+
+
+def _forced_vector(machine):
+    """Every stage step and injection takes the vectorized path."""
+    for plane in _mirror_states(machine):
+        plane.vector_min = 1
+    return machine
+
+
+class TestExactness:
+    @pytest.mark.parametrize("scale", [2**62, 2**70])
+    def test_huge_operands_stay_exact(self, scale):
+        """F&A operands, combined sums and decombined values near or past
+        int64 must leave the arrays for ``try_combine``.  The lockstep
+        rounds take the counter from 0 to huge and back, so there are
+        huge operands, sums of two that cross the bound, huge fetched
+        values, and fetched values whose sum with a datum crosses it,
+        next to rounds the vectorized path takes."""
+        def increments(pe):
+            return [scale + pe, 3, -(scale + pe), pe - 1, scale // 2 - pe,
+                    -(scale // 2 - pe), scale // 128, scale // 128 + pe, 5]
+
+        outcomes = []
+        for kernel in ("dense", "batch"):
+            machine = Ultracomputer(MachineConfig(n_pes=64, kernel=kernel))
+            if kernel == "batch":
+                _forced_vector(machine)
+            for pe in range(64):
+                machine.spawn(_barrier, increments(pe), 5)
+            outcomes.append((machine.run().to_dict(), machine.peek(0)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1][1] == sum(sum(increments(pe)) for pe in range(64))
+
+
+def _object_view(machine):
+    """Every switch's wait buffers, queue contents and counters."""
+    view = []
+    for network in machine.networks:
+        for row in network.stages:
+            for sw in row:
+                buffers = [
+                    (list(wb._records), {
+                        tag: [(r.plan, r.new_message.tag, list(r.new_message.digits),
+                               r.new_message.op, r.new_message.combine_depth,
+                               r.stage, r.created_cycle) for r in stack]
+                        for tag, stack in wb._records.items()
+                    }, wb.occupancy, wb.peak_occupancy, wb.total_insertions)
+                    for wb in sw.wait_buffers
+                ]
+                to_mm = [[(slot.message.tag, slot.message.op,
+                           slot.message.combine_depth, slot.already_combined)
+                          for slot in q._slots] for q in sw.to_mm]
+                to_pe = [[(slot.message.tag, slot.message.value)
+                          for slot in q._slots] for q in sw.to_pe]
+                view.append((sw.stage, sw.index, buffers, to_mm, to_pe,
+                             dataclasses.astuple(sw.stats)))
+    return view
+
+
+class TestWaitBufferRoundTrip:
+    @pytest.mark.parametrize("cut", [17, 26])
+    def test_wait_buffers_match_dense_then_resync(self, cut):
+        """A 256-PE barrier cut while wait records are outstanding at
+        several stages (on the way out at 17, decombining at 26): the
+        flushed object view equals dense's, and a plane rebuilt from it
+        finishes identically."""
+        rng = random.Random(cut)
+        increments = [[rng.randint(1, 7) for _ in range(2)] for _ in range(256)]
+        machines = []
+        for kernel in ("dense", "batch"):
+            machine = Ultracomputer(MachineConfig(n_pes=256, kernel=kernel))
+            for pe in range(256):
+                machine.spawn(_barrier, increments[pe], 10)
+            machine.run_cycles(cut)
+            machines.append(machine)
+        dense, batch = machines
+        stages = {r.stage for row in batch.network.stages for sw in row
+                  for wb in sw.wait_buffers for stack in wb._records.values()
+                  for r in stack}
+        assert len(stages) >= 4
+        assert _object_view(batch) == _object_view(dense)
+        for state in _mirror_states(batch):
+            _assert_mirror_matches_rebuild(state)  # resyncs the plane
+        assert batch.run().to_dict() == dense.run().to_dict()
+
+
+def _mixed_barrier(pe_id, rounds):
+    for _ in range(rounds):
+        yield 3
+        if pe_id % 2:
+            yield Load(0)
+        else:
+            yield FetchAdd(0, 1)
+
+
+class TestCombiningPaths:
+    @pytest.mark.parametrize("knobs, program", [
+        ({"instrument": True, "trace_capacity": 1 << 12}, _barrier),
+        ({"pairwise_only": False}, _barrier),
+        ({}, _mixed_barrier),
+    ], ids=["instrumented", "unlimited", "mixed-kinds"])
+    def test_other_combining_uses_try_combine(self, monkeypatch, knobs, program):
+        """Only uninstrumented pairwise combining of one kind runs on
+        arrays; the rest keeps the one combining algebra."""
+        machine = _forced_vector(Ultracomputer(
+            MachineConfig(n_pes=64, kernel="batch", **knobs)))
+        calls = []
+        real = batch_kernel.try_combine
+
+        def counted(old, new):
+            calls.append(1)
+            return real(old, new)
+
+        monkeypatch.setattr(batch_kernel, "try_combine", counted)
+        args = ([1, 2, 3], 4) if program is _barrier else (3,)
+        machine.spawn_many(64, program, *args)
+        assert machine.run().combines > 0
+        assert calls

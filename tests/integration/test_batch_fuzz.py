@@ -9,7 +9,8 @@ back-pressure, address hashing and the PNI window — and checks that ``RunResul
 instrumentation snapshot and the cycle trace, is bit-identical to the
 dense kernel's.  Two workload kinds run on each draw: closed programs
 mixing fetch-and-add, load and store on a few shared cells (combining
-and decombining of every pairing), which must all run to completion,
+and decombining of every pairing) or in lockstep on one or two cells
+(the combining-heavy barrier shape), which must all run to completion,
 and open-loop hot-spot traffic that
 is offered for a while and then drained one ``step()`` at a time (the
 custom-driver path, with an object-view flush per step).
@@ -94,11 +95,34 @@ def mixed_program(pe_id, rounds, seed):
     return acc
 
 
-def _closed(kernel: str, knobs: dict, seed: int) -> dict:
+def lockstep_program(pe_id, rounds, seed):
+    """The combining-heavy shape: every PE issues after the same gaps,
+    on one or two shared cells, all with one kind (F&A, Load or Store)
+    in most rounds and a kind of its own in the rest."""
+    shared = random.Random(seed)
+    own = random.Random((seed << 16) | pe_id)
+    cells = shared.choice((1, 2))
+    acc = 0
+    for i in range(rounds):
+        yield shared.randrange(1, 4)
+        address = (pe_id + i) % cells
+        kind = shared.randrange(4)
+        if kind == 3:
+            kind = own.randrange(3)
+        if kind == 0:
+            acc += yield FetchAdd(address, pe_id + 1)
+        elif kind == 1:
+            yield Store(address, acc + i)
+        else:
+            acc += (yield Load(address)) or 0
+    return acc
+
+
+def _closed(kernel: str, knobs: dict, seed: int, program=mixed_program) -> dict:
     """The run's result; a run that does not finish within
     ``MAX_CYCLES`` raises."""
     machine = _machine(kernel, knobs)
-    machine.spawn_many(knobs["n_pes"], mixed_program, 4, seed)
+    machine.spawn_many(knobs["n_pes"], program, 4, seed)
     return machine.run(max_cycles=MAX_CYCLES).to_dict()
 
 
@@ -127,9 +151,11 @@ _SETTINGS = settings(
 
 class TestBatchKnobFuzz:
     @_SETTINGS
-    @given(knobs=configs(), seed=st.integers(min_value=0, max_value=2**16))
-    def test_closed_programs_identical(self, knobs, seed):
-        assert _closed("batch", knobs, seed) == _closed("dense", knobs, seed)
+    @given(knobs=configs(), seed=st.integers(min_value=0, max_value=2**16),
+           program=st.sampled_from([mixed_program, lockstep_program]))
+    def test_closed_programs_identical(self, knobs, seed, program):
+        assert (_closed("batch", knobs, seed, program)
+                == _closed("dense", knobs, seed, program))
 
     @_SETTINGS
     @given(

@@ -4,18 +4,22 @@ The differential grid in ``test_kernel_equivalence.py`` pins
 bit-identity up to 64 PEs with full instrumentation; these tests extend
 the check to the scale the batch kernel exists for.  The dense
 comparison runs a short window (dense at 1024 PEs costs ~3 ms/cycle, so
-a full run would dominate the suite); the batch-only test runs a
-barrier-round workload to completion and checks the paper-level
-outcome — near-total combining of synchronized fetch-and-adds.  The
+a full run would dominate the suite) except for a two-round barrier,
+which also checks that pure fetch-and-add combining never leaves the
+array path when every step is forced onto it; the batch-only test runs a longer barrier-round workload to
+completion and checks the paper-level outcome — near-total combining of
+synchronized fetch-and-adds.  The
 uniform-traffic tests run the benchmark's traffic shape (Bernoulli
 offers from a custom driver, then a drain one ``step()`` at a time).
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import random
 
+import repro.core.batch_kernel as batch_kernel
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd
 from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
@@ -77,6 +81,47 @@ class TestUniformTrafficParity:
         assert uniform_drained(256, "batch", **knobs) == uniform_drained(
             256, "dense", **knobs
         )
+
+
+def barrier_machine(kernel, rounds=2, gap=20):
+    machine = Ultracomputer(MachineConfig(n_pes=N_PES, kernel=kernel))
+    machine.spawn_many(N_PES, barrier_rounds, rounds, gap)
+    return machine
+
+
+class TestThousandPEBarrier:
+    def test_barrier_run_identical(self):
+        """The whole combining tree, out and back, against dense (which
+        needs ~3 ms a cycle here, so two short rounds)."""
+        assert (barrier_machine("batch").run().to_dict()
+                == barrier_machine("dense").run().to_dict())
+
+    def test_pure_fetch_add_barrier_never_combines_per_message(self, monkeypatch):
+        """Uninstrumented pairwise F&A combining and decombining run
+        entirely on the array path: with every step vectorized (by
+        default a step of fewer than ``vector_min`` heads goes one at a
+        time, which is faster there), no ``try_combine`` and no
+        per-message offer."""
+        machine = barrier_machine("batch")
+        machine.kernel._ensure_state()  # the planes' set-up may call it
+        for plane in machine.kernel._states:
+            plane.vector_min = 1
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(batch_kernel, "try_combine",
+                            counted("try_combine", batch_kernel.try_combine))
+        for plane in machine.kernel._states:
+            for name in ("_offer_forward", "_offer_return"):
+                setattr(plane, name, counted(name, getattr(plane, name)))
+        result = machine.run()
+        assert result.combines == 2 * (N_PES - 1)
+        assert calls == {}
 
 
 class TestThousandPECompletion:

@@ -30,7 +30,7 @@ numpy arrays and moving a whole stage of them per vectorized step:
   target queue are settled in row-major (switch, port) order — the
   dense kernel's nested sweep — so who wins the last slot of a filling
   queue is preserved bit for bit.  Phase 3 offers every ready PNI head
-  to stage 0 the same way, in ascending-PE order.
+  to stage 0 the same way, in ascending-PE order, for every driver.
 * **Vectorized combining and decombining.**  The wait records live in
   the plane: a record is R-new's message id, kept alive as the frozen
   payload, with its key tag, location, datum and creation cycle, and
@@ -60,10 +60,13 @@ numpy arrays and moving a whole stage of them per vectorized step:
   and switch counters back at each public boundary, for the queues and
   wait buffers touched since the previous flush only.
 * **Active-set endpoints.**  MNIs are visited only while assembling or
-  serving (a set maintained at delivery time), PNI/MNI outbound queues
-  only while non-empty, and the built-in :class:`ProgramDriver` is run
-  through a vectorized shim that keeps per-PE state/compute/idle
-  counters in arrays and touches PE objects only on the cycles they act.
+  serving (a set maintained at delivery time) and their outbound queues
+  only while non-empty.  PNIs are visited only while they hold
+  requests: ``PNI.issue`` adds its PE to a set the machine shares with
+  the kernel, whatever driver issued, and phase 3 removes each PNI it
+  drains.  The built-in :class:`ProgramDriver` is run through a
+  vectorized shim that keeps per-PE state/compute/idle counters in
+  arrays and touches PE objects only on the cycles they act.
 * **Quiet-cycle fast-forward.**  Reused from the event kernel: when no
   component can act now, jump to the earliest future event and apply the
   skipped cycles' counters in closed form.
@@ -1419,8 +1422,7 @@ class _VectorPrograms:
     anything reads per-PE statistics.
     """
 
-    def __init__(self, kernel: "BatchKernel", driver: "ProgramDriver"):
-        self.kernel = kernel
+    def __init__(self, driver: "ProgramDriver"):
         self.driver = driver
         self.n = -1
         self.rebuild()
@@ -1541,7 +1543,6 @@ class _VectorPrograms:
                     pe.ops_issued += 1
                     self.state[i] = _WAITING
                     self.pending.discard(i)
-                    self.kernel._pni_out.add(i)
                 else:
                     self.idle[i] += 1
             else:  # fresh: prime the generator
@@ -1600,26 +1601,20 @@ class BatchKernel(DenseKernel):
         self._built = False
         self._states: list[_MessagePlane] = []
         self._vpes: Optional[_VectorPrograms] = None
-        self._solo = True
         # Endpoint active sets: MNIs assembling/serving, MNIs with
-        # queued replies, PNIs with queued requests (solo mode only).
+        # queued replies, and PNIs with queued requests (the machine's
+        # set, which every PNI joins on issue whatever driver issued).
         self._mni_active: set[int] = set()
         self._mni_out: set[int] = set()
-        self._pni_out: set[int] = set()
+        self._pni_out = machine._pni_ready
 
     # ------------------------------------------------------------------
     def _ensure_state(self) -> None:
         m = self.machine
         if not self._built:
             self._states = [_MessagePlane(net, self) for net in m.networks]
-            self._vpes = _VectorPrograms(self, m.programs)
+            self._vpes = _VectorPrograms(m.programs)
             self._built = True
-        # Solo mode: the built-in ProgramDriver is the only driver, so
-        # the kernel sees every PNI issue and can keep a precise
-        # outbound set.  Custom drivers touch PNIs behind the kernel's
-        # back; then phase 3 falls back to scanning (still skipping
-        # empty PNIs, which is the event kernel's exact behavior).
-        self._solo = len(m.drivers) == 1 and m.drivers[0] is m.programs
 
     def _flush(self) -> None:
         """Bring the object view up to date (queues, ports, switch and
@@ -1646,31 +1641,18 @@ class BatchKernel(DenseKernel):
             self._vpes.notify_reply(pe)
         return accepted
 
-    def _inject_request(self, pe: int, message: "Message") -> bool:
-        m = self.machine
-        index = m._copy_by_tag.get(message.tag)
-        if index is None:
-            m._copy_for_request(message)
-            index = m._copy_by_tag[message.tag]
-        return self._states[index].inject_request(pe, message, m.cycle)
-
     def _inject_heads(self, cycle: int) -> None:
-        """``PNI.tick_outbound`` for every PNI holding requests, as one
-        batched offer per network copy in ascending-PE order (offers to
-        different copies do not interact, but an instrumented run's
-        trace interleaves them, so it injects one PNI at a time)."""
+        """``PNI.tick_outbound`` for every PNI holding requests: the
+        heads whose links are free are collected in ascending-PE order,
+        offered, and the accepted ones committed.  Each network copy
+        takes its heads as one batched offer (offers to different copies
+        do not interact); an instrumented run's trace interleaves the
+        copies, so there each head is offered on its own, in PE order."""
         m = self.machine
         pnis = m.pnis
-        if self._states[0]._instr_on:
-            inject = self._inject_request
-            for pe in sorted(self._pni_out):
-                pni = pnis[pe]
-                pni.tick_outbound(cycle, inject)
-                if not pni.outbound:
-                    self._pni_out.discard(pe)
-            return
         copy_by_tag = m._copy_by_tag
-        ready: dict[int, tuple[list[int], list["Message"]]] = {}
+        instr = self._states[0]._instr_on
+        offers: dict[int, tuple[int, list[int], list["Message"]]] = {}
         for pe in sorted(self._pni_out):
             pni = pnis[pe]
             if cycle >= pni._link_busy_until:
@@ -1679,13 +1661,13 @@ class BatchKernel(DenseKernel):
                 if index is None:
                     m._copy_for_request(head)
                     index = copy_by_tag[head.tag]
-                if index in ready:
-                    pes, heads = ready[index]
-                    pes.append(pe)
-                    heads.append(head)
-                else:
-                    ready[index] = ([pe], [head])
-        for index, (pes, heads) in ready.items():
+                key = pe if instr else index
+                group = offers.get(key)
+                if group is None:
+                    group = offers[key] = (index, [], [])
+                group[1].append(pe)
+                group[2].append(head)
+        for index, pes, heads in offers.values():
             taken = self._states[index].inject_requests(pes, heads, cycle)
             for pe, head, ok in zip(pes, heads, taken):
                 if ok:
@@ -1721,14 +1703,8 @@ class BatchKernel(DenseKernel):
         for state in self._states:
             state.step_forward(cycle)
         # 3. PNIs inject queued requests into stage 0.
-        if self._solo:
-            if self._pni_out:
-                self._inject_heads(cycle)
-        else:
-            inject = self._inject_request
-            for pni in m.pnis:
-                if pni.outbound:
-                    pni.tick_outbound(cycle, inject)
+        if self._pni_out:
+            self._inject_heads(cycle)
         # 4. replies move one hop toward the PEs.
         for state in self._states:
             state.step_return(cycle)
@@ -1767,18 +1743,15 @@ class BatchKernel(DenseKernel):
         """Cheap necessary condition for quiescence; when it holds the
         object view is flushed and the authoritative
         ``machine.quiescent()`` is consulted."""
-        if self._mni_active or self._mni_out:
+        if self._mni_active or self._mni_out or self._pni_out:
             return False
         for state in self._states:
             if state.has_messages():
                 return False
-        if self._solo:
-            if self._pni_out:
+        m = self.machine
+        for driver in m.drivers:
+            if not (self._vpes.done() if driver is m.programs else driver.done()):
                 return False
-            if not self._vpes.done():
-                return False
-        elif not all(driver.done() for driver in self.machine.drivers):
-            return False
         for state in self._states:
             state.flush()
         return True
@@ -1798,24 +1771,14 @@ class BatchKernel(DenseKernel):
                     return cycle
                 if best is None or c < best:
                     best = c
-        if self._solo:
-            pnis = m.pnis
-            for pe in self._pni_out:
-                c = pnis[pe].next_event_cycle(cycle)
-                if c is not None:
-                    if c <= cycle:
-                        return cycle
-                    if best is None or c < best:
-                        best = c
-        else:
-            for pni in m.pnis:
-                if pni.outbound:
-                    c = pni.next_event_cycle(cycle)
-                    if c is not None:
-                        if c <= cycle:
-                            return cycle
-                        if best is None or c < best:
-                            best = c
+        pnis = m.pnis
+        for pe in self._pni_out:
+            c = pnis[pe].next_event_cycle(cycle)
+            if c is not None:
+                if c <= cycle:
+                    return cycle
+                if best is None or c < best:
+                    best = c
         for driver in m.drivers:
             if driver is m.programs:
                 c = self._vpes.next_event_cycle(cycle)

@@ -445,6 +445,11 @@ class Ultracomputer:
         # the same workload produce identical messages, traces, and copy
         # striping — the property the kernel-equivalence tests rely on.
         self._tags = itertools.count(1)
+        # PE ids whose PNI has queued requests: every PNI adds itself on
+        # issue, and the batch kernel removes it when it drains that
+        # PNI (the other kernels never read the set, so they leave it a
+        # superset).
+        self._pni_ready: set[int] = set()
         self.pnis = [
             PNI(
                 pe,
@@ -453,6 +458,7 @@ class Ultracomputer:
                 max_outstanding=config.max_outstanding,
                 instrumentation=self.instrumentation,
                 tag_counter=self._tags,
+                ready=self._pni_ready,
             )
             for pe in range(config.n_pes)
         ]

@@ -118,12 +118,8 @@ def fig7_simulated(params: dict) -> dict[str, Any]:
     machine.attach_driver(driver)
     machine.run_cycles(cycles)
     # Stop offering and drain in-flight requests so latencies are
-    # complete; the bound keeps a saturated point from hanging the run.
-    driver.spec = dataclasses.replace(driver.spec, rate=0.0)
-    for _ in range(cycles * 4):
-        if all(pni.outstanding() == 0 for pni in machine.pnis):
-            break
-        machine.step()
+    # complete.
+    driver.drain(cycles * 4)
     traffic = driver.stats()
     design = NetworkDesign(k=config.k, d=config.copies)
     return {
@@ -204,11 +200,7 @@ def fig7_cross_topology(params: dict) -> dict[str, Any]:
     )
     machine.attach_driver(driver)
     machine.run_cycles(cycles)
-    driver.spec = dataclasses.replace(driver.spec, rate=0.0)
-    for _ in range(cycles * 4):
-        if all(pni.outstanding() == 0 for pni in machine.pnis):
-            break
-        machine.step()
+    driver.drain(cycles * 4)
 
     result = machine.stats()
     traffic = driver.stats()

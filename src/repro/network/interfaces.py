@@ -85,6 +85,12 @@ class PNI:
         wait buffers key on them) so that identical runs produce
         identical tag streams; standalone PNIs default to a process-wide
         counter for backward compatibility.
+    ready:
+        Set that :meth:`issue` adds ``pe_id`` to whenever it enqueues a
+        request.  The machine passes one set shared by all of its PNIs;
+        the batch kernel reads it as the PNIs holding requests, whatever
+        driver issued them, and removes a PE when it drains that PNI.
+        Standalone PNIs default to a private set.
     """
 
     __slots__ = (
@@ -93,6 +99,7 @@ class PNI:
         "translation",
         "max_outstanding",
         "_tags",
+        "_ready",
         "outbound",
         "_outstanding_cells",
         "_outstanding_tags",
@@ -116,12 +123,14 @@ class PNI:
         max_outstanding: Optional[int] = None,
         instrumentation: Instrumentation = DISABLED,
         tag_counter: Optional[Iterator[int]] = None,
+        ready: Optional[set[int]] = None,
     ) -> None:
         self.pe_id = pe_id
         self.topology = topology
         self.translation = translation
         self.max_outstanding = max_outstanding
         self._tags = tag_counter if tag_counter is not None else _tag_counter
+        self._ready = ready if ready is not None else set()
         self.outbound: deque[Message] = deque()
         self._outstanding_cells: set[tuple[int, int]] = set()
         self._outstanding_tags: dict[int, Message] = {}
@@ -183,6 +192,7 @@ class PNI:
             issued_cycle=cycle,
         )
         self.outbound.append(message)
+        self._ready.add(self.pe_id)
         self._outstanding_cells.add(cell)
         self._outstanding_tags[tag] = message
         self.requests_issued += 1
@@ -241,7 +251,7 @@ class PNI:
         return self.total_round_trip / self.replies_received
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel)
+    # wake contract (event and batch kernels)
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle >= ``cycle`` at which :meth:`tick_outbound`
@@ -371,7 +381,7 @@ class MNI:
         return len(self._inbound) + (1 if self._in_service else 0) + len(self.outbound)
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel)
+    # wake contract (event and batch kernels)
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle >= ``cycle`` at which :meth:`tick` or

@@ -178,11 +178,7 @@ def measure_drift(
     machine.attach_driver(driver)
     machine.run_cycles(cycles)
     # Drain in-flight requests so every span completes.
-    driver.spec = TrafficSpec(rate=0.0, seed=seed)
-    for _ in range(cycles * 4):
-        if all(p.outstanding() == 0 for p in machine.pnis):
-            break
-        machine.step()
+    driver.drain(cycles * 4)
 
     result = machine.stats()
     spans = reconstruct_spans(result.trace, dropped=result.trace_dropped)

@@ -19,7 +19,7 @@ implements its ``Driver`` protocol.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..core.machine import Ultracomputer
@@ -136,6 +136,17 @@ class SyntheticTrafficDriver:
             issued >= self.spec.requests_per_pe for issued in self._issued_per_pe
         ) and all(pni.outstanding() == 0 for pni in self.machine.pnis)
 
+    def drain(self, max_cycles: int) -> None:
+        """Stop offering (rate 0) and step the machine until no PNI has
+        an outstanding request, for at most ``max_cycles`` cycles (the
+        bound keeps a saturated run from hanging)."""
+        self.spec = replace(self.spec, rate=0.0)
+        pnis = self.machine.pnis
+        for _ in range(max_cycles):
+            if all(pni.outstanding() == 0 for pni in pnis):
+                break
+            self.machine.step()
+
     # ------------------------------------------------------------------
     def stats(self) -> TrafficStats:
         for pni in self.machine.pnis:
@@ -189,10 +200,5 @@ def run_uniform_traffic(
     machine.attach_driver(driver)
     machine.run_cycles(cycles)
     # Drain in-flight traffic so latency statistics are complete.
-    drained = TrafficSpec(rate=0.0, seed=seed)
-    driver.spec = drained
-    for _ in range(cycles * 4):
-        if all(p.outstanding() == 0 for p in machine.pnis):
-            break
-        machine.step()
+    driver.drain(cycles * 4)
     return driver.stats(), machine

@@ -25,7 +25,6 @@ per-message offers within a stage step.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from hypothesis import HealthCheck, example, given, settings
@@ -134,11 +133,7 @@ def _open(kernel: str, knobs: dict, seed: int, rate: float) -> dict:
     )
     machine.attach_driver(driver)
     machine.run_cycles(OFFERED)
-    driver.spec = dataclasses.replace(driver.spec, rate=0.0)
-    for _ in range(DRAIN):
-        if all(pni.outstanding() == 0 for pni in machine.pnis):
-            break
-        machine.step()
+    driver.drain(DRAIN)
     return machine.stats().to_dict()
 
 

@@ -10,13 +10,13 @@ array path when every step is forced onto it; the batch-only test runs a longer 
 completion and checks the paper-level outcome — near-total combining of
 synchronized fetch-and-adds.  The
 uniform-traffic tests run the benchmark's traffic shape (Bernoulli
-offers from a custom driver, then a drain one ``step()`` at a time).
+offers from a custom driver, then a drain one ``step()`` at a time) and
+check that phase 3 batches that driver's requests too.
 """
 
 from __future__ import annotations
 
 import collections
-import dataclasses
 import random
 
 import repro.core.batch_kernel as batch_kernel
@@ -63,18 +63,27 @@ def uniform_drained(n_pes, kernel, offered=30, **overrides):
     )
     machine.attach_driver(driver)
     machine.run_cycles(offered)
-    driver.spec = dataclasses.replace(driver.spec, rate=0.0)
-    for _ in range(offered * 4):
-        if all(pni.outstanding() == 0 for pni in machine.pnis):
-            break
-        machine.step()
+    driver.drain(offered * 4)
     assert all(pni.outstanding() == 0 for pni in machine.pnis)
     return machine.stats().to_dict()
 
 
 class TestUniformTrafficParity:
-    def test_thousand_pe_uniform_drain_identical(self):
-        assert uniform_drained(N_PES, "batch") == uniform_drained(N_PES, "dense")
+    def test_thousand_pe_uniform_drain_identical(self, monkeypatch):
+        """Dense-identical, and phase 3 offers the custom driver's heads
+        to stage 0 in batches rather than one PNI at a time."""
+        plane = batch_kernel._MessagePlane
+        inject_requests = plane.inject_requests
+        offered = []
+
+        def spy(self, pes, messages, cycle):
+            offered.append(len(pes))
+            return inject_requests(self, pes, messages, cycle)
+
+        monkeypatch.setattr(plane, "inject_requests", spy)
+        batch = uniform_drained(N_PES, "batch")
+        assert max(offered, default=0) >= plane.vector_min
+        assert batch == uniform_drained(N_PES, "dense")
 
     def test_instrumented_uniform_drain_identical(self):
         knobs = {"instrument": True, "trace_capacity": 1 << 16}

@@ -124,12 +124,15 @@ class TestOpenLoopTraffic:
     kernels must fall back to executing every cycle, keeping the RNG
     draw sequence — and therefore everything downstream — identical."""
 
+    @pytest.mark.parametrize("copies", [1, 2])
     @pytest.mark.parametrize("kernel", OPTIMIZED_KERNELS)
     @pytest.mark.parametrize("pattern", ["uniform", "hotspot"])
-    def test_run_cycles_identical(self, kernel, pattern):
+    def test_run_cycles_identical(self, kernel, pattern, copies):
+        """With two copies this pins the instrumented phase-3 order:
+        heads offered one at a time in PE order, across copies."""
         results = []
         for name in ("dense", kernel):
-            machine = _machine(16, name)
+            machine = _machine(16, name, copies=copies)
             machine.attach_driver(
                 SyntheticTrafficDriver(
                     machine, TrafficSpec(rate=0.05, pattern=pattern, seed=7)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd, Load, Store
 from repro.memory.hashing import InterleavedTranslation
 from repro.memory.module import MemoryModule
@@ -57,6 +58,22 @@ class TestPNIIssue:
             pni.tick_outbound(cycle, lambda pe, msg: sent.append((cycle, msg.tag)) or True)
         assert len(sent) == 2
         assert sent[1][0] - sent[0][0] >= 3
+
+    def test_issue_marks_the_pni_ready(self):
+        ready = set()
+        pni = PNI(5, OmegaTopology(8, 2), InterleavedTranslation(8, 64),
+                  ready=ready)
+        assert not ready
+        pni.issue(Load(1), 0)
+        assert ready == {5}
+
+    def test_machine_pnis_share_one_ready_set(self):
+        machine = Ultracomputer(MachineConfig(n_pes=8))
+        ready = machine.pnis[0]._ready
+        assert all(pni._ready is ready for pni in machine.pnis)
+        machine.pnis[3].issue(Load(1), 0)
+        machine.pnis[6].issue(Load(2), 0)
+        assert ready == {3, 6}
 
 
 class TestPNIReplies:

@@ -26,6 +26,15 @@ on the same workload (dense is sampled over a representative window;
 running it to completion would take most of a minute for no extra
 information).
 
+A third section runs open-loop traffic at 1024 PEs — the Figure 7
+shape: Bernoulli(0.05) uniform offers from the synthetic driver, then a
+drain one ``step()`` at a time — on batch and on dense, checks them
+bit-identical, and asserts batch's speedup over dense against the floor
+recorded in ``BENCH_hotpath.json`` (``open_loop.speedup_floor``).  That
+path runs the batch kernel's endpoints (phase 3, the memory side, the
+exits to the PNIs) and its sync-on-read object view, which the barrier
+section barely touches.
+
 Set ``REPRO_HOTPATH_JSON=<path>`` to write the measured figures as a
 JSON artifact; pointing it at ``BENCH_hotpath.json`` regenerates the
 baseline (the ``pre_refactor`` block is preserved from the old file).
@@ -42,6 +51,7 @@ from pathlib import Path
 from bench_utils import banner
 
 from repro import FetchAdd, Load, MachineConfig, Ultracomputer
+from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 
 N_PES = 32
 ROUNDS = 40
@@ -60,6 +70,11 @@ LARGE_GAP = 500
 LARGE_SAMPLE_CYCLES = 600
 #: tentpole acceptance floor: batch >= 10x dense cycles/sec at 1024 PEs.
 LARGE_SPEEDUP_FLOOR = 10.0
+
+#: open-loop traffic at 1024 PEs: offered cycles at the rate, then a
+#: drain of at most four times as many single steps
+OPEN_RATE = 0.05
+OPEN_CYCLES = 60
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 #: committed baseline tolerance: fail on a >20% normalised regression.
@@ -135,6 +150,7 @@ def test_hot_path_throughput(report):
     baseline = json.loads(BASELINE_PATH.read_text())
     measured = _measure()
     measured["pre_refactor"] = baseline["pre_refactor"]
+    measured["open_loop"] = baseline["open_loop"]
 
     out = os.environ.get("REPRO_HOTPATH_JSON")
     if out:
@@ -244,4 +260,52 @@ def test_batch_kernel_large_machine(report):
     assert speedup >= LARGE_SPEEDUP_FLOOR, (
         f"batch kernel is only {speedup:.1f}x dense at {LARGE_N_PES} PEs "
         f"(floor: {LARGE_SPEEDUP_FLOOR:.0f}x)"
+    )
+
+
+# ----------------------------------------------------------------------
+# Open-loop traffic at 1024 PEs (the Figure 7 shape)
+# ----------------------------------------------------------------------
+def _open_loop(kernel: str):
+    """Offer uniform traffic, then drain; returns the result, the
+    driver's statistics and the wall time of the simulation."""
+    machine = Ultracomputer(MachineConfig(n_pes=LARGE_N_PES, kernel=kernel))
+    driver = SyntheticTrafficDriver(
+        machine, TrafficSpec(rate=OPEN_RATE, pattern="uniform", seed=0))
+    machine.attach_driver(driver)
+    start = time.perf_counter()
+    machine.run_cycles(OPEN_CYCLES)
+    driver.drain(OPEN_CYCLES * 4)
+    elapsed = time.perf_counter() - start
+    return machine.stats(), driver.stats(), elapsed
+
+
+def test_batch_kernel_open_loop(report):
+    recorded = json.loads(BASELINE_PATH.read_text())["open_loop"]
+    _open_loop("batch")  # warm the batch code path
+    dense, dense_traffic, dense_s = _open_loop("dense")
+    best = None
+    for _ in range(3):  # best-of, to shave scheduler noise
+        result, traffic, elapsed = _open_loop("batch")
+        best = elapsed if best is None else min(best, elapsed)
+    assert result.to_dict() == dense.to_dict(), (
+        "batch kernel diverged from dense on open-loop traffic")
+    assert traffic == dense_traffic
+    assert traffic.completed == traffic.issued > 0
+    dense_cps = dense.cycles / dense_s
+    batch_cps = result.cycles / best
+    speedup = batch_cps / dense_cps
+    floor = recorded["speedup_floor"]
+    report("\n".join([
+        banner(f"open-loop traffic at {LARGE_N_PES} PEs (rate {OPEN_RATE}, "
+               f"{OPEN_CYCLES} offered cycles, then a drain)"),
+        f"{'kernel':>7} {'cycles':>7} {'cyc/s':>9}",
+        f"{'dense':>7} {dense.cycles:>7} {dense_cps:>9.0f}",
+        f"{'batch':>7} {result.cycles:>7} {batch_cps:>9.0f}",
+        f"speedup: {speedup:.1f}x (floor {floor}x; recorded "
+        f"{recorded['speedup']}x)",
+    ]))
+    assert speedup >= floor, (
+        f"batch kernel is only {speedup:.1f}x dense on open-loop traffic "
+        f"at {LARGE_N_PES} PEs (floor: {floor}x)"
     )

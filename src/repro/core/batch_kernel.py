@@ -12,9 +12,9 @@ numpy arrays and moving a whole stage of them per vectorized step:
   per (switch, port) queue plus its length, used packets, and
   output-link ``busy_until``.  Each message id stores its packets, a
   key of its ``(mm, offset)`` cell and its amalgam digits.  ``Message``
-  objects are touched only at the endpoints (PNI → stage 0, any stage →
-  MNI, MNI → the reply-entry stage, stage 0 → PNI) and on the
-  per-message combining path.
+  objects are made only where a PNI issues a request and on the
+  per-message combining path; a reply reaches its PNI as a tag and a
+  value.
 * **Wiring from the topology.**  Each lane's per-queue tables (target
   kind, next switch and port, endpoint line) come from the targets
   :class:`~repro.network.multistage.MultistageNetwork` resolved at
@@ -53,15 +53,29 @@ numpy arrays and moving a whole stage of them per vectorized step:
   ``try_combine`` plans, ``ReplyRule.materialize`` and
   ``Message.make_reply`` the switches use, against the same record
   store.  ``decombine_fits`` is the combine-refusal rule on both paths.
-* **Object view.**  The switch objects remain the reference model for
-  the dense and event kernels.  Under this kernel the plane is
-  authoritative and :meth:`_MessagePlane.flush` writes queue contents,
-  combined requests' ``op``/``combine_depth``, port state, wait buffers
-  and switch counters back at each public boundary, for the queues and
-  wait buffers touched since the previous flush only.
-* **Active-set endpoints.**  MNIs are visited only while assembling or
-  serving (a set maintained at delivery time) and their outbound queues
-  only while non-empty.  PNIs are visited only while they hold
+* **The memory side on arrays.**  The MNIs are :class:`_MemorySide`:
+  per memory module an inbound ring (with ready cycles and packets,
+  checked against ``mni_inbound_capacity_packets``), the request in
+  service and its done cycle, an outbound ring and its link's
+  ``busy_until``, shared by the network copies as (copy, id) pairs.  A
+  request keeps its plane id at the memory side and turns into its
+  reply in place, so its wait-record links stay on the id.  Phase 1
+  finds the modules that complete or start a service by array masks
+  and calls ``MemoryModule.apply`` only for the completions, in
+  ascending-MM order; phase 5 offers every free-link head reply as one
+  batch per copy, as phase 3 does for the PNIs.  While fewer than
+  ``vector_min`` MNIs hold work, both visit those MNIs one at a time.
+* **Object view, synced when read.**  The switch and MNI objects remain
+  the reference model for the dense and event kernels.  Under this
+  kernel the arrays are authoritative and :meth:`BatchKernel.sync`
+  writes them back — queue contents, combined requests'
+  ``op``/``combine_depth``, port state, wait buffers, switch counters
+  and MNIs, for what was touched since the previous write only — when a
+  cycle has run since then and one of the machine's public readers
+  (``networks``, ``network``, ``mnis``, ``stats()``, ``quiescent()``)
+  looks.  ``step()`` itself writes nothing back; the kernel reads the
+  machine's private lists.
+* **Active-set endpoints.**  PNIs are visited only while they hold
   requests: ``PNI.issue`` adds its PE to a set the machine shares with
   the kernel, whatever driver issued, and phase 3 removes each PNI it
   drains.  The built-in :class:`ProgramDriver` is run through a
@@ -83,6 +97,7 @@ every fabric.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -142,6 +157,10 @@ _POOL = (
     ("w_at", np.int32, -1), ("w_prev", np.int32, -1), ("w_seq", np.int64, 0),
     ("w_made", np.int64, 0), ("w_dat", np.int64, 0), ("w_tag", np.int64, 0),
     ("w_kind", np.int8, 0),
+    # a request at its memory module (and its reply there): the flat
+    # wait-buffer index ``stage * Q + queue`` of the queue it left the
+    # grid by, which is where its reply re-enters
+    ("ent", np.int32, 0),
 )
 
 
@@ -205,6 +224,9 @@ class _Wiring:
         kinds = [_UNUSED if t is None else _HOP if t[0] == "switch" else _END
                  for t in targets]
         self.kind = kinds[0] if len(set(kinds)) == 1 else None
+        ends = [t[1] for t, kind in zip(targets, kinds) if kind == _END]
+        # so a stage step's endpoint offers have distinct receivers
+        assert len(set(ends)) == len(ends), "two queues lead to one endpoint"
         self.kinds = np.array(kinds, dtype=np.int8)
         self.to_l = [0 if t is None else t[1] for t in targets]
         self.port_l = [t[2] if kind == _HOP else 0
@@ -221,18 +243,21 @@ class _Lane:
     return lane; ``wire`` says where its output leads.  ``ring[f]``
     holds its message ids, oldest at ``head[f]``; ``len``/``used``/
     ``busy``/``peak`` mirror the queue's length, used packets, output
-    link ``busy_until`` and peak packets.  ``ins``/``combs``/``sent``/
+    link ``busy_until`` and peak packets.  ``ins``/``combs``/
     ``routed``/``merged``/``blocked`` accumulate counter deltas
     (``merged`` counts a forward lane's combines and a return lane's
-    decombines) and ``dirty`` marks queues changed since the last
-    flush.  ``len`` and ``busy`` are rows of per-direction ``(stages,
-    queues)`` arrays, so one mask finds the senders of every stage.
+    decombines) and ``base`` is each queue's length at the last flush,
+    so ``base + ins - len`` messages were sent since; a queue changed
+    since the last flush is one that inserted, combined or sent.
+    ``len`` and ``busy``
+    are rows of per-direction ``(stages, queues)`` arrays, so one mask
+    finds the senders of every stage.
     """
 
     __slots__ = (
         "stage", "forward", "switches", "queues", "ports", "hist",
         "len", "used", "busy", "peak", "head", "ring", "slots", "ins", "combs",
-        "sent", "dirty", "routed", "merged", "blocked", "tot", "wire",
+        "base", "routed", "merged", "blocked", "tot", "wire",
     )
 
     def __init__(self, stage: int, forward: bool, switches: list,
@@ -255,8 +280,7 @@ class _Lane:
         self.slots = ring_slots
         self.ins = np.zeros(n, dtype=np.int32)
         self.combs = np.zeros(n, dtype=np.int32)
-        self.sent = np.zeros(n, dtype=np.int32)
-        self.dirty = np.zeros(n, dtype=bool)
+        self.base = np.zeros(n, dtype=np.int32)
         self.routed = np.zeros(len(switches), dtype=np.int64)
         self.merged = np.zeros(len(switches), dtype=np.int64)
         self.blocked = np.zeros(len(switches), dtype=np.int64)
@@ -297,7 +321,6 @@ class _Lane:
         self.used[q] = used
         self.peak[q] = np.maximum(self.peak[q], used)
         self.ins[q] += 1
-        self.dirty[q] = True
         self.tot += q.size
 
 
@@ -305,15 +328,17 @@ class _MessagePlane:
     """Every message resident in one network copy, in struct-of-arrays
     form, moved a stage at a time (see the module docstring)."""
 
-    #: a stage step or injection with fewer heads than this moves them
-    #: one at a time: below it the vectorized step's fixed cost is the
-    #: larger
+    #: a stage step, injection or memory-side phase with fewer heads
+    #: (or MNIs) than this moves them one at a time: below it the
+    #: vectorized step's fixed cost is the larger
     vector_min = 32
 
-    def __init__(self, network: "MultistageNetwork",
-                 kernel: "BatchKernel") -> None:
+    def __init__(self, network: "MultistageNetwork", kernel: "BatchKernel",
+                 copy: int) -> None:
         self.network = network
         self.kernel = kernel
+        self.copy = copy
+        self.memory = kernel._memory
         topo = self.topo = network.topology
         config = network.config
         k = self.k = topo.switch_arity
@@ -360,7 +385,6 @@ class _MessagePlane:
             for same in (0, 1):
                 self.fits[kind, same] = decombine_fits(
                     self.cap, 0, 0, (), 1 - same, plan)
-        self.resync()
 
     # ------------------------------------------------------------------
     # message ids
@@ -390,7 +414,8 @@ class _MessagePlane:
 
     def _admit(self, message: "Message", combined: bool = False) -> int:
         """Give ``message`` an id (its entry into the plane).  A free id
-        has no links and is neither stale nor lazy (see :meth:`_exit`)."""
+        has no links and is neither stale nor lazy (see
+        :meth:`_exit_replies`)."""
         if not self._free:
             self._grow_pool()
         i = self._free.pop()
@@ -449,11 +474,48 @@ class _MessagePlane:
             message.combine_depth = self.depth.item(i)
             self.stale[i] = False
 
+    def _request(self, i: int) -> "Message":
+        """The request Message of id ``i``, its op and digits written
+        back."""
+        self._sync(i)
+        message = self.obj[i]
+        message.digits = self.dig[i].tolist()
+        return message
+
     def _reply(self, i: int) -> "Message":
         """The reply Message of id ``i``, built now if it is lazy."""
         if self.lazy.item(i):
             self._build_replies(np.array([i]))
         return self.obj[i]
+
+    def _turn_one(self, i: int, value: Optional[int]) -> None:
+        """:meth:`_turn` for one request."""
+        self._note_value(i, value)
+        self.pk[i] = PACKETS_WITHOUT_DATA if value is None else PACKETS_WITH_DATA
+        self.comb[i] = False
+        if self.vst.item(i) == 2:
+            self.obj[i] = self._request(i).make_reply(value)
+        else:
+            self.lazy[i] = True
+
+    def _turn(self, ids: Any, values: list[Optional[int]]) -> None:
+        """Turn the requests ``ids``, served at their memory modules,
+        into their replies carrying ``values``, keeping each id (and so
+        its wait-record links).  A reply whose value is exact in int64
+        or None stays lazy; any other is built now by ``make_reply``."""
+        status = [0 if v is None else 1 if type(v) is int and -_EXACT < v < _EXACT
+                  else 2 for v in values]
+        vst = np.array(status, dtype=np.int8)
+        self.vst[ids] = vst
+        self.val[ids] = [v if st == 1 else 0 for v, st in zip(values, status)]
+        self.pk[ids] = np.where(vst == 0, PACKETS_WITHOUT_DATA, PACKETS_WITH_DATA)
+        self.comb[ids] = False  # a return queue's slots are never combined
+        eager = vst == 2
+        self.lazy[ids] = ~eager
+        if eager.any():
+            for i, value in zip(ids[eager].tolist(),
+                                (v for v, st in zip(values, status) if st == 2)):
+                self.obj[i] = self._request(i).make_reply(value)
 
     def _build_replies(self, ids: Any) -> None:
         """Build the reply Messages of the lazy ids ``ids``: what
@@ -534,12 +596,15 @@ class _MessagePlane:
     # ------------------------------------------------------------------
     # object view
     # ------------------------------------------------------------------
-    def resync(self) -> None:
-        """Rebuild the whole plane from the switch objects.
+    def resync(self, memory_side: list["Message"]) -> list[int]:
+        """Rebuild the whole plane from the switch objects and
+        ``memory_side``, the messages of this copy the MNI objects hold;
+        returns the ids given to those, in order.
 
         Used at construction (the objects may already hold traffic) and
         by the round-trip tests, which compare a flushed plane against
-        one rebuilt from its own object view."""
+        one rebuilt from its own object view (see
+        :meth:`BatchKernel.resync`)."""
         lanes = self.fwd + self.ret
         lengths = [[len(q._slots) for q in lane.queues] for lane in lanes]
         wbs = self.wbs
@@ -547,31 +612,35 @@ class _MessagePlane:
         self.wb_peak = np.array([wb.peak_occupancy for wb in wbs], dtype=np.int32)
         self.wb_ins = np.zeros(len(wbs), dtype=np.int32)
         self.wb_dirty = np.zeros(len(wbs), dtype=bool)
-        self._new_pool(max(1024, 2 * (sum(map(sum, lengths))
+        self._new_pool(max(1024, 2 * (sum(map(sum, lengths)) + len(memory_side)
                                       + int(self.wb_occ.sum()))))
-        # link rows of requests at an MNI, keyed by tag (their replies
-        # pick them up on injection)
-        self.carry: dict[int, Any] = {}
         self._seq = 0
         by_tag: dict[int, int] = {}
         for lane, held in zip(lanes, lengths):
             lane.slots = max(lane.slots, max(held))
             lane.ring = np.zeros((len(held), lane.slots), dtype=np.int32)
             lane.len[:] = held
+            lane.base[:] = held
             lane.head[:] = 0
             lane.used[:] = [q.used_packets for q in lane.queues]
             lane.peak[:] = [q.peak_packets for q in lane.queues]
             lane.busy[:] = [p.busy_until for p in lane.ports]
-            for arr in (lane.ins, lane.combs, lane.sent, lane.routed,
-                        lane.merged, lane.blocked):
+            for arr in (lane.ins, lane.combs, lane.routed, lane.merged,
+                        lane.blocked):
                 arr[:] = 0
-            lane.dirty[:] = False
             lane.tot = sum(held)
             for f in np.flatnonzero(lane.len).tolist():
                 for j, slot in enumerate(lane.queues[f]._slots):
                     i = self._admit(slot.message, slot.already_combined)
                     lane.ring[f, j] = i
                     by_tag[slot.message.tag] = i
+        held_ids = []
+        for message in memory_side:
+            i = self._admit(message)
+            stage, sw_i, port = self.topo.reply_entry(message.mm, message.origin)
+            self.ent[i] = stage * self.Q + sw_i * self.k + port
+            by_tag[message.tag] = i
+            held_ids.append(i)
         found = []
         for wb_index in np.flatnonzero(self.wb_occ).tolist():
             for stack in wbs[wb_index]._records.values():
@@ -581,15 +650,9 @@ class _MessagePlane:
                     found.append((wb_index, record, i))
         for wb_index, record, i in found:  # oldest first within a key
             stage = record.stage
-            holder = by_tag.get(record.key_tag)
-            if holder is None:  # R-old is at its memory module
-                row = self.carry.setdefault(
-                    record.key_tag, np.full(self.D, -1, dtype=np.int32))
-                self.w_prev[i] = row[stage]
-                row[stage] = i
-            else:
-                self.w_prev[i] = self.link.item(holder, stage)
-                self.link[holder, stage] = i
+            holder = by_tag[record.key_tag]
+            self.w_prev[i] = self.link.item(holder, stage)
+            self.link[holder, stage] = i
             self.w_at[i] = wb_index
             self.w_tag[i] = record.key_tag
             self.w_made[i] = record.created_cycle
@@ -597,6 +660,7 @@ class _MessagePlane:
             self.w_kind[i] = 0
             self.w_seq[i] = self._seq
             self._seq += 1
+        return held_ids
 
     def export_state(self) -> dict[str, Any]:
         """Copy of the schedulable arrays (round-trip tests compare this
@@ -621,7 +685,9 @@ class _MessagePlane:
         pairwise = self.pairwise
         obj = self.obj
         for lane in self.fwd + self.ret:
-            touched = np.flatnonzero(lane.dirty)
+            sends = lane.base + lane.ins - lane.len
+            touched = np.flatnonzero((lane.ins != 0) | (lane.combs != 0)
+                                     | (sends != 0))
             if touched.size:
                 ids, lengths = lane.contents(touched)
                 ids_l = ids.tolist()
@@ -641,7 +707,7 @@ class _MessagePlane:
                     touched.tolist(), lengths.tolist(),
                     lane.used[touched].tolist(), lane.peak[touched].tolist(),
                     lane.ins[touched].tolist(), lane.combs[touched].tolist(),
-                    lane.busy[touched].tolist(), lane.sent[touched].tolist(),
+                    lane.busy[touched].tolist(), sends[touched].tolist(),
                 ):
                     queue = queues[f]
                     if n:
@@ -675,9 +741,9 @@ class _MessagePlane:
                         port = ports[f]
                         port.busy_until = busy
                         port.messages_sent += sent
-                for arr in (lane.ins, lane.combs, lane.sent):
+                lane.base[touched] = lane.len[touched]
+                for arr in (lane.ins, lane.combs):
                     arr[touched] = 0
-                lane.dirty[touched] = False
             for counts, field in (
                 (lane.routed, "requests_routed" if lane.forward else "replies_routed"),
                 (lane.merged, "combines" if lane.forward else "decombines"),
@@ -752,30 +818,26 @@ class _MessagePlane:
             self._release(i)
         return accepted.tolist()
 
-    def inject_reply(self, mm: int, message: "Message", cycle: int) -> bool:
-        stage, sw_i, mm_port = self.topo.reply_entry(mm, message.origin)
-        i = self._admit(message)
-        row = self.carry.get(message.tag)
-        if row is None:
-            taken = self._offer_return(self.ret[stage], sw_i, mm_port,
-                                       message.digits[stage], i, cycle)
-        else:
-            self.link[i] = row
-            if self.vector and row[stage] >= 0 and self.vector_min <= 1:
-                # a batch of one, vectorized only when every step is
-                taken = self._offer_replies(
-                    self.ret[stage], np.array([i]), np.array([sw_i]),
-                    np.array([mm_port]), cycle).size > 0
-            else:
-                taken = self._offer_return(self.ret[stage], sw_i, mm_port,
-                                           message.digits[stage], i, cycle)
-            if taken:
-                del self.carry[message.tag]
-            else:
-                self.link[i] = -1
-        if not taken:
-            self._release(i)
-        return taken
+    def inject_reply(self, i: int, cycle: int) -> bool:
+        """Offer reply ``i`` where its request left the grid."""
+        stage, queue = divmod(self.ent.item(i), self.Q)
+        return self._offer_return(self.ret[stage], queue // self.k,
+                                  queue % self.k, self.dig.item(i, stage), i,
+                                  cycle)
+
+    def inject_replies(self, ids: Any, cycle: int) -> Any:
+        """:meth:`inject_reply` for the head replies ``ids`` of their
+        MNIs (in ascending-MM order); returns which were taken.  Offers
+        at different stages do not interact, so each stage takes its
+        replies as one batch."""
+        stage, queue = np.divmod(self.ent[ids], self.Q)
+        sw, port = np.divmod(queue, self.k)
+        accepted = np.zeros(ids.size, dtype=bool)
+        for s in np.unique(stage).tolist():
+            sel = np.flatnonzero(stage == s)
+            accepted[sel[self._offer_replies(self.ret[s], ids[sel], sw[sel],
+                                             port[sel], cycle)]] = True
+        return accepted
 
     # ------------------------------------------------------------------
     # one message at a time: endpoints and the per-message combining
@@ -793,7 +855,6 @@ class _MessagePlane:
         if used > lane.peak.item(q):
             lane.peak[q] = used
         lane.ins[q] = lane.ins.item(q) + 1
-        lane.dirty[q] = True
         lane.tot += 1
         if lane.hist is not None:
             lane.hist.observe(used)
@@ -804,8 +865,6 @@ class _MessagePlane:
         lane.len[f] = lane.len.item(f) - 1
         lane.used[f] = lane.used.item(f) - packets
         lane.busy[f] = cycle + packets
-        lane.sent[f] = lane.sent.item(f) + 1
-        lane.dirty[f] = True
         lane.tot -= 1
 
     def _offer_forward(self, lane: _Lane, sw_i: int, in_port: int, out: int,
@@ -869,7 +928,6 @@ class _MessagePlane:
             if used > lane.peak.item(q):
                 lane.peak[q] = used
             lane.combs[q] = lane.combs.item(q) + 1
-            lane.dirty[q] = True
             self._insert_record(i, j, stage, wb, cycle, plan)
             lane.merged[sw_i] = lane.merged.item(sw_i) + 1
             if self._instr_on:
@@ -1002,77 +1060,91 @@ class _MessagePlane:
             self._hop(lane, target, hops, cycle)
 
     def _exit(self, lane: _Lane, src: Any, cycle: int) -> None:
-        """Hand every sending head to its endpoint (MNI or PNI).  A
-        request leaves with its records' links in ``carry`` (its reply
-        picks them up); a reply leaves with none left, so freed ids keep
-        no links."""
-        src_l = src.tolist()
+        """Hand every sending head to its endpoint."""
+        if lane.forward:
+            self._exit_requests(lane, src, cycle)
+        else:
+            self._exit_replies(lane, src, cycle)
+
+    def _exit_replies(self, lane: _Lane, src: Any, cycle: int) -> None:
+        """Deliver the sending heads of ``src`` to their PNIs, which
+        always take them, by tag and value: a lazy reply needs no
+        Message at all.  A reply leaves with no links left, and its
+        freed id is made neither lazy nor stale (see :meth:`_admit`)."""
         obj = self.obj
-        forward = lane.forward
-        sink = self.kernel._mm_sink if forward else self.kernel._pe_sink
-        line = lane.wire.to_l
-        if len(src_l) < self.vector_min:
-            ring, head, k = lane.ring, lane.head, self.k
-            for f in src_l:
+        if src.size < self.vector_min:
+            ring, head, line = lane.ring, lane.head, lane.wire.to_l
+            pes, tags, values = [], [], []
+            for f in src.tolist():
                 i = ring.item(f, head.item(f))
-                if forward:
-                    self._sync(i)
-                    message = obj[i]
-                    message.digits = self.dig[i].tolist()
-                else:
-                    message = self._reply(i)
-                if sink(line[f], message):
-                    if forward and self.link[i].max() >= 0:
-                        self.carry[message.tag] = self.link[i].copy()
-                        self.link[i] = -1
-                    self._pop(lane, f, self.pk.item(i), cycle)
-                    self._release(i)
+                status = self.vst.item(i)
+                pes.append(line[f])
+                tags.append(self.tag.item(i))
+                values.append(self.val.item(i) if status == 1 else None
+                              if status == 0 else obj[i].value)
+                self._pop(lane, f, self.pk.item(i), cycle)
+                self.lazy[i] = self.stale[i] = False
+                self._release(i)
+            self.kernel._deliver(pes, tags, values)
+            return
+        ids = lane.ring[src, lane.head[src]]
+        ids_l = ids.tolist()
+        status = self.vst[ids]
+        self.kernel._deliver(
+            lane.wire.to[src].tolist(), self.tag[ids].tolist(),
+            [v if st == 1 else None if st == 0 else obj[i].value for v, st, i in
+             zip(np.where(status == 1, self.val[ids], 0).tolist(),
+                 status.tolist(), ids_l)])
+        self.lazy[ids] = self.stale[ids] = False
+        for i in ids_l:
+            obj[i] = None
+        self._free.extend(ids_l)
+        self._pop_many(lane, src, self.pk[ids], np.arange(src.size), cycle)
+
+    def _exit_requests(self, lane: _Lane, src: Any, cycle: int) -> None:
+        """Offer the sending heads of ``src`` to their MNIs.  A request
+        keeps its id at the memory side (:class:`_MemorySide`), links
+        included, and remembers the queue it left by."""
+        memory = self.memory
+        copies, copy = memory.copies, self.copy
+        wire = lane.wire
+        ent = lane.stage * self.Q
+        if src.size < self.vector_min:
+            ring, head, k, line = lane.ring, lane.head, self.k, wire.to_l
+            for f in src.tolist():
+                i = ring.item(f, head.item(f))
+                packets = self.pk.item(i)
+                if memory.take(i * copies + copy, line[f], packets, cycle):
+                    self.ent[i] = ent + f
+                    self._pop(lane, f, packets, cycle)
                 else:
                     lane.blocked[f // k] = lane.blocked.item(f // k) + 1
             return
         ids = lane.ring[src, lane.head[src]]
-        ids_l = ids.tolist()
-        if forward:
-            for i in ids[self.stale[ids]].tolist():
-                self._sync(i)
-            for i, digits in zip(ids_l, self.dig[ids].tolist()):
-                obj[i].digits = digits
-        else:
-            lazy = ids[self.lazy[ids]]
-            if lazy.size:
-                self._build_replies(lazy)
-        accepted = np.array([n for n, (f, i) in enumerate(zip(src_l, ids_l))
-                             if sink(line[f], obj[i])], dtype=np.int64)
         packets = self.pk[ids]
-        if accepted.size:
-            gone = ids[accepted]
-            if forward:
-                linked = gone[(self.link[gone] >= 0).any(axis=1)]
-                for i in linked.tolist():
-                    self.carry[self.tag.item(i)] = self.link[i].copy()
-                self.link[linked] = -1
-            for i in gone.tolist():
-                self._release(i)
+        accepted = memory.take_many(ids * copies + copy, wire.to[src], packets,
+                                    cycle)
+        self.ent[ids[accepted]] = ent + src[accepted]
         self._pop_many(lane, src, packets, accepted, cycle)
 
     def _pop_many(self, lane: _Lane, src: Any, packets: Any, accepted: Any,
                   cycle: int) -> None:
         """Commit the sending side: pop the accepted heads (``accepted``
         indexes ``src``), occupy their links, count the refused ones."""
-        if accepted.size < src.size:
+        if accepted.size == src.size:
+            f, p = src, packets
+        else:
             refused = np.ones(src.size, dtype=bool)
             refused[accepted] = False
             np.add.at(lane.blocked, src[refused] // self.k, 1)
-        if not accepted.size:
-            return
-        f = src[accepted]
-        p = packets[accepted]
+            if not accepted.size:
+                return
+            f = src[accepted]
+            p = packets[accepted]
         lane.head[f] = (lane.head[f] + 1) % lane.slots
         lane.len[f] -= 1
         lane.used[f] -= p
         lane.busy[f] = cycle + p
-        lane.sent[f] += 1
-        lane.dirty[f] = True
         lane.tot -= accepted.size
 
     def _hop(self, lane: _Lane, target: _Lane, src: Any, cycle: int) -> None:
@@ -1102,10 +1174,14 @@ class _MessagePlane:
             return np.arange(n), np.zeros(n, dtype=np.int64), 1
         order = np.argsort(group, kind="stable")
         grouped = group[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+        if first.all():
+            return order, np.zeros(n, dtype=np.int64), 1
         pos = np.arange(n)
-        starts = np.where(np.r_[True, grouped[1:] != grouped[:-1]], pos, 0)
         rank = np.empty(n, dtype=np.int64)
-        rank[order] = pos - np.maximum.accumulate(starts)
+        rank[order] = pos - np.maximum.accumulate(np.where(first, pos, 0))
         return order, rank, int(rank.max()) + 1
 
     def _serial(self, lane: _Lane, target: _Lane, src: list[int],
@@ -1248,7 +1324,6 @@ class _MessagePlane:
             self.wb_dirty[wb] = True
             qg = q[go]
             target.combs[qg] += 1
-            target.dirty[qg] = True
             np.add.at(target.merged, t_sw[g], 1)
             np.add.at(target.routed, t_sw[g], 1)
             accepted[g] = True
@@ -1273,12 +1348,16 @@ class _MessagePlane:
         accepted = np.ones(n, dtype=bool) if cap is None else np.zeros(n, dtype=bool)
         post = np.zeros(n, dtype=np.int64) if target.hist is not None else None
         for r in range(ranks):
-            sel = np.flatnonzero(rank == r) if ranks > 1 else np.arange(n)
-            q = tq[sel]
-            used = target.used[q] + packets[sel]
+            if ranks == 1:
+                sel, q, p = np.arange(n), tq, packets
+            else:
+                sel = np.flatnonzero(rank == r)
+                q, p = tq[sel], packets[sel]
+            used = target.used[q] + p
             if cap is not None:
                 fits = used <= cap
-                sel, q, used = sel[fits], q[fits], used[fits]
+                if not fits.all():
+                    sel, q, used = sel[fits], q[fits], used[fits]
                 accepted[sel] = True
             held = target.len[q]
             target.ring[q, (target.head[q] + held) % slots] = ids[sel]
@@ -1291,7 +1370,6 @@ class _MessagePlane:
         if taken.size:
             q = tq[taken]
             target.peak[q] = np.maximum(target.peak[q], target.used[q])
-            target.dirty[q] = True
             target.tot += taken.size
             np.add.at(target.routed, t_sw[taken], 1)
             if target.forward:
@@ -1406,6 +1484,495 @@ class _MessagePlane:
         accepted[pick] = True
         return serial
 
+#: a ready or done cycle that never comes (an empty ring's head)
+_NEVER = np.iinfo(np.int64).max
+
+
+class _Rings:
+    """One FIFO ring per memory module with int64 columns (``cols[c]``
+    of shape (modules, slots)), oldest entry at ``head``."""
+
+    __slots__ = ("head", "len", "slots", "cols")
+
+    def __init__(self, n: int, columns: int, slots: int = _RING_START) -> None:
+        self.slots = slots
+        self.head = np.zeros(n, dtype=np.int64)
+        self.len = np.zeros(n, dtype=np.int64)
+        self.cols = [np.zeros((n, slots), dtype=np.int64) for _ in range(columns)]
+
+    def grow(self) -> None:
+        """Double the rings, unrolling every one to start at slot 0."""
+        slots = self.slots
+        order = (self.head[:, None] + np.arange(slots)) % slots
+        for c, col in enumerate(self.cols):
+            new = np.zeros((col.shape[0], 2 * slots), dtype=np.int64)
+            new[:, :slots] = np.take_along_axis(col, order, axis=1)
+            self.cols[c] = new
+        self.slots = 2 * slots
+        self.head[:] = 0
+
+    def push(self, m: Any, *values: Any) -> None:
+        """Append one entry to each of the distinct rings ``m``."""
+        while int(self.len[m].max()) >= self.slots:
+            self.grow()
+        held = self.len[m]
+        pos = (self.head[m] + held) % self.slots
+        for col, value in zip(self.cols, values):
+            col[m, pos] = value
+        self.len[m] = held + 1
+
+    def push_one(self, m: int, *values: int) -> None:
+        held = self.len.item(m)
+        if held == self.slots:
+            self.grow()
+        pos = (self.head.item(m) + held) % self.slots
+        for col, value in zip(self.cols, values):
+            col[m, pos] = value
+        self.len[m] = held + 1
+
+    def heads(self, m: Any) -> list[Any]:
+        """Each column's head entries of the (non-empty) rings ``m``."""
+        head = self.head[m]
+        return [col[m, head] for col in self.cols]
+
+    def pop(self, m: Any) -> None:
+        self.head[m] = (self.head[m] + 1) % self.slots
+        self.len[m] -= 1
+
+    def pop_one(self, m: int) -> list[int]:
+        """Remove ring ``m``'s head entry; returns its columns."""
+        head = self.head.item(m)
+        entry = [col.item(m, head) for col in self.cols]
+        self.head[m] = (head + 1) % self.slots
+        self.len[m] = self.len.item(m) - 1
+        return entry
+
+    def window(self, m: Any) -> tuple[list[Any], Any]:
+        """Each column's rings ``m`` as rows from their heads (oldest
+        first), and which slots hold an entry."""
+        pos = np.arange(self.slots)
+        at = (self.head[m][:, None] + pos) % self.slots
+        return ([col[m[:, None], at] for col in self.cols],
+                pos < self.len[m][:, None])
+
+
+class _MemorySide:
+    """The machine's MNIs as arrays, one entry per memory module.
+
+    A message at the memory side stays in its copy's plane under its id;
+    here it is the reference ``ref = id * copies + copy``.  ``inbound``
+    rings hold (ref, ready cycle, packets) of the requests assembling or
+    queued, against ``used`` packets and the MNI's capacity, with
+    ``first`` the head's ready cycle (:data:`_NEVER` when empty);
+    ``svc``/``done`` are the request in service (-1: none) and the cycle
+    it completes; ``outbound`` rings hold the replies, and ``link`` is
+    each MNI's output link ``busy_until``.  ``served`` and ``busy`` are
+    the MNI counters, ``busy`` in closed form: a service adds the
+    module's whole latency when it starts, and the view subtracts what
+    has not elapsed by ``clock``, the cycle the counters have run up to
+    (one past the last phase 1, or where a fast-forward landed).
+    ``dirty`` marks the MNIs to write back at the next flush.
+    ``serving`` holds the MNIs with a request assembling,
+    queued or in service, and ``replying`` those with replies queued: a
+    phase with fewer of them than :attr:`vector_min` visits them one at
+    a time, in ascending-MM order, instead of masking every MNI.  The
+    MNI objects are the object view, written back by :meth:`flush`;
+    :meth:`resync` rebuilds the arrays from them.
+    """
+
+    def __init__(self, kernel: "BatchKernel") -> None:
+        m = kernel.machine
+        self.machine = m
+        self.mnis = m._mnis
+        self.modules = [mni.module for mni in self.mnis]
+        self.copies = len(m._networks)
+        self.planes: list[_MessagePlane] = []
+        self.cap = m.config.mni_inbound_capacity_packets
+        instr = m.instrumentation
+        self._instr = instr
+        self._instr_on = instr.enabled
+        self.latency = np.array([module.latency for module in self.modules],
+                                dtype=np.int64)
+
+    def resync(self, ids: list[list[int]]) -> None:
+        """Rebuild the arrays from the MNI objects; ``ids`` are the plane
+        ids of :meth:`held`'s messages, copy by copy."""
+        copies = self.copies
+        copy_by_tag = self.machine._copy_by_tag
+        left = [iter(copy_ids) for copy_ids in ids]
+
+        def ref(message: "Message") -> int:
+            copy = copy_by_tag[message.tag]
+            return next(left[copy]) * copies + copy
+
+        n = len(self.mnis)
+        most = max([_RING_START] + [len(mni._inbound) for mni in self.mnis]
+                   + [len(mni.outbound) for mni in self.mnis])
+        slots = 1 << (most - 1).bit_length()
+        self.inbound = _Rings(n, 3, slots)
+        self.outbound = _Rings(n, 1, slots)
+        self.used = np.zeros(n, dtype=np.int64)
+        self.first = np.full(n, _NEVER, dtype=np.int64)
+        self.svc = np.full(n, -1, dtype=np.int64)
+        self.done = np.zeros(n, dtype=np.int64)
+        self.link = np.zeros(n, dtype=np.int64)
+        self.served = np.zeros(n, dtype=np.int64)
+        self.busy = np.zeros(n, dtype=np.int64)
+        self.dirty = np.zeros(n, dtype=bool)
+        self.serving: set[int] = set()
+        self.replying: set[int] = set()
+        cycle = self.clock = self.machine.cycle
+        for mm, mni in enumerate(self.mnis):
+            for message, ready in mni._inbound:
+                self.inbound.push_one(mm, ref(message), ready, message.packets)
+            if mni._inbound:
+                self.first[mm] = mni._inbound[0][1]
+            self.used[mm] = mni._inbound_packets
+            busy = mni.busy_cycles
+            if mni._in_service is not None:
+                message, done = mni._in_service
+                self.svc[mm] = ref(message)
+                self.done[mm] = done
+                busy += done - cycle
+                self.dirty[mm] = True
+            for message in mni.outbound:
+                self.outbound.push_one(mm, ref(message))
+            if mni._inbound or mni._in_service is not None:
+                self.serving.add(mm)
+            if mni.outbound:
+                self.replying.add(mm)
+            self.link[mm] = mni._link_busy_until
+            self.served[mm] = mni.requests_served
+            self.busy[mm] = busy
+
+    def held(self) -> list[list["Message"]]:
+        """The messages the MNI objects hold, per network copy, in the
+        order :meth:`resync` reads them."""
+        copy_by_tag = self.machine._copy_by_tag
+        held: list[list["Message"]] = [[] for _ in range(self.copies)]
+        for mni in self.mnis:
+            messages = [message for message, _ in mni._inbound]
+            if mni._in_service is not None:
+                messages.append(mni._in_service[0])
+            messages.extend(mni.outbound)
+            for message in messages:
+                held[copy_by_tag[message.tag]].append(message)
+        return held
+
+    def _objects(self, refs: Any, replies: bool) -> list["Message"]:
+        """The Messages of ``refs``: requests with their op and digits
+        written back, or replies (the lazy ones built now)."""
+        copies = self.copies
+        found: list[Any] = [None] * refs.size
+        for copy, plane in enumerate(self.planes):
+            sel = np.flatnonzero(refs % copies == copy)
+            if not sel.size:
+                continue
+            ids = refs[sel] // copies
+            if replies:
+                lazy = ids[plane.lazy[ids]]
+                if lazy.size:
+                    plane._build_replies(lazy)
+            else:
+                for i in ids[plane.stale[ids]].tolist():
+                    plane._sync(i)
+                for i, digits in zip(ids.tolist(), plane.dig[ids].tolist()):
+                    plane.obj[i].digits = digits
+            obj = plane.obj
+            for x, i in zip(sel.tolist(), ids.tolist()):
+                found[x] = obj[i]
+        return found
+
+    def flush(self) -> None:
+        """Write the MNIs touched since the last flush back into their
+        objects (an MNI in service stays marked: its busy count grows)."""
+        touched = np.flatnonzero(self.dirty)
+        if not touched.size:
+            return
+        (refs, ready, _), live = self.inbound.window(touched)
+        inbound = iter(self._objects(refs[live], False))
+        ready_l = ready[live].tolist()
+        (out_refs,), out_live = self.outbound.window(touched)
+        outbound = iter(self._objects(out_refs[out_live], True))
+        svc = self.svc[touched]
+        serving = iter(self._objects(svc[svc >= 0], False))
+        cycle = self.clock
+        start = 0
+        for mm, held, queued, used, ref, done, link, served, busy in zip(
+            touched.tolist(), live.sum(axis=1).tolist(),
+            out_live.sum(axis=1).tolist(), self.used[touched].tolist(),
+            svc.tolist(), self.done[touched].tolist(),
+            self.link[touched].tolist(), self.served[touched].tolist(),
+            self.busy[touched].tolist(),
+        ):
+            mni = self.mnis[mm]
+            end = start + held
+            mni._inbound = deque(zip(itertools.islice(inbound, held),
+                                     ready_l[start:end]))
+            start = end
+            mni._inbound_packets = used
+            if ref < 0:
+                mni._in_service = None
+            else:
+                mni._in_service = (next(serving), done)
+                busy -= done - cycle
+            mni.outbound = deque(itertools.islice(outbound, queued))
+            mni._link_busy_until = link
+            mni.requests_served = served
+            mni.busy_cycles = busy
+        self.dirty[touched] = svc >= 0
+
+    def export_state(self) -> dict[str, Any]:
+        """The arrays with each reference as (copy, tag), for the
+        round-trip tests."""
+        copies = self.copies
+
+        def tag(ref: int) -> tuple[int, int]:
+            return ref % copies, self.planes[ref % copies].tag.item(ref // copies)
+
+        every = np.arange(len(self.mnis))
+        (refs, ready, packets), live = self.inbound.window(every)
+        (out_refs,), out_live = self.outbound.window(every)
+        busy = self.busy - np.where(self.svc >= 0, self.done - self.clock, 0)
+        return {
+            "inbound": [[(tag(r), t, p) for r, t, p in zip(
+                refs[mm][live[mm]].tolist(), ready[mm][live[mm]].tolist(),
+                packets[mm][live[mm]].tolist())] for mm in every.tolist()],
+            "outbound": [[tag(r) for r in out_refs[mm][out_live[mm]].tolist()]
+                         for mm in every.tolist()],
+            "in_service": [None if r < 0 else (tag(r), d) for r, d in
+                           zip(self.svc.tolist(), self.done.tolist())],
+            "used": self.used.tolist(),
+            "first": self.first.tolist(),
+            "link": self.link.tolist(),
+            "served": self.served.tolist(),
+            "busy": busy.tolist(),
+            "serving": sorted(self.serving),
+            "replying": sorted(self.replying),
+        }
+
+    # ------------------------------------------------------------------
+    # phase 2: requests arrive (``MNI.offer_inbound``)
+    # ------------------------------------------------------------------
+    def take(self, ref: int, mm: int, packets: int, cycle: int) -> bool:
+        """Offer one request to MNI ``mm``."""
+        used = self.used.item(mm) + packets
+        if self.cap is not None and used > self.cap:
+            return False
+        ready = cycle + max(0, packets - 1)
+        if not self.inbound.len.item(mm):
+            self.first[mm] = ready
+        self.inbound.push_one(mm, ref, ready, packets)
+        self.used[mm] = used
+        self.dirty[mm] = True
+        self.serving.add(mm)
+        if self._instr_on:
+            self.mnis[mm]._inbound_histogram.observe(used)
+        return True
+
+    def take_many(self, refs: Any, mms: Any, packets: Any, cycle: int) -> Any:
+        """Offer requests to the distinct MNIs ``mms``; returns the
+        indices of those taken."""
+        taken = np.arange(refs.size)
+        if self.cap is not None:
+            taken = np.flatnonzero(self.used[mms] + packets <= self.cap)
+            if not taken.size:
+                return taken
+            refs, mms, packets = refs[taken], mms[taken], packets[taken]
+        ready = cycle + np.maximum(packets - 1, 0)
+        empty = self.inbound.len[mms] == 0
+        self.first[mms[empty]] = ready[empty]
+        self.inbound.push(mms, refs, ready, packets)
+        used = self.used[mms] + packets
+        self.used[mms] = used
+        self.dirty[mms] = True
+        self.serving.update(mms.tolist())
+        if self._instr_on:
+            for mm, n in zip(mms.tolist(), used.tolist()):
+                self.mnis[mm]._inbound_histogram.observe(n)
+        return taken
+
+    # ------------------------------------------------------------------
+    # phase 1: memory accesses complete and start (``MNI.tick``)
+    # ------------------------------------------------------------------
+    def serve(self, cycle: int) -> None:
+        self.clock = cycle + 1
+        serving = self.serving
+        if len(serving) < self.vector_min:
+            svc, first = self.svc, self.first
+            for mm in sorted(serving):
+                if svc.item(mm) >= 0 and self.done.item(mm) <= cycle:
+                    self._complete_one(mm, cycle)
+                if svc.item(mm) < 0:
+                    if first.item(mm) <= cycle:
+                        self._start_one(mm, cycle)
+                    elif first.item(mm) == _NEVER:
+                        serving.discard(mm)
+            return
+        svc = self.svc
+        done = np.flatnonzero((svc >= 0) & (self.done <= cycle))
+        if done.size:
+            self._complete(done, cycle)
+        start = np.flatnonzero((svc < 0) & (self.first <= cycle))
+        if start.size:
+            self._start(start, cycle)
+        if done.size:
+            idle = done[(svc[done] < 0) & (self.first[done] == _NEVER)]
+            serving.difference_update(idle.tolist())
+
+    @property
+    def vector_min(self) -> int:
+        """Below this many MNIs a phase works one MNI at a time (the
+        planes' threshold)."""
+        return self.planes[0].vector_min
+
+    def _apply(self, mm: int, plane: "_MessagePlane", i: int,
+               cycle: int) -> Optional[int]:
+        """The access of request ``i`` at module ``mm``; returns its
+        reply's value."""
+        plane._sync(i)
+        message = plane.obj[i]
+        op = message.op
+        module = self.modules[mm]
+        effect = module.apply(op)
+        module.accesses += 1
+        if self._instr_on:
+            self._instr.record("mm_serve", cycle, tag=message.tag, mm=mm)
+        return effect.result if op.expects_value else None
+
+    def _complete_one(self, mm: int, cycle: int) -> None:
+        """Apply the request in service at ``mm`` at its module; it
+        turns into its reply and queues for the link."""
+        ref = self.svc.item(mm)
+        plane, i = self.planes[ref % self.copies], ref // self.copies
+        plane._turn_one(i, self._apply(mm, plane, i, cycle))
+        self.outbound.push_one(mm, ref)
+        self.served[mm] = self.served.item(mm) + 1
+        self.svc[mm] = -1
+        self.dirty[mm] = True
+        self.replying.add(mm)
+
+    def _complete(self, mms: Any, cycle: int) -> None:
+        """:meth:`_complete_one` for every MNI in ``mms`` (ascending).
+        An instrumented run takes them one at a time, so the trace
+        records them in MM order across the copies."""
+        if self._instr_on:
+            for mm in mms.tolist():
+                self._complete_one(mm, cycle)
+            return
+        refs = self.svc[mms]
+        copies = self.copies
+        for copy, plane in enumerate(self.planes):
+            sel_mms, ids = mms, refs
+            if copies > 1:
+                sel = refs % copies == copy
+                sel_mms, ids = mms[sel], refs[sel] // copies
+                if not ids.size:
+                    continue
+            plane._turn(ids, [self._apply(mm, plane, i, cycle) for mm, i
+                              in zip(sel_mms.tolist(), ids.tolist())])
+        self.outbound.push(mms, refs)
+        self.served[mms] += 1
+        self.svc[mms] = -1
+        self.dirty[mms] = True
+        self.replying.update(mms.tolist())
+
+    def _start_one(self, mm: int, cycle: int) -> None:
+        """Start serving the (ready) head request of MNI ``mm``."""
+        inbound = self.inbound
+        ref, _, packets = inbound.pop_one(mm)
+        self.used[mm] = self.used.item(mm) - packets
+        self.svc[mm] = ref
+        latency = self.latency.item(mm)
+        self.done[mm] = cycle + latency
+        self.busy[mm] = self.busy.item(mm) + latency
+        self.first[mm] = (inbound.cols[1].item(mm, inbound.head.item(mm))
+                          if inbound.len.item(mm) else _NEVER)
+        self.dirty[mm] = True
+
+    def _start(self, mms: Any, cycle: int) -> None:
+        """:meth:`_start_one` for every MNI in ``mms``."""
+        inbound = self.inbound
+        refs, _, packets = inbound.heads(mms)
+        inbound.pop(mms)
+        self.used[mms] -= packets
+        self.svc[mms] = refs
+        latency = self.latency[mms]
+        self.done[mms] = cycle + latency
+        self.busy[mms] += latency
+        more = inbound.len[mms] > 0
+        self.first[mms] = _NEVER
+        if more.any():
+            rest = mms[more]
+            self.first[rest] = inbound.cols[1][rest, inbound.head[rest]]
+        self.dirty[mms] = True
+
+    # ------------------------------------------------------------------
+    # phase 5: replies leave (``MNI.tick_outbound``)
+    # ------------------------------------------------------------------
+    def reply(self, cycle: int) -> None:
+        """Offer the head reply of every MNI whose link is free, in
+        ascending-MM order: one batch per network copy (offers to
+        different copies do not interact), or one reply at a time when
+        few MNIs hold replies or in an instrumented run, whose trace
+        interleaves the copies."""
+        replying = self.replying
+        if not replying:
+            return
+        out = self.outbound
+        copies = self.copies
+        planes = self.planes
+        if len(replying) < self.vector_min or self._instr_on:
+            link = self.link
+            for mm in sorted(replying):
+                if link.item(mm) > cycle:
+                    continue
+                ref = out.cols[0].item(mm, out.head.item(mm))
+                plane, i = planes[ref % copies], ref // copies
+                if plane.inject_reply(i, cycle):
+                    out.pop_one(mm)
+                    # a reply decombined at its entry leaves with its
+                    # rewritten packet count, as the MNI's Message does
+                    link[mm] = cycle + plane.pk.item(i)
+                    self.dirty[mm] = True
+                    if not out.len.item(mm):
+                        replying.discard(mm)
+            return
+        mms = np.flatnonzero((out.len > 0) & (self.link <= cycle))
+        if not mms.size:
+            return
+        (refs,) = out.heads(mms)
+        taken = np.zeros(mms.size, dtype=bool)
+        packets = np.zeros(mms.size, dtype=np.int64)
+        for copy, plane in enumerate(planes):
+            sel, ids = slice(None), refs
+            if copies > 1:
+                sel = np.flatnonzero(refs % copies == copy)
+                if not sel.size:
+                    continue
+                ids = refs[sel] // copies
+            taken[sel] = plane.inject_replies(ids, cycle)
+            packets[sel] = plane.pk[ids]
+        if taken.any():
+            gone = mms[taken]
+            out.pop(gone)
+            self.link[gone] = cycle + packets[taken]
+            self.dirty[gone] = True
+            replying.difference_update(gone[out.len[gone] == 0].tolist())
+
+    # ------------------------------------------------------------------
+    # event horizon
+    # ------------------------------------------------------------------
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        """``MNI.next_event_cycle`` over every MNI."""
+        best = _NEVER
+        if self.serving:
+            best = int(np.where(self.svc >= 0, self.done, self.first).min())
+        if self.replying:
+            best = min(best, int(self.link[self.outbound.len > 0].min()))
+        return None if best == _NEVER else max(cycle, best)
+
+
 class _VectorPrograms:
     """Vectorized executor for the machine's built-in ProgramDriver.
 
@@ -1488,11 +2055,15 @@ class _VectorPrograms:
         else:
             self.state[i] = _FRESH
 
-    def notify_reply(self, pe_id: int) -> None:
-        """A reply reached this PE's PNI (called from the kernel's
+    def notify_replies(self, pes: list[int]) -> None:
+        """Replies reached these PEs' PNIs (called from the kernel's
         delivery path, dense phase 4 — visible to this cycle's tick)."""
-        if 0 <= pe_id < self.n and self.state[pe_id] == _WAITING:
-            self.ready.add(pe_id)
+        if self.n <= 0:
+            return
+        state = self.state
+        for pe_id in pes:
+            if pe_id < self.n and state[pe_id] == _WAITING:
+                self.ready.add(pe_id)
 
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
@@ -1600,46 +2171,59 @@ class BatchKernel(DenseKernel):
         super().__init__(machine)
         self._built = False
         self._states: list[_MessagePlane] = []
+        self._memory: Optional[_MemorySide] = None
         self._vpes: Optional[_VectorPrograms] = None
-        # Endpoint active sets: MNIs assembling/serving, MNIs with
-        # queued replies, and PNIs with queued requests (the machine's
-        # set, which every PNI joins on issue whatever driver issued).
-        self._mni_active: set[int] = set()
-        self._mni_out: set[int] = set()
+        # PNIs with queued requests: the machine's set, which every PNI
+        # joins on issue whatever driver issued.
         self._pni_out = machine._pni_ready
+        # whether a cycle ran since the object view was last written
+        self._unsynced = False
 
     # ------------------------------------------------------------------
     def _ensure_state(self) -> None:
         m = self.machine
         if not self._built:
-            self._states = [_MessagePlane(net, self) for net in m.networks]
+            self._memory = _MemorySide(self)
+            self._states = [_MessagePlane(net, self, copy)
+                            for copy, net in enumerate(m._networks)]
+            self._memory.planes = self._states
+            self.resync()
             self._vpes = _VectorPrograms(m.programs)
             self._built = True
 
-    def _flush(self) -> None:
-        """Bring the object view up to date (queues, ports, switch and
-        PE counters) for readers outside the kernel."""
-        if self._vpes is not None:
-            self._vpes.flush()
+    def resync(self) -> None:
+        """Rebuild every plane and the memory side from the object view.
+
+        Used at construction (the objects may already hold traffic) and
+        by the round-trip tests, which compare the arrays of a flushed
+        kernel against those rebuilt from its own object view."""
+        held = self._memory.held()
+        self._memory.resync([plane.resync(messages)
+                             for plane, messages in zip(self._states, held)])
+
+    def sync(self) -> None:
+        """Bring the object view up to date (queues, ports, switch, MNI
+        and PE counters) if a cycle ran since it last was; the machine's
+        public readers call this first."""
+        if not self._unsynced:
+            return
+        self._vpes.flush()
         for state in self._states:
             state.flush()
+        self._memory.flush()
+        self._unsynced = False
 
-    def _timeout(self, max_cycles: int) -> RuntimeError:
-        self._flush()  # the message counts in-flight traffic
-        return super()._timeout(max_cycles)
-
-    # -- endpoint sinks (dense semantics + active-set maintenance) -----
-    def _mm_sink(self, mm: int, message: "Message") -> bool:
-        if self.machine._mm_sink(mm, message):
-            self._mni_active.add(mm)
-            return True
-        return False
-
-    def _pe_sink(self, pe: int, message: "Message") -> bool:
-        accepted = self.machine._pe_sink(pe, message)
-        if accepted and self._vpes is not None:
-            self._vpes.notify_reply(pe)
-        return accepted
+    def _deliver(self, pes: list[int], tags: list[int],
+                 values: list[Optional[int]]) -> None:
+        """``Ultracomputer._pe_sink`` for replies given by PE, tag and
+        value (the PE side always takes them), and the program shim's
+        wake."""
+        m = self.machine
+        pnis, cycle, copy_by_tag = m.pnis, m.cycle, m._copy_by_tag
+        for pe, tag, value in zip(pes, tags, values):
+            pnis[pe].deliver(tag, value, cycle)
+            copy_by_tag.pop(tag, None)
+        self._vpes.notify_replies(pes)
 
     def _inject_heads(self, cycle: int) -> None:
         """``PNI.tick_outbound`` for every PNI holding requests: the
@@ -1677,28 +2261,15 @@ class BatchKernel(DenseKernel):
                     if not pni.outbound:
                         self._pni_out.discard(pe)
 
-    def _inject_reply(self, mm: int, message: "Message") -> bool:
-        index = self.machine._copy_by_tag[message.tag]
-        return self._states[index].inject_reply(mm, message, self.machine.cycle)
-
     # ------------------------------------------------------------------
     # one executed cycle (dense phase order, array-scheduled)
     # ------------------------------------------------------------------
     def _step(self) -> None:
         m = self.machine
         cycle = m.cycle
+        self._unsynced = True
         # 1. MNIs complete/start memory accesses.
-        if self._mni_active:
-            mnis = m.mnis
-            active = self._mni_active
-            out = self._mni_out
-            for i in sorted(active):
-                mni = mnis[i]
-                mni.tick(cycle)
-                if mni.outbound:
-                    out.add(i)
-                if mni._in_service is None and not mni._inbound:
-                    active.discard(i)
+        self._memory.serve(cycle)
         # 2. requests move one hop toward memory.
         for state in self._states:
             state.step_forward(cycle)
@@ -1708,15 +2279,8 @@ class BatchKernel(DenseKernel):
         # 4. replies move one hop toward the PEs.
         for state in self._states:
             state.step_return(cycle)
-        # 5. MNIs inject queued replies into the last stage.
-        if self._mni_out:
-            mnis = m.mnis
-            inject = self._inject_reply
-            for i in sorted(self._mni_out):
-                mni = mnis[i]
-                mni.tick_outbound(cycle, inject)
-                if not mni.outbound:
-                    self._mni_out.discard(i)
+        # 5. MNIs inject queued replies where their requests left.
+        self._memory.reply(cycle)
         # 6. drivers consume replies and issue new work.
         for driver in m.drivers:
             if driver is m.programs:
@@ -1724,26 +2288,24 @@ class BatchKernel(DenseKernel):
             else:
                 driver.tick(cycle)
         # 7. every clock advances.
-        for network in m.networks:
+        for network in m._networks:
             network.advance_cycle()
         m.cycle += 1
 
     def step(self) -> None:
-        """Execute one cycle (public single-step: flushes counters so
-        interleaved object reads — ``machine.stats()`` between steps —
-        see dense-identical state)."""
+        """Execute one cycle.  The object view is written back when the
+        machine's public readers next look (:meth:`sync`), not here."""
         self._ensure_state()
         self._step()
-        self._flush()
 
     # ------------------------------------------------------------------
     # event horizon (the event kernel's logic over the active sets)
     # ------------------------------------------------------------------
     def _maybe_quiescent(self) -> bool:
         """Cheap necessary condition for quiescence; when it holds the
-        object view is flushed and the authoritative
-        ``machine.quiescent()`` is consulted."""
-        if self._mni_active or self._mni_out or self._pni_out:
+        authoritative ``machine.quiescent()`` is consulted."""
+        memory = self._memory
+        if memory.serving or memory.replying or self._pni_out:
             return False
         for state in self._states:
             if state.has_messages():
@@ -1752,8 +2314,6 @@ class BatchKernel(DenseKernel):
         for driver in m.drivers:
             if not (self._vpes.done() if driver is m.programs else driver.done()):
                 return False
-        for state in self._states:
-            state.flush()
         return True
 
     def _next_event_cycle(self) -> Optional[int]:
@@ -1762,15 +2322,9 @@ class BatchKernel(DenseKernel):
         for state in self._states:
             if state.has_messages():
                 return cycle
-        best: Optional[int] = None
-        mnis = m.mnis
-        for i in self._mni_active | self._mni_out:
-            c = mnis[i].next_event_cycle(cycle)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if best is None or c < best:
-                    best = c
+        best = self._memory.next_event_cycle(cycle)
+        if best == cycle:
+            return cycle
         pnis = m.pnis
         for pe in self._pni_out:
             c = pnis[pe].next_event_cycle(cycle)
@@ -1799,10 +2353,9 @@ class BatchKernel(DenseKernel):
         delta = target - m.cycle
         if delta <= 0:
             return
-        mnis = m.mnis
-        for i in self._mni_active:
-            mnis[i].fast_forward(delta)
-        for network in m.networks:
+        self._unsynced = True
+        self._memory.clock = target  # its busy counts are closed-form
+        for network in m._networks:
             network.fast_forward(delta)
         for driver in m.drivers:
             if driver is m.programs:
@@ -1819,34 +2372,28 @@ class BatchKernel(DenseKernel):
     def run(self, max_cycles: int = 1_000_000) -> "RunResult":
         m = self.machine
         self._ensure_state()
-        try:
-            while not (self._maybe_quiescent() and m.quiescent()):
-                if m.cycle >= max_cycles:
-                    raise self._timeout(max_cycles)
-                nxt = self._next_event_cycle()
-                if nxt is None or nxt >= max_cycles:
-                    # Dense would spin pure idle-counting cycles up to
-                    # the deadline and raise; replicate that exactly.
-                    self._fast_forward(max_cycles)
-                    raise self._timeout(max_cycles)
-                self._fast_forward(nxt)
-                self._step()
-        finally:
-            self._flush()
+        while not (self._maybe_quiescent() and m.quiescent()):
+            if m.cycle >= max_cycles:
+                raise self._timeout(max_cycles)
+            nxt = self._next_event_cycle()
+            if nxt is None or nxt >= max_cycles:
+                # Dense would spin pure idle-counting cycles up to the
+                # deadline and raise; replicate that exactly.
+                self._fast_forward(max_cycles)
+                raise self._timeout(max_cycles)
+            self._fast_forward(nxt)
+            self._step()
         return m.stats()
 
     def run_cycles(self, n: int) -> "RunResult":
         m = self.machine
         self._ensure_state()
-        try:
-            end = m.cycle + n
-            while m.cycle < end:
-                nxt = self._next_event_cycle()
-                if nxt is None or nxt >= end:
-                    self._fast_forward(end)
-                    break
-                self._fast_forward(nxt)
-                self._step()
-        finally:
-            self._flush()
+        end = m.cycle + n
+        while m.cycle < end:
+            nxt = self._next_event_cycle()
+            if nxt is None or nxt >= end:
+                self._fast_forward(end)
+                break
+            self._fast_forward(nxt)
+            self._step()
         return m.stats()

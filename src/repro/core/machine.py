@@ -82,8 +82,8 @@ class MachineConfig:
     #: fast-forwards globally quiet cycles; ``"batch"`` keeps every
     #: in-flight message in struct-of-arrays form and moves a whole
     #: stage of them per vectorized step — the 1024–4096-PE scaling
-    #: kernel (the switch objects are written back at each step/run
-    #: boundary).
+    #: kernel (the switch and MNI objects are written back when the
+    #: machine's public readers are used).
     #: All kernels produce bit-identical results; valid names come from
     #: the pluggable registry in :mod:`repro.core.scheduler`.
     kernel: str = "dense"
@@ -416,7 +416,9 @@ class Ultracomputer:
         # One topology instance shared by every network copy: it is pure
         # combinatorics, and sharing it shares the interned route cache.
         self.topology = make_topology(config.topology, config.n_pes, config.k)
-        self.networks = [
+        # The kernels read the private lists; the public ``networks`` and
+        # ``mnis`` properties bring the object view up to date first.
+        self._networks = [
             MultistageNetwork(
                 config.network_config(),
                 self.topology,
@@ -432,7 +434,7 @@ class Ultracomputer:
         self.translation: AddressTranslation = make_translation(
             config.translation, config.n_pes, config.words_per_module
         )
-        self.mnis = [
+        self._mnis = [
             MNI(
                 module,
                 inbound_capacity_packets=config.mni_inbound_capacity_packets,
@@ -450,6 +452,10 @@ class Ultracomputer:
         # PNI (the other kernels never read the set, so they leave it a
         # superset).
         self._pni_ready: set[int] = set()
+        # PE ids whose PNI received a reply: every PNI adds itself on
+        # delivery, and a driver that consumes replies drains the set in
+        # ascending-PE order instead of polling every PNI.
+        self._pni_replied: set[int] = set()
         self.pnis = [
             PNI(
                 pe,
@@ -459,10 +465,11 @@ class Ultracomputer:
                 instrumentation=self.instrumentation,
                 tag_counter=self._tags,
                 ready=self._pni_ready,
+                replied=self._pni_replied,
             )
             for pe in range(config.n_pes)
         ]
-        for network in self.networks:
+        for network in self._networks:
             network.connect(mm_sink=self._mm_sink, pe_sink=self._pe_sink)
         self.cycle = 0
         self._healthy_copies: list[int] = list(range(config.copies))
@@ -472,10 +479,25 @@ class Ultracomputer:
         self.drivers.append(self.programs)
         self.kernel = make_kernel(config.kernel, self)
 
+    # ------------------------------------------------------------------
+    # the object view (public readers sync it from the kernel first)
+    # ------------------------------------------------------------------
+    @property
+    def networks(self) -> list[MultistageNetwork]:
+        """Every network copy, up to date with the kernel."""
+        self.kernel.sync()
+        return self._networks
+
     @property
     def network(self) -> MultistageNetwork:
         """The first network copy (the whole network when copies == 1)."""
         return self.networks[0]
+
+    @property
+    def mnis(self) -> list[MNI]:
+        """The memory-network interfaces, up to date with the kernel."""
+        self.kernel.sync()
+        return self._mnis
 
     def fail_network_copy(self, index: int) -> None:
         """Take one network copy out of service (fail-stop).
@@ -505,13 +527,13 @@ class Ultracomputer:
         the amalgam digits and wait-buffer records)."""
         index = self._healthy_copies[message.tag % len(self._healthy_copies)]
         self._copy_by_tag[message.tag] = index
-        return self.networks[index]
+        return self._networks[index]
 
     # ------------------------------------------------------------------
     # wiring callbacks
     # ------------------------------------------------------------------
     def _mm_sink(self, mm: int, message: Message) -> bool:
-        return self.mnis[mm].offer_inbound(message, self.cycle)
+        return self._mnis[mm].offer_inbound(message, self.cycle)
 
     def _pe_sink(self, pe: int, message: Message) -> bool:
         accepted = self.pnis[pe].deliver_reply(message, self.cycle)
@@ -526,11 +548,11 @@ class Ultracomputer:
         if index is None:
             network = self._copy_for_request(message)
         else:
-            network = self.networks[index]
+            network = self._networks[index]
         return network.offer_request(pe, message)
 
     def _inject_reply(self, mm: int, message: Message) -> bool:
-        return self.networks[self._copy_by_tag[message.tag]].offer_reply(
+        return self._networks[self._copy_by_tag[message.tag]].offer_reply(
             mm, message
         )
 
@@ -578,10 +600,11 @@ class Ultracomputer:
 
     def quiescent(self) -> bool:
         """No traffic anywhere and every driver is done."""
+        self.kernel.sync()
         return (
             all(driver.done() for driver in self.drivers)
-            and all(network.is_drained() for network in self.networks)
-            and all(mni.pending == 0 for mni in self.mnis)
+            and all(network.is_drained() for network in self._networks)
+            and all(mni.pending == 0 for mni in self._mnis)
             and all(not pni.outbound and pni.outstanding() == 0 for pni in self.pnis)
         )
 
@@ -594,6 +617,7 @@ class Ultracomputer:
         return self.kernel.run_cycles(n)
 
     def stats(self) -> RunResult:
+        self.kernel.sync()
         instr = self.instrumentation
         return RunResult(
             cycles=self.cycle,
@@ -603,8 +627,8 @@ class Ultracomputer:
                 sum(p.total_round_trip for p in self.pnis)
                 / max(1, sum(p.replies_received for p in self.pnis))
             ),
-            combines=sum(n.total_combines() for n in self.networks),
-            decombines=sum(n.total_decombines() for n in self.networks),
+            combines=sum(n.total_combines() for n in self._networks),
+            decombines=sum(n.total_decombines() for n in self._networks),
             memory_accesses=sum(m.accesses for m in self.memory.modules),
             idle_cycles=self.programs.total_idle_cycles,
             compute_cycles=self.programs.total_compute_cycles,

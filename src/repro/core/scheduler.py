@@ -104,6 +104,10 @@ class Kernel(Protocol):
     def run_cycles(self, n: int) -> "RunResult":
         """Advance exactly ``n`` simulated cycles."""
 
+    def sync(self) -> None:
+        """Bring the machine's object view (network, MNI and PE objects)
+        up to date; the machine's public readers call it first."""
+
 
 #: A kernel factory receives the fully wired machine and returns a
 #: :class:`Kernel` bound to it; factories run at machine construction.
@@ -160,24 +164,27 @@ class DenseKernel:
     def __init__(self, machine: "Ultracomputer") -> None:
         self.machine = machine
 
+    def sync(self) -> None:
+        """Nothing to do: this kernel runs on the objects themselves."""
+
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Execute one cycle, ticking everything (the seed semantics)."""
         m = self.machine
         cycle = m.cycle
-        for mni in m.mnis:
+        for mni in m._mnis:
             mni.tick(cycle)
-        for network in m.networks:
+        for network in m._networks:
             network.step_forward()
         for pni in m.pnis:
             pni.tick_outbound(cycle, m._inject_request)
-        for network in m.networks:
+        for network in m._networks:
             network.step_return()
-        for mni in m.mnis:
+        for mni in m._mnis:
             mni.tick_outbound(cycle, m._inject_reply)
         for driver in m.drivers:
             driver.tick(cycle)
-        for network in m.networks:
+        for network in m._networks:
             network.advance_cycle()
         m.cycle += 1
 
@@ -216,23 +223,23 @@ class EventKernel(DenseKernel):
     def step(self) -> None:
         m = self.machine
         cycle = m.cycle
-        for mni in m.mnis:
+        for mni in m._mnis:
             mni.tick(cycle)
-        for network in m.networks:
+        for network in m._networks:
             if not network.is_idle():
                 network.step_forward_sparse()
         for pni in m.pnis:
             if pni.outbound:
                 pni.tick_outbound(cycle, m._inject_request)
-        for network in m.networks:
+        for network in m._networks:
             if not network.is_idle():
                 network.step_return_sparse()
-        for mni in m.mnis:
+        for mni in m._mnis:
             if mni.outbound:
                 mni.tick_outbound(cycle, m._inject_reply)
         for driver in m.drivers:
             driver.tick(cycle)
-        for network in m.networks:
+        for network in m._networks:
             network.advance_cycle()
         m.cycle += 1
 
@@ -244,11 +251,11 @@ class EventKernel(DenseKernel):
         component will ever act again without external stimulus."""
         m = self.machine
         cycle = m.cycle
-        for network in m.networks:
+        for network in m._networks:
             if not network.is_idle():
                 return cycle  # resident messages try to move every cycle
         best: Optional[int] = None
-        for mni in m.mnis:
+        for mni in m._mnis:
             c = mni.next_event_cycle(cycle)
             if c is not None:
                 if c <= cycle:
@@ -280,9 +287,9 @@ class EventKernel(DenseKernel):
         delta = target - m.cycle
         if delta <= 0:
             return
-        for mni in m.mnis:
+        for mni in m._mnis:
             mni.fast_forward(delta)
-        for network in m.networks:
+        for network in m._networks:
             network.fast_forward(delta)
         for driver in m.drivers:
             forward = getattr(driver, "fast_forward", None)

@@ -91,6 +91,11 @@ class PNI:
         the batch kernel reads it as the PNIs holding requests, whatever
         driver issued them, and removes a PE when it drains that PNI.
         Standalone PNIs default to a private set.
+    replied:
+        Set that :meth:`deliver` adds ``pe_id`` to.  The machine
+        passes one set shared by all of its PNIs, so a driver can drain
+        the PNIs that received replies instead of polling all of them.
+        Standalone PNIs default to a private set.
     """
 
     __slots__ = (
@@ -100,6 +105,7 @@ class PNI:
         "max_outstanding",
         "_tags",
         "_ready",
+        "_replied",
         "outbound",
         "_outstanding_cells",
         "_outstanding_tags",
@@ -124,6 +130,7 @@ class PNI:
         instrumentation: Instrumentation = DISABLED,
         tag_counter: Optional[Iterator[int]] = None,
         ready: Optional[set[int]] = None,
+        replied: Optional[set[int]] = None,
     ) -> None:
         self.pe_id = pe_id
         self.topology = topology
@@ -131,6 +138,7 @@ class PNI:
         self.max_outstanding = max_outstanding
         self._tags = tag_counter if tag_counter is not None else _tag_counter
         self._ready = ready if ready is not None else set()
+        self._replied = replied if replied is not None else set()
         self.outbound: deque[Message] = deque()
         self._outstanding_cells: set[tuple[int, int]] = set()
         self._outstanding_tags: dict[int, Message] = {}
@@ -218,27 +226,31 @@ class PNI:
 
     def deliver_reply(self, message: Message, cycle: int) -> bool:
         """Accept a reply from stage 0 (the PE side always has room)."""
-        original = self._outstanding_tags.pop(message.tag, None)
+        return self.deliver(message.tag, message.value, cycle)
+
+    def deliver(self, tag: int, value: Optional[int], cycle: int) -> bool:
+        """:meth:`deliver_reply` for the reply with ``tag`` carrying
+        ``value`` (all the PE side reads of it)."""
+        original = self._outstanding_tags.pop(tag, None)
         if original is None:
             raise AssertionError(
-                f"PNI {self.pe_id} received reply with unknown tag {message.tag}"
+                f"PNI {self.pe_id} received reply with unknown tag {tag}"
             )
         self._outstanding_cells.discard((original.mm, original.offset))
         record = ReplyRecord(
-            tag=message.tag,
+            tag=tag,
             op=original.op,
-            value=message.value,
+            value=value,
             issued_cycle=original.issued_cycle,
             completed_cycle=cycle,
         )
         self.completed.append(record)
+        self._replied.add(self.pe_id)
         self.replies_received += 1
         self.total_round_trip += record.round_trip
         if self._instr_on:
             self._rtt_histogram.observe(record.round_trip)
-            self._instr.record(
-                "reply", cycle, tag=message.tag, pe=self.pe_id, value=message.value
-            )
+            self._instr.record("reply", cycle, tag=tag, pe=self.pe_id, value=value)
         return True
 
     def pop_reply(self) -> Optional[ReplyRecord]:
@@ -381,7 +393,8 @@ class MNI:
         return len(self._inbound) + (1 if self._in_service else 0) + len(self.outbound)
 
     # ------------------------------------------------------------------
-    # wake contract (event and batch kernels)
+    # wake contract (event kernel; the batch kernel keeps the MNIs in
+    # arrays and computes the same horizon there)
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle >= ``cycle`` at which :meth:`tick` or

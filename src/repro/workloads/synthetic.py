@@ -122,12 +122,21 @@ class SyntheticTrafficDriver:
                 self._issued_per_pe[pe] += 1
             else:
                 self.blocked += 1
-        for pni in self.machine.pnis:
-            while True:
-                reply = pni.pop_reply()
-                if reply is None:
-                    break
-                self.latencies.append(reply.round_trip)
+        self._collect()
+
+    def _collect(self) -> None:
+        """Pop every reply the PNIs received, in ascending-PE order: the
+        machine's replied set names the PNIs that may hold one."""
+        replied = self.machine._pni_replied
+        if not replied:
+            return
+        pnis = self.machine.pnis
+        latencies = self.latencies
+        for pe in sorted(replied):
+            completed = pnis[pe].completed
+            while completed:
+                latencies.append(completed.popleft().round_trip)
+        replied.clear()
 
     def done(self) -> bool:
         if self.spec.requests_per_pe is None:
@@ -149,12 +158,7 @@ class SyntheticTrafficDriver:
 
     # ------------------------------------------------------------------
     def stats(self) -> TrafficStats:
-        for pni in self.machine.pnis:
-            while True:
-                reply = pni.pop_reply()
-                if reply is None:
-                    break
-                self.latencies.append(reply.round_trip)
+        self._collect()
         latencies = list(self.latencies)
         issued = sum(p.requests_issued for p in self.machine.pnis)
         completed = sum(p.replies_received for p in self.machine.pnis)

@@ -1,13 +1,15 @@
 """Unit and property tests for the batch kernel's array state.
 
 The batch kernel keeps every message resident in a network copy in
-numpy arrays (its ``_MessagePlane``) and writes the switch objects back
-at each public boundary.  The correctness condition is a round-trip:
-after any number of executed cycles, the incrementally-maintained
-arrays must equal a plane rebuilt from scratch off the written-back
-objects (``_MessagePlane.resync``).  Hypothesis drives machines through
-varied sizes, workloads, and seeds and checks the round-trip at an
-arbitrary cut point.
+numpy arrays (its ``_MessagePlane``), the MNIs in arrays shared by the
+copies (its ``_MemorySide``), and writes the switch and MNI objects back
+when the machine's public readers look.  The correctness condition is a
+round-trip: after any number of executed cycles, the
+incrementally-maintained arrays must equal those rebuilt from scratch
+off the written-back objects (``BatchKernel.resync``).  Hypothesis
+drives machines through varied sizes, workloads, and seeds and checks
+the round-trip at an arbitrary cut point; the public readers are
+checked against the dense kernel's at every cut.
 """
 
 from __future__ import annotations
@@ -46,23 +48,38 @@ def _mirror_states(machine):
     return kernel._states
 
 
-def _assert_mirror_matches_rebuild(state) -> None:
-    incremental = state.export_state()
-    state.resync()
-    rebuilt = state.export_state()
-    for field in ("fwd_len", "ret_len", "fwd_busy", "ret_busy"):
-        for stage, (inc, reb) in enumerate(
-            zip(incremental[field], rebuilt[field])
-        ):
-            assert (inc == reb).all(), (
-                f"{field}[{stage}] diverged from the object state"
+def _synced_kernel(machine):
+    """The kernel, its object view written back through the machine's
+    public sync (reading ``networks``)."""
+    _mirror_states(machine)
+    machine.networks
+    return machine.kernel
+
+
+def _assert_mirror_matches_rebuild(kernel) -> None:
+    """Every plane's and the memory side's arrays equal those
+    ``resync()`` rebuilds from the written-back objects."""
+    incremental = [state.export_state() for state in kernel._states]
+    memory = kernel._memory.export_state()
+    kernel.resync()
+    for state, before in zip(kernel._states, incremental):
+        rebuilt = state.export_state()
+        for field in ("fwd_len", "ret_len", "fwd_busy", "ret_busy"):
+            for stage, (inc, reb) in enumerate(
+                zip(before[field], rebuilt[field])
+            ):
+                assert (inc == reb).all(), (
+                    f"{field}[{stage}] diverged from the object state"
+                )
+        assert before["fwd_tot"] == rebuilt["fwd_tot"]
+        assert before["ret_tot"] == rebuilt["ret_tot"]
+        for field in ("wait_occupancy", "wait_peak"):
+            assert (before[field] == rebuilt[field]).all(), (
+                f"{field} diverged from the wait buffers"
             )
-    assert incremental["fwd_tot"] == rebuilt["fwd_tot"]
-    assert incremental["ret_tot"] == rebuilt["ret_tot"]
-    for field in ("wait_occupancy", "wait_peak"):
-        assert (incremental[field] == rebuilt[field]).all(), (
-            f"{field} diverged from the wait buffers"
-        )
+    rebuilt = kernel._memory.export_state()
+    for field, value in memory.items():
+        assert value == rebuilt[field], f"MNI {field} diverged from the MNIs"
 
 
 class TestStateRoundTrip:
@@ -80,8 +97,7 @@ class TestStateRoundTrip:
         machine.spawn_many(n_pes, _program, 4, seed)
         for _ in range(cycles):
             machine.step()
-        for state in _mirror_states(machine):
-            _assert_mirror_matches_rebuild(state)
+        _assert_mirror_matches_rebuild(_synced_kernel(machine))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -102,8 +118,7 @@ class TestStateRoundTrip:
         machine.spawn_many(16, _program, 4, seed)
         for _ in range(80):
             machine.step()
-        for state in _mirror_states(machine):
-            _assert_mirror_matches_rebuild(state)
+        _assert_mirror_matches_rebuild(_synced_kernel(machine))
 
     def test_arrays_empty_after_quiescent_run(self):
         machine = Ultracomputer(MachineConfig(n_pes=16, kernel="batch"))
@@ -111,7 +126,7 @@ class TestStateRoundTrip:
         machine.run()
         for state in _mirror_states(machine):
             assert not state.has_messages()
-            _assert_mirror_matches_rebuild(state)
+        _assert_mirror_matches_rebuild(_synced_kernel(machine))
 
 
 class TestConstruction:
@@ -121,7 +136,7 @@ class TestConstruction:
 
     def test_results_match_dense_after_interleaved_steps(self):
         """Mixing step()/run_cycles()/run() must stay bit-identical —
-        the kernel flushes its array counters at every public boundary."""
+        the machine's readers write the kernel's arrays back first."""
         outcomes = []
         for kernel in ("dense", "batch"):
             machine = Ultracomputer(
@@ -186,27 +201,116 @@ class TestExactness:
 
 def _object_view(machine):
     """Every switch's wait buffers, queue contents and counters."""
+    return [_network_view(network) for network in machine.networks]
+
+
+def _network_view(network):
+    """One network copy's wait buffers, queue contents and counters."""
     view = []
-    for network in machine.networks:
-        for row in network.stages:
-            for sw in row:
-                buffers = [
-                    (list(wb._records), {
-                        tag: [(r.plan, r.new_message.tag, list(r.new_message.digits),
-                               r.new_message.op, r.new_message.combine_depth,
-                               r.stage, r.created_cycle) for r in stack]
-                        for tag, stack in wb._records.items()
-                    }, wb.occupancy, wb.peak_occupancy, wb.total_insertions)
-                    for wb in sw.wait_buffers
-                ]
-                to_mm = [[(slot.message.tag, slot.message.op,
-                           slot.message.combine_depth, slot.already_combined)
-                          for slot in q._slots] for q in sw.to_mm]
-                to_pe = [[(slot.message.tag, slot.message.value)
-                          for slot in q._slots] for q in sw.to_pe]
-                view.append((sw.stage, sw.index, buffers, to_mm, to_pe,
-                             dataclasses.astuple(sw.stats)))
+    for row in network.stages:
+        for sw in row:
+            buffers = [
+                (list(wb._records), {
+                    tag: [(r.plan, r.new_message.tag, list(r.new_message.digits),
+                           r.new_message.op, r.new_message.combine_depth,
+                           r.stage, r.created_cycle) for r in stack]
+                    for tag, stack in wb._records.items()
+                }, wb.occupancy, wb.peak_occupancy, wb.total_insertions)
+                for wb in sw.wait_buffers
+            ]
+            to_mm = [[(slot.message.tag, slot.message.op,
+                       slot.message.combine_depth, slot.already_combined)
+                      for slot in q._slots] for q in sw.to_mm]
+            to_pe = [[(slot.message.tag, slot.message.value)
+                      for slot in q._slots] for q in sw.to_pe]
+            view.append((sw.stage, sw.index, buffers, to_mm, to_pe,
+                         dataclasses.astuple(sw.stats)))
     return view
+
+
+def _message_view(message):
+    return (message.tag, message.op, list(message.digits), message.is_reply,
+            message.value, message.combine_depth, message.packets)
+
+
+def _mni_view(mnis):
+    """Every MNI's queued, in-service and outbound messages and counters."""
+    return [(
+        [(_message_view(m), ready) for m, ready in mni._inbound],
+        mni._inbound_packets,
+        None if mni._in_service is None
+        else (_message_view(mni._in_service[0]), mni._in_service[1]),
+        [_message_view(m) for m in mni.outbound],
+        mni._link_busy_until, mni.requests_served, mni.busy_cycles,
+        mni.module.accesses, mni.pending,
+    ) for mni in mnis]
+
+
+#: the machine's public readers of the object view, each read first
+#: after some step (the first read is the one that writes the view back)
+_READERS = {
+    "networks": _object_view,
+    "network": lambda machine: _network_view(machine.network),
+    "mnis": lambda machine: _mni_view(machine.mnis),
+    "stats": lambda machine: machine.stats().to_dict(),
+    "quiescent": lambda machine: machine.quiescent(),
+}
+
+
+def _read_all(machine, first):
+    """Every public reader's view, ``first`` read first."""
+    names = [first] + [name for name in _READERS if name != first]
+    return {name: _READERS[name](machine) for name in names}
+
+
+class _Probe:
+    """A driver that reads the object view in the middle of each cycle
+    (phase 6), one reader first per cycle in rotation."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.views = []
+
+    def tick(self, cycle):
+        first = list(_READERS)[cycle % len(_READERS)]
+        self.views.append(_read_all(self.machine, first))
+
+    def done(self):
+        return True
+
+
+class TestPublicReaders:
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("mni_capacity", [None, 3])
+    def test_every_reader_matches_dense_at_every_cut(self, copies, mni_capacity):
+        """After every ``step()`` each public reader sees what it sees
+        under dense; the reader that looks first rotates, so each one
+        is the one that writes the view back at some cut.  A driver
+        reading mid-cycle sees dense's view too."""
+        machines, probes = [], []
+        for kernel in ("dense", "batch"):
+            machine = Ultracomputer(MachineConfig(
+                n_pes=16, kernel=kernel, copies=copies,
+                mni_inbound_capacity_packets=mni_capacity))
+            machine.spawn_many(16, _program, 4, 11)
+            probes.append(_Probe(machine))
+            machine.attach_driver(probes[-1])
+            machines.append(machine)
+        names = list(_READERS)
+        cut = 0
+        while not machines[0].quiescent():
+            assert cut < 1000, "the workload did not finish"
+            views = []
+            for machine in machines:
+                machine.step()
+                views.append(_read_all(machine, names[cut % len(names)]))
+            for name in names:
+                assert views[0][name] == views[1][name], (
+                    f"{name} differs from dense after cycle {cut}")
+            assert probes[0].views[-1] == probes[1].views[-1], (
+                f"a mid-cycle read differs from dense in cycle {cut}")
+            cut += 1
+        assert machines[1].quiescent()
 
 
 class TestWaitBufferRoundTrip:
@@ -231,8 +335,7 @@ class TestWaitBufferRoundTrip:
                   for r in stack}
         assert len(stages) >= 4
         assert _object_view(batch) == _object_view(dense)
-        for state in _mirror_states(batch):
-            _assert_mirror_matches_rebuild(state)  # resyncs the plane
+        _assert_mirror_matches_rebuild(_synced_kernel(batch))  # resyncs
         assert batch.run().to_dict() == dense.run().to_dict()
 
 

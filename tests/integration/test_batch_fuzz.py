@@ -5,7 +5,8 @@ set of configurations.  This test lets hypothesis draw the knobs the
 batch kernel's message plane has to honour — the fabric (omega,
 hypercube or mesh), switch arity, network copies, finite switch queues,
 finite wait buffers, combining on/off, pairwise-only combining, MNI
-back-pressure, address hashing and the PNI window — and checks that ``RunResult.to_dict()``, including the
+back-pressure, memory latency, address hashing and the PNI window — and
+checks that ``RunResult.to_dict()``, including the
 instrumentation snapshot and the cycle trace, is bit-identical to the
 dense kernel's.  Two workload kinds run on each draw: closed programs
 mixing fetch-and-add, load and store on a few shared cells (combining
@@ -13,7 +14,8 @@ and decombining of every pairing) or in lockstep on one or two cells
 (the combining-heavy barrier shape), which must all run to completion,
 and open-loop hot-spot traffic that
 is offered for a while and then drained one ``step()`` at a time (the
-custom-driver path, with an object-view flush per step).
+custom-driver path, with the object view written back when the result
+is read).
 
 Machines this small send only a few messages per stage and cycle, which
 the kernel moves one at a time; each draw also picks whether to force
@@ -54,6 +56,7 @@ def configs(draw) -> dict:
         "combining": draw(st.booleans()),
         "pairwise_only": draw(st.booleans()),
         "mni_inbound_capacity_packets": draw(st.sampled_from([None, 3])),
+        "mm_latency": draw(st.sampled_from([1, 2, 5])),
         "translation": draw(st.sampled_from(["interleaved", "hashed"])),
         "max_outstanding": draw(st.sampled_from([None, 2])),
         "instrument": draw(st.booleans()),
@@ -165,7 +168,7 @@ class TestBatchKnobFuzz:
         knobs={"topology": "omega", "k": 4, "n_pes": 16, "copies": 1, "queue_capacity_packets": 4,
                "wait_buffer_capacity": None, "combining": True,
                "pairwise_only": True, "mni_inbound_capacity_packets": None,
-               "translation": "interleaved", "max_outstanding": None,
+               "mm_latency": 2, "translation": "interleaved", "max_outstanding": None,
                "instrument": False, "vectorized": True},
         seed=965,
         rate=0.1,

@@ -11,7 +11,9 @@ completion and checks the paper-level outcome — near-total combining of
 synchronized fetch-and-adds.  The
 uniform-traffic tests run the benchmark's traffic shape (Bernoulli
 offers from a custom driver, then a drain one ``step()`` at a time) and
-check that phase 3 batches that driver's requests too.
+check that phase 3 batches that driver's requests too, and that the
+memory side runs on arrays: no ``MNI`` method and no ``make_reply`` is
+called per message.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import random
 import repro.core.batch_kernel as batch_kernel
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd
+from repro.network.interfaces import MNI
+from repro.network.message import Message
 from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 
 N_PES = 1024
@@ -83,6 +87,23 @@ class TestUniformTrafficParity:
         monkeypatch.setattr(plane, "inject_requests", spy)
         batch = uniform_drained(N_PES, "batch")
         assert max(offered, default=0) >= plane.vector_min
+        assert batch == uniform_drained(N_PES, "dense")
+
+    def test_memory_side_makes_no_per_message_calls(self, monkeypatch):
+        """The MNIs are served, fed and drained on arrays: a batch run
+        calls no ``MNI.tick``, no ``MNI.offer_inbound`` and no
+        ``Message.make_reply``, and stays dense-identical."""
+        calls = collections.Counter()
+        for owner, name in ((MNI, "tick"), (MNI, "offer_inbound"),
+                            (Message, "make_reply")):
+            def spy(*args, _name=name, _real=getattr(owner, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(owner, name, spy)
+        batch = uniform_drained(N_PES, "batch")
+        monkeypatch.undo()
+        assert batch["requests_issued"] > 0
+        assert calls == {}
         assert batch == uniform_drained(N_PES, "dense")
 
     def test_instrumented_uniform_drain_identical(self):

@@ -10,8 +10,11 @@ buffers on every round.
 
 Raw cycles/sec depends on the host, so the numbers are normalised by a
 small pure-Python calibration loop (integer adds) timed in the same
-process: ``normalized = cycles_per_sec / calibration_ops_per_sec`` is a
-dimensionless host-independent figure.  Three contracts are asserted:
+process, immediately before each kernel's timed repeats:
+``normalized = cycles_per_sec / calibration_ops_per_sec`` is a
+dimensionless host-independent figure, and calibrating per kernel
+keeps a swing in the host's speed between kernels out of it.  Three
+contracts are asserted:
 
 * the kernels remain **bit-identical** on this workload;
 * the dense kernel is at least **1.5x** the pre-refactor normalised
@@ -112,7 +115,6 @@ def _run(kernel: str):
 
 
 def _measure() -> dict:
-    calibration = _calibrate()
     for kernel in KERNELS:  # warm every code path before timing
         _run(kernel)
     measured: dict = {
@@ -122,10 +124,10 @@ def _measure() -> dict:
             "gap": GAP,
             "hotspot_fraction": HOTSPOT_FRACTION,
         },
-        "calibration_ops_per_sec": round(calibration),
     }
     dicts = {}
     for kernel in KERNELS:
+        calibration = _calibrate()
         best = 0.0
         cycles = 0
         for _ in range(REPEATS):
@@ -136,6 +138,7 @@ def _measure() -> dict:
         measured[kernel] = {
             "cycles": cycles,
             "cycles_per_sec": round(best),
+            "calibration_ops_per_sec": round(calibration),
             "normalized": round(best / calibration, 6),
         }
     for kernel in KERNELS[1:]:

@@ -78,9 +78,10 @@ numpy arrays and moving a whole stage of them per vectorized step:
 * **Active-set endpoints.**  PNIs are visited only while they hold
   requests: ``PNI.issue`` adds its PE to a set the machine shares with
   the kernel, whatever driver issued, and phase 3 removes each PNI it
-  drains.  The built-in :class:`ProgramDriver` is run through a
-  vectorized shim that keeps per-PE state/compute/idle counters in
-  arrays and touches PE objects only on the cycles they act.
+  drains.  The PEs are the machine's one
+  :class:`~repro.core.machine.ProgramDriver`, as on every kernel: it
+  visits only the PEs that act in a cycle and learns of replies from
+  the set every PNI joins on delivery.
 * **Quiet-cycle fast-forward.**  Reused from the event kernel: when no
   component can act now, jump to the earliest future event and apply the
   skipped cycles' counters in closed form.
@@ -96,7 +97,6 @@ every fabric.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
@@ -113,15 +113,10 @@ from .scheduler import DenseKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.multistage import MultistageNetwork
-    from .machine import ProgramDriver, Ultracomputer, _ProgramPE
+    from .machine import Ultracomputer
     from .results import RunResult
 
 __all__ = ["BatchKernel"]
-
-# _ProgramPE states as the vectorized driver tracks them.  The numeric
-# order is arbitrary; what matters is that the categories are exclusive
-# and mirror the branch order of ProgramDriver.tick.
-_FRESH, _COMPUTING, _WAITING, _PENDING, _DONE = range(5)
 
 #: ring slots per queue before the first growth (a lane's rings double
 #: whenever one of its queues outgrows them)
@@ -1973,188 +1968,6 @@ class _MemorySide:
         return None if best == _NEVER else max(cycle, best)
 
 
-class _VectorPrograms:
-    """Vectorized executor for the machine's built-in ProgramDriver.
-
-    Per-PE state lives in arrays (state category, compute countdown,
-    accumulated idle cycles); PE objects are touched only on the cycles
-    they actually act, and per-cycle counter updates are single numpy
-    operations.  Event processing within a tick walks the acting PEs in
-    ascending ``pe_id`` order — a merge of the (sorted, disjoint)
-    category lists — so tag assignment and trace-event order match the
-    dense kernel's single ascending sweep exactly.
-
-    The ``idle``/``compute`` arrays are authoritative between flushes;
-    :meth:`flush` writes them back to the ``_ProgramPE`` objects before
-    anything reads per-PE statistics.
-    """
-
-    def __init__(self, driver: "ProgramDriver"):
-        self.driver = driver
-        self.n = -1
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        """(Re)derive arrays from the PE objects; called at construction
-        and whenever PEs were spawned since the last build."""
-        if self.n >= 0:
-            self.flush()
-        pes = self.driver.pes
-        self.n = len(pes)
-        self.state = np.full(self.n, _FRESH, dtype=np.int8)
-        self.compute = np.zeros(self.n, dtype=np.int64)
-        self.idle = np.zeros(self.n, dtype=np.int64)
-        self.pending: set[int] = set()
-        self.ready: set[int] = set()
-        self.running = 0
-        for pe in pes:
-            i = pe.pe_id
-            if not pe.running:
-                self.state[i] = _DONE
-                continue
-            self.running += 1
-            if pe.waiting_tag is not None:
-                self.state[i] = _WAITING
-                if pe.pni.completed:
-                    self.ready.add(i)
-            elif pe.compute_remaining > 0:
-                self.state[i] = _COMPUTING
-                self.compute[i] = pe.compute_remaining
-            elif pe.pending_op is not None:
-                self.state[i] = _PENDING
-                self.pending.add(i)
-            # else: fresh (the default)
-
-    def flush(self) -> None:
-        """Write accumulated array counters back to the PE objects."""
-        if self.n <= 0:
-            return
-        pes = self.driver.pes
-        dirty = np.flatnonzero(self.idle)
-        for i in dirty.tolist():
-            pes[i].idle_cycles += int(self.idle[i])
-        if dirty.size:
-            self.idle[dirty] = 0
-        for i in np.flatnonzero(self.state == _COMPUTING).tolist():
-            pes[i].compute_remaining = int(self.compute[i])
-
-    def _absorb(self, pe: "_ProgramPE") -> None:
-        """Record a PE's post-``_advance`` state into the arrays."""
-        i = pe.pe_id
-        if not pe.running:
-            self.state[i] = _DONE
-            self.running -= 1
-        elif pe.pending_op is not None:
-            self.state[i] = _PENDING
-            self.pending.add(i)
-        elif pe.compute_remaining > 0:
-            self.state[i] = _COMPUTING
-            self.compute[i] = pe.compute_remaining
-        elif pe.waiting_tag is not None:
-            self.state[i] = _WAITING
-        else:
-            self.state[i] = _FRESH
-
-    def notify_replies(self, pes: list[int]) -> None:
-        """Replies reached these PEs' PNIs (called from the kernel's
-        delivery path, dense phase 4 — visible to this cycle's tick)."""
-        if self.n <= 0:
-            return
-        state = self.state
-        for pe_id in pes:
-            if pe_id < self.n and state[pe_id] == _WAITING:
-                self.ready.add(pe_id)
-
-    # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        if len(self.driver.pes) != self.n:
-            self.rebuild()
-        if self.running == 0:
-            return
-        driver = self.driver
-        pes = driver.pes
-        state0 = self.state.copy()
-        # Closed-form counter updates for the non-acting majority.
-        comp_mask = state0 == _COMPUTING
-        if comp_mask.any():
-            self.compute[comp_mask] -= 1
-            finished = np.flatnonzero(comp_mask & (self.compute == 0)).tolist()
-        else:
-            finished = []
-        consumed = sorted(self.ready)
-        self.ready.clear()
-        waiting_idle = state0 == _WAITING
-        for i in consumed:
-            waiting_idle[i] = False
-        self.idle[waiting_idle] += 1
-        pending0 = sorted(self.pending)
-        fresh0 = np.flatnonzero(state0 == _FRESH).tolist()
-        # Acting PEs, in ascending pe_id across categories — the merge
-        # reproduces the dense kernel's single ordered sweep (issue
-        # order assigns tags; trace events follow the same order).
-        for i in heapq.merge(consumed, finished, pending0, fresh0):
-            s = state0[i]
-            pe = pes[i]
-            if s == _WAITING:
-                reply = pe.pni.pop_reply()
-                assert reply is not None and reply.tag == pe.waiting_tag
-                pe.waiting_tag = None
-                driver._advance(pe, reply.value, cycle)
-                self._absorb(pe)
-            elif s == _COMPUTING:
-                pe.compute_remaining = 0
-                driver._advance(pe, None, cycle)
-                self._absorb(pe)
-            elif s == _PENDING:
-                op = pe.pending_op
-                if pe.pni.can_issue(op):
-                    tag = pe.pni.issue(op, cycle)
-                    pe.pending_op = None
-                    pe.waiting_tag = tag
-                    pe.ops_issued += 1
-                    self.state[i] = _WAITING
-                    self.pending.discard(i)
-                else:
-                    self.idle[i] += 1
-            else:  # fresh: prime the generator
-                driver._advance(pe, None, cycle)
-                self._absorb(pe)
-
-    def done(self) -> bool:
-        if len(self.driver.pes) != self.n:
-            self.rebuild()
-        return self.running == 0
-
-    # -- wake contract (mirrors ProgramDriver's object implementation) --
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if len(self.driver.pes) != self.n:
-            self.rebuild()
-        if self.running == 0:
-            return None
-        if self.ready:
-            return cycle
-        state = self.state
-        if bool((state == _FRESH).any()):
-            return cycle
-        pes = self.driver.pes
-        for i in self.pending:
-            if pes[i].pni.can_issue(pes[i].pending_op):
-                return cycle
-        comp = self.compute[state == _COMPUTING]
-        if comp.size:
-            candidate = cycle + int(comp.min()) - 1
-            if candidate <= cycle:
-                return cycle
-            return candidate
-        return None
-
-    def fast_forward(self, delta: int) -> None:
-        state = self.state
-        idle_mask = (state == _WAITING) | (state == _PENDING)
-        self.idle[idle_mask] += delta
-        self.compute[state == _COMPUTING] -= delta
-
-
 class BatchKernel(DenseKernel):
     """Vectorized stage-stepping kernel (``MachineConfig(kernel="batch")``).
 
@@ -2172,7 +1985,6 @@ class BatchKernel(DenseKernel):
         self._built = False
         self._states: list[_MessagePlane] = []
         self._memory: Optional[_MemorySide] = None
-        self._vpes: Optional[_VectorPrograms] = None
         # PNIs with queued requests: the machine's set, which every PNI
         # joins on issue whatever driver issued.
         self._pni_out = machine._pni_ready
@@ -2188,7 +2000,6 @@ class BatchKernel(DenseKernel):
                             for copy, net in enumerate(m._networks)]
             self._memory.planes = self._states
             self.resync()
-            self._vpes = _VectorPrograms(m.programs)
             self._built = True
 
     def resync(self) -> None:
@@ -2202,12 +2013,11 @@ class BatchKernel(DenseKernel):
                              for plane, messages in zip(self._states, held)])
 
     def sync(self) -> None:
-        """Bring the object view up to date (queues, ports, switch, MNI
-        and PE counters) if a cycle ran since it last was; the machine's
+        """Bring the object view up to date (queues, ports, switch and
+        MNI counters) if a cycle ran since it last was; the machine's
         public readers call this first."""
         if not self._unsynced:
             return
-        self._vpes.flush()
         for state in self._states:
             state.flush()
         self._memory.flush()
@@ -2216,14 +2026,12 @@ class BatchKernel(DenseKernel):
     def _deliver(self, pes: list[int], tags: list[int],
                  values: list[Optional[int]]) -> None:
         """``Ultracomputer._pe_sink`` for replies given by PE, tag and
-        value (the PE side always takes them), and the program shim's
-        wake."""
+        value (the PE side always takes them)."""
         m = self.machine
         pnis, cycle, copy_by_tag = m.pnis, m.cycle, m._copy_by_tag
         for pe, tag, value in zip(pes, tags, values):
             pnis[pe].deliver(tag, value, cycle)
             copy_by_tag.pop(tag, None)
-        self._vpes.notify_replies(pes)
 
     def _inject_heads(self, cycle: int) -> None:
         """``PNI.tick_outbound`` for every PNI holding requests: the
@@ -2283,10 +2091,7 @@ class BatchKernel(DenseKernel):
         self._memory.reply(cycle)
         # 6. drivers consume replies and issue new work.
         for driver in m.drivers:
-            if driver is m.programs:
-                self._vpes.tick(cycle)
-            else:
-                driver.tick(cycle)
+            driver.tick(cycle)
         # 7. every clock advances.
         for network in m._networks:
             network.advance_cycle()
@@ -2310,11 +2115,7 @@ class BatchKernel(DenseKernel):
         for state in self._states:
             if state.has_messages():
                 return False
-        m = self.machine
-        for driver in m.drivers:
-            if not (self._vpes.done() if driver is m.programs else driver.done()):
-                return False
-        return True
+        return all(driver.done() for driver in self.machine.drivers)
 
     def _next_event_cycle(self) -> Optional[int]:
         m = self.machine
@@ -2334,13 +2135,10 @@ class BatchKernel(DenseKernel):
                 if best is None or c < best:
                     best = c
         for driver in m.drivers:
-            if driver is m.programs:
-                c = self._vpes.next_event_cycle(cycle)
-            else:
-                probe = getattr(driver, "next_event_cycle", None)
-                # No wake contract: assumed active every cycle (keeps
-                # open-loop stochastic drivers bit-identical).
-                c = cycle if probe is None else probe(cycle)
+            probe = getattr(driver, "next_event_cycle", None)
+            # No wake contract: assumed active every cycle (keeps
+            # open-loop stochastic drivers bit-identical).
+            c = cycle if probe is None else probe(cycle)
             if c is not None:
                 if c <= cycle:
                     return cycle
@@ -2358,12 +2156,9 @@ class BatchKernel(DenseKernel):
         for network in m._networks:
             network.fast_forward(delta)
         for driver in m.drivers:
-            if driver is m.programs:
-                self._vpes.fast_forward(delta)
-            else:
-                forward = getattr(driver, "fast_forward", None)
-                if forward is not None:
-                    forward(delta)
+            forward = getattr(driver, "fast_forward", None)
+            if forward is not None:
+                forward(delta)
         m.cycle = target
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ which is exactly the sense in which the paper claims the Ultracomputer
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional, Protocol
@@ -215,15 +216,21 @@ class Driver(Protocol):
     """Anything that issues work into the machine each cycle.
 
     Program PEs, synthetic traffic sources, and instrumented workload
-    replayers all implement this protocol.
+    replayers all implement this protocol.  Drivers tick in phase 6 in
+    list order; the machine's :class:`ProgramDriver` is ``drivers[0]``,
+    so attached drivers tick after it has consumed its PEs' replies.
+    A driver that consumes replies can drain the machine's shared
+    replied set (every PNI joins it on delivery) instead of polling
+    every PNI.
 
-    Drivers may additionally implement the event kernel's wake contract
-    (see :mod:`repro.core.scheduler`): ``next_event_cycle(cycle)``
-    returning the earliest cycle at which ``tick`` would do anything
-    beyond closed-form counter updates (``None`` when purely waiting on
-    in-flight traffic), and ``fast_forward(delta)`` applying those
-    counter updates for ``delta`` skipped cycles.  Drivers without the
-    contract are ticked every cycle by both kernels, so stochastic
+    Drivers may additionally implement the wake contract the event and
+    batch kernels honour (see :mod:`repro.core.scheduler`):
+    ``next_event_cycle(cycle)`` returning the earliest cycle at which
+    ``tick`` would do anything beyond closed-form counter updates
+    (``None`` when purely waiting on in-flight traffic), and
+    ``fast_forward(delta)`` applying those counter updates for
+    ``delta`` skipped cycles, now or when the counters are next read.
+    Drivers without the contract are ticked every cycle, so stochastic
     open-loop sources stay bit-identical.
     """
 
@@ -241,6 +248,8 @@ class _ProgramPE:
     This matches the conservative PE of section 3.5 before prefetching
     is enabled (an attempt to use a locked register suspends execution);
     the richer overlap model lives in :mod:`repro.pe.processor`.
+    ``idle_cycles`` and ``compute_remaining`` are current only after
+    :meth:`ProgramDriver.sync`.
     """
 
     pe_id: int
@@ -258,11 +267,45 @@ class _ProgramPE:
 
 
 class ProgramDriver:
-    """Runs generator-coroutine programs on the machine's PEs."""
+    """Runs generator-coroutine programs on the machine's PEs.
+
+    Every kernel runs the machine's PEs through this one driver, and a
+    tick visits only the PEs that act, in ascending PE order (so tags
+    and the trace follow a full sweep's order):
+
+    * newly spawned PEs, whose generators are primed;
+    * PEs holding an op, retried on ``can_issue`` every tick and
+      charged one idle cycle per refused try;
+    * computing PEs whose countdown reaches zero this cycle, kept in
+      buckets keyed by that cycle;
+    * waiting PEs whose reply arrived, found in the machine's shared
+      replied set.  The machine's own driver is ``drivers[0]``, so it
+      ticks before any attached driver; it discards from the set only
+      the PEs it consumed.
+
+    The other PEs cost nothing per cycle, so two counters are lazy: a
+    waiting PE's ``idle_cycles`` accrue from the cycle it issued, and a
+    computing PE's ``compute_remaining`` follows from its due cycle.
+    :meth:`sync` settles both; ``Ultracomputer.stats()`` calls it.  It
+    settles against the driver's own :attr:`clock` — one past its last
+    tick, advanced by :meth:`fast_forward` — because a driver that reads
+    in phase 6 of cycle ``c`` sees ``machine.cycle == c`` after this
+    driver's tick of ``c``.
+    """
 
     def __init__(self, machine: "Ultracomputer") -> None:
         self.machine = machine
         self.pes: list[_ProgramPE] = []
+        #: one past the last cycle ticked or fast-forwarded over
+        self.clock = machine.cycle
+        self._replied = machine._pni_replied
+        self._fresh: list[int] = []
+        self._pending: set[int] = set()
+        #: waiting PE -> first cycle not yet charged to its idle_cycles
+        self._waiting: dict[int, int] = {}
+        #: cycle a countdown reaches zero -> the PEs computing until then
+        self._due: dict[int, list[int]] = {}
+        self._due_cycles: list[int] = []  # heap of _due's keys
 
     def spawn(self, program_fn: ProgramFactory, *args: Any, **kwargs: Any) -> int:
         pe_id = len(self.pes)
@@ -274,6 +317,7 @@ class ProgramDriver:
         self.pes.append(
             _ProgramPE(pe_id=pe_id, program=program, pni=self.machine.pnis[pe_id])
         )
+        self._fresh.append(pe_id)
         return pe_id
 
     def spawn_many(
@@ -290,99 +334,109 @@ class ProgramDriver:
             pe.return_value = stop.value
             return
         if yielded is None:
-            pe.compute_remaining = 1
-            pe.compute_cycles += 1
+            delay = 1
         elif isinstance(yielded, Op):
             pe.pending_op = yielded
+            self._pending.add(pe.pe_id)
+            return
         elif isinstance(yielded, int):
             if yielded <= 0:
                 raise ValueError(f"PE {pe.pe_id} yielded non-positive delay")
-            pe.compute_remaining = yielded
-            pe.compute_cycles += yielded
+            delay = yielded
         else:
             raise TypeError(
                 f"PE {pe.pe_id} yielded {yielded!r}; programs must yield an "
                 "Op, None, or a positive integer delay"
             )
+        pe.compute_remaining = delay
+        pe.compute_cycles += delay
+        due = cycle + delay
+        bucket = self._due.get(due)
+        if bucket is None:
+            self._due[due] = [pe.pe_id]
+            heapq.heappush(self._due_cycles, due)
+        else:
+            bucket.append(pe.pe_id)
 
     def tick(self, cycle: int) -> None:
-        for pe in self.pes:
-            if not pe.running:
-                continue
+        self.clock = cycle + 1
+        waiting = self._waiting
+        acting: list[int] = []
+        if waiting and self._replied:
+            replied = waiting.keys() & self._replied
+            self._replied.difference_update(replied)
+            acting.extend(replied)
+        due_cycles = self._due_cycles
+        while due_cycles and due_cycles[0] <= cycle:
+            acting += self._due.pop(heapq.heappop(due_cycles))
+        acting += self._pending
+        if self._fresh:
+            acting += self._fresh
+            self._fresh = []
+        acting.sort()
+        pes = self.pes
+        for i in acting:
+            pe = pes[i]
             if pe.waiting_tag is not None:
                 reply = pe.pni.pop_reply()
                 if reply is None:
-                    pe.idle_cycles += 1
-                    continue
+                    continue  # a stale mark: a polling driver took that reply
                 assert reply.tag == pe.waiting_tag
                 pe.waiting_tag = None
+                pe.idle_cycles += cycle - waiting.pop(i)
                 self._advance(pe, reply.value, cycle)
-                continue
-            if pe.compute_remaining > 0:
-                pe.compute_remaining -= 1
-                if pe.compute_remaining == 0:
-                    self._advance(pe, None, cycle)
-                continue
-            if pe.pending_op is not None:
+            elif pe.compute_remaining > 0:
+                pe.compute_remaining = 0
+                self._advance(pe, None, cycle)
+            elif pe.pending_op is not None:
                 op = pe.pending_op
                 if pe.pni.can_issue(op):
-                    tag = pe.pni.issue(op, cycle)
+                    pe.waiting_tag = pe.pni.issue(op, cycle)
                     pe.pending_op = None
-                    pe.waiting_tag = tag
                     pe.ops_issued += 1
+                    self._pending.discard(i)
+                    waiting[i] = cycle + 1
                 else:
                     pe.idle_cycles += 1
-                continue
-            # Fresh PE: prime the generator.
-            self._advance(pe, None, cycle)
+            else:
+                # Fresh PE: prime the generator.
+                self._advance(pe, None, cycle)
 
     def done(self) -> bool:
-        return all(not pe.running for pe in self.pes)
+        return not (self._fresh or self._pending or self._waiting or self._due)
+
+    def sync(self) -> None:
+        """Settle the lazy counters (waiting PEs' ``idle_cycles``,
+        computing PEs' ``compute_remaining``) as of :attr:`clock`."""
+        clock = self.clock
+        pes = self.pes
+        for i, since in self._waiting.items():
+            pes[i].idle_cycles += clock - since
+        self._waiting = dict.fromkeys(self._waiting, clock)
+        for due, bucket in self._due.items():
+            for i in bucket:
+                pes[i].compute_remaining = due - clock + 1
 
     # -- event-kernel wake contract (see repro.core.scheduler) -----------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest cycle at which some PE does more than bump counters.
-
-        Mirrors :meth:`tick` case by case: a PE waiting on an empty
-        reply queue or blocked on ``can_issue`` only accrues
-        ``idle_cycles`` (closed form); a computing PE only burns
-        ``compute_remaining`` until the cycle its countdown reaches
-        zero; everything else — a deliverable reply, an issuable op, a
-        fresh generator — needs the real tick now.
-        """
-        nxt: Optional[int] = None
-        for pe in self.pes:
-            if not pe.running:
-                continue
-            if pe.waiting_tag is not None:
-                if pe.pni.completed:
-                    return cycle
-                continue
-            if pe.compute_remaining > 0:
-                candidate = cycle + pe.compute_remaining - 1
-                if candidate <= cycle:
-                    return cycle
-                if nxt is None or candidate < nxt:
-                    nxt = candidate
-                continue
-            if pe.pending_op is not None:
-                if pe.pni.can_issue(pe.pending_op):
-                    return cycle
-                continue
-            return cycle  # fresh PE: priming the generator is an event
-        return nxt
+        """Earliest cycle at which some PE does more than bump counters:
+        now if a PE is fresh, has its reply, or can issue its op;
+        otherwise the earliest due cycle of a computing PE."""
+        if self._fresh or not self._waiting.keys().isdisjoint(self._replied):
+            return cycle
+        pes = self.pes
+        for i in self._pending:
+            if pes[i].pni.can_issue(pes[i].pending_op):
+                return cycle
+        return self._due_cycles[0] if self._due_cycles else None
 
     def fast_forward(self, delta: int) -> None:
-        """Apply ``delta`` skipped cycles' counter updates in closed form."""
-        for pe in self.pes:
-            if not pe.running:
-                continue
-            if pe.waiting_tag is not None:
-                pe.idle_cycles += delta
-            elif pe.compute_remaining > 0:
-                pe.compute_remaining -= delta
-            elif pe.pending_op is not None:
-                pe.idle_cycles += delta
+        """Skip ``delta`` cycles: blocked PEs are charged them now,
+        waiting and computing PEs when next settled."""
+        self.clock += delta
+        pes = self.pes
+        for i in self._pending:
+            pes[i].idle_cycles += delta
 
     # -- statistics ------------------------------------------------------
     @property
@@ -618,6 +672,7 @@ class Ultracomputer:
 
     def stats(self) -> RunResult:
         self.kernel.sync()
+        self.programs.sync()
         instr = self.instrumentation
         return RunResult(
             cycles=self.cycle,

@@ -25,8 +25,9 @@ the *semantics* of a cycle from the *schedule* that executes it:
      cycle at which it could (``next_event_cycle``), jumps straight
      there, and applies the per-cycle counters the skipped cycles would
      have accumulated in closed form (``fast_forward``): waiting PEs
-     gain ``idle_cycles``, computing PEs burn ``compute_remaining``,
-     busy MNIs gain ``busy_cycles``.
+     gain ``idle_cycles``, computing PEs burn ``compute_remaining``
+     (the program driver settles both when read), busy MNIs gain
+     ``busy_cycles``.
 
 A third kernel lives in :mod:`repro.core.batch_kernel`:
 ``MachineConfig(kernel="batch")`` keeps every in-flight message in numpy
@@ -43,7 +44,11 @@ for every registered kernel: for any workload, the kernel produces a
 combines, per-PE finish times and return values, instrumentation
 snapshot, cycle trace — is bit-identical to ``kernel="dense"``.
 
-Driver wake contract (optional; see :class:`repro.core.machine.Driver`):
+Driver wake contract (optional; see :class:`repro.core.machine.Driver`),
+honoured by the event and batch kernels.  Every kernel ticks the same
+driver objects in phase 6; none has a private copy of a driver's
+state, so the one :class:`~repro.core.machine.ProgramDriver` (which
+visits only the PEs that act) runs the PEs everywhere:
 
 ``next_event_cycle(cycle) -> Optional[int]``
     The earliest cycle ``>= cycle`` at which ``tick()`` would do
@@ -54,9 +59,10 @@ Driver wake contract (optional; see :class:`repro.core.machine.Driver`):
     keeps open-loop stochastic drivers (whose RNG draws are per-cycle)
     bit-identical.
 ``fast_forward(delta) -> None``
-    Apply the counter updates ``delta`` skipped cycles would have made.
-    Only called when the driver's ``next_event_cycle`` reported no
-    activity before ``cycle + delta``.
+    Apply the counter updates ``delta`` skipped cycles would have made
+    (or defer them to when the counters are read).  Only called when
+    the driver's ``next_event_cycle`` reported no activity before
+    ``cycle + delta``.
 """
 
 from __future__ import annotations

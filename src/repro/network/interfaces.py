@@ -169,7 +169,10 @@ class PNI:
             and len(self._outstanding_tags) + len(self.outbound) >= self.max_outstanding
         ):
             return False
-        return self.translation.translate(op.address) not in self._outstanding_cells
+        # With nothing outstanding there is no conflict to find (and
+        # :meth:`issue` still translates, rejecting a bad address).
+        cells = self._outstanding_cells
+        return not cells or self.translation.translate(op.address) not in cells
 
     def issue(self, op: Op, cycle: int) -> int:
         """Assemble and enqueue a request; returns its tag.

@@ -13,7 +13,8 @@ uniform-traffic tests run the benchmark's traffic shape (Bernoulli
 offers from a custom driver, then a drain one ``step()`` at a time) and
 check that phase 3 batches that driver's requests too, and that the
 memory side runs on arrays: no ``MNI`` method and no ``make_reply`` is
-called per message.
+called per message.  A 256-PE barrier under dense checks that the
+program driver polls no waiting PE: one ``PNI.pop_reply`` per reply.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import random
 import repro.core.batch_kernel as batch_kernel
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd
-from repro.network.interfaces import MNI
+from repro.network.interfaces import MNI, PNI
 from repro.network.message import Message
 from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 
@@ -105,6 +106,24 @@ class TestUniformTrafficParity:
         assert batch["requests_issued"] > 0
         assert calls == {}
         assert batch == uniform_drained(N_PES, "dense")
+
+    def test_program_driver_visits_only_acting_pes(self, monkeypatch):
+        """The program driver polls no waiting PE: on a 256-PE F&A
+        barrier under dense it pops each delivered reply once and makes
+        no other ``PNI.pop_reply`` call."""
+        calls = collections.Counter()
+        pop_reply = PNI.pop_reply
+
+        def spy(self):
+            calls["pop_reply"] += 1
+            return pop_reply(self)
+
+        monkeypatch.setattr(PNI, "pop_reply", spy)
+        machine = Ultracomputer(MachineConfig(n_pes=256))
+        machine.spawn_many(256, barrier_rounds, 2, 20)
+        result = machine.run()
+        assert result.replies_received == 2 * 256
+        assert calls["pop_reply"] == result.replies_received
 
     def test_instrumented_uniform_drain_identical(self):
         knobs = {"instrument": True, "trace_capacity": 1 << 16}

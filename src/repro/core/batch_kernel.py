@@ -11,7 +11,10 @@ numpy arrays and moving a whole stage of them per vectorized step:
   Every (direction, stage) is a :class:`_Lane`: a ring of message ids
   per (switch, port) queue plus its length, used packets, and
   output-link ``busy_until``.  Each message id stores its packets, a
-  key of its ``(mm, offset)`` cell and its amalgam digits.  ``Message``
+  key of its ``(mm, offset)`` cell, its amalgam digits and its latest
+  forward enqueue cycle, from which every accepted forward offer (append
+  or combine, vectorized or not) adds the sending stage's delay to the
+  network's stage-delay counters.  ``Message``
   objects are made only where a PNI issues a request and on the
   per-message combining path; a reply reaches its PNI as a tag and a
   value.
@@ -156,6 +159,8 @@ _POOL = (
     # wait-buffer index ``stage * Q + queue`` of the queue it left the
     # grid by, which is where its reply re-enters
     ("ent", np.int32, 0),
+    # a request's latest forward enqueue cycle (``Message.enqueued_cycle``)
+    ("enq", np.int32, 0),
 )
 
 
@@ -344,6 +349,9 @@ class _MessagePlane:
         self.wcap = config.wait_buffer_capacity
         self.pairwise = config.pairwise_only
         self.combining = config.combining and config.wait_buffer_capacity != 0
+        # the network's stage-delay counters, kept current by every offer
+        self.delay_sum = network.stage_delay_sum
+        self.delay_count = network.stage_delay_count
         instr = network.instrumentation
         self._instr = instr
         self._instr_on = instr.enabled
@@ -425,6 +433,7 @@ class _MessagePlane:
         else:
             self.key[i], self.vk[i], self.opnd[i] = _request_fields(message)
             self.depth[i] = message.combine_depth
+            self.enq[i] = message.enqueued_cycle
         return i
 
     def _admit_many(self, messages: list["Message"]) -> Any:
@@ -690,8 +699,11 @@ class _MessagePlane:
                 if lane.forward:
                     for i in ids[self.stale[ids]].tolist():
                         self._sync(i)
-                    for i, digits in zip(ids_l, self.dig[ids].tolist()):
-                        obj[i].digits = digits
+                    for i, digits, enqueued in zip(ids_l, self.dig[ids].tolist(),
+                                                   self.enq[ids].tolist()):
+                        m = obj[i]
+                        m.digits = digits
+                        m.enqueued_cycle = enqueued
                 else:
                     lazy = ids[self.lazy[ids]]
                     if lazy.size:
@@ -862,6 +874,12 @@ class _MessagePlane:
         lane.busy[f] = cycle + packets
         lane.tot -= 1
 
+    def _count_delays(self, stage: int, ids: Any, cycle: int) -> None:
+        """Stage ``stage - 1``'s delays of the requests ``ids``, accepted
+        by ``stage`` on ``cycle`` (``MultistageNetwork.stage_delay_sum``)."""
+        self.delay_sum[stage - 1] += cycle * ids.size - int(self.enq[ids].sum())
+        self.delay_count[stage - 1] += ids.size
+
     def _offer_forward(self, lane: _Lane, sw_i: int, in_port: int, out: int,
                        i: int, cycle: int) -> bool:
         """``Switch.offer_forward`` on the plane: combine with the first
@@ -900,8 +918,12 @@ class _MessagePlane:
                 lane.used.item(q) + packets > self.cap):
             return False
         self.dig[i, stage] = in_port
+        if stage:
+            self.delay_sum[stage - 1] += cycle - self.enq.item(i)
+            self.delay_count[stage - 1] += 1
         if partner is None:
             self.comb[i] = False  # a new slot, not yet combined here
+            self.enq[i] = cycle
             self._push(lane, q, i, packets)
             if self._instr_on:
                 message = obj[i]
@@ -1298,6 +1320,8 @@ class _MessagePlane:
         plain[pick[~found | (same & ~fits)]] = True
         if go.any():
             g, h, j, wb, kind = pick[go], h[go], j[go], wb[go], kind[go]
+            if stage:
+                self._count_delays(stage, h, cycle)
             self.dig[h, stage] = t_port[g]
             self.w_dat[h] = e[go]
             self.opnd[j] = total[go]
@@ -1369,8 +1393,12 @@ class _MessagePlane:
             np.add.at(target.routed, t_sw[taken], 1)
             if target.forward:
                 moved = ids[taken]
-                self.dig[moved, target.stage] = t_port[taken]
+                stage = target.stage
+                if stage:
+                    self._count_delays(stage, moved, cycle)
+                self.dig[moved, stage] = t_port[taken]
                 self.comb[moved] = False  # new slots, not yet combined
+                self.enq[moved] = cycle
             if self._instr_on:
                 self._record_appends(target, ids[taken], post, taken, cycle)
         return taken

@@ -78,9 +78,9 @@ class MachineConfig:
     #: ring-buffer capacity of the cycle-level event trace; 0 disables
     #: tracing.  Requires ``instrument=True``.
     trace_capacity: int = 0
-    #: simulation kernel: ``"dense"`` ticks every component every cycle
-    #: (the reference semantics); ``"event"`` skips idle components and
-    #: fast-forwards globally quiet cycles; ``"batch"`` keeps every
+    #: simulation kernel: ``"dense"`` executes every cycle, visiting the
+    #: components that can act (the reference semantics); ``"event"``
+    #: also fast-forwards globally quiet cycles; ``"batch"`` keeps every
     #: in-flight message in struct-of-arrays form and moves a whole
     #: stage of them per vectorized step — the 1024–4096-PE scaling
     #: kernel (the switch and MNI objects are written back when the
@@ -645,10 +645,9 @@ class Ultracomputer:
     def step(self) -> None:
         """Execute one cycle under the configured kernel.
 
-        Both kernels produce identical per-cycle state; the event kernel
-        merely skips components that provably cannot act.  (Single-cycle
-        stepping never fast-forwards — use :meth:`run` or
-        :meth:`run_cycles` for that.)
+        Every kernel produces identical per-cycle state; each visits
+        only the components that can act.  (Single-cycle stepping never
+        fast-forwards — use :meth:`run` or :meth:`run_cycles` for that.)
         """
         self.kernel.step()
 

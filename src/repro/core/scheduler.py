@@ -7,27 +7,24 @@ wasteful: at low offered load almost all of the work is ticking
 components that provably cannot make progress.  This module separates
 the *semantics* of a cycle from the *schedule* that executes it:
 
-* :class:`DenseKernel` — the reference kernel.  Ticks everything every
-  cycle, exactly as the seed simulator did.  Its behavior is the
-  specification.
-* :class:`EventKernel` — the wake-list kernel.  Two optimizations, both
-  required to be observationally invisible:
-
-  1. **Sparse component iteration.**  Within an executed cycle, only
-     components that can possibly act are visited: switches are tracked
-     in per-stage wake sets (a switch is woken when a message is offered
-     to it and retired when it drains), and whole networks/stages with
-     no resident messages are skipped.  Skipping is safe because ticking
-     an empty component is a no-op by construction (each component
-     exposes a cheap ``is_idle()`` predicate stating exactly that).
-  2. **Quiet-cycle fast-forward.**  When no component can act *now*,
-     the kernel asks each stateful component for the earliest future
-     cycle at which it could (``next_event_cycle``), jumps straight
-     there, and applies the per-cycle counters the skipped cycles would
-     have accumulated in closed form (``fast_forward``): waiting PEs
-     gain ``idle_cycles``, computing PEs burn ``compute_remaining``
-     (the program driver settles both when read), busy MNIs gain
-     ``busy_cycles``.
+* :class:`DenseKernel` — the reference kernel.  Executes every cycle,
+  visiting only the components that can act in it — the activity mask
+  of a SIMD control unit: switches are tracked in per-stage wake sets
+  (a switch wakes when it accepts a message and drops out when a tick
+  leaves it empty) and walked in ascending index, and PNIs and MNIs
+  with nothing queued outbound are skipped.  Skipping is safe because
+  ticking an empty component is a no-op by construction.  The
+  every-component loop it replaced is kept as a test-only oracle
+  (``tests/eager_kernel.py``) that every kernel is checked against.
+* :class:`EventKernel` — dense plus **quiet-cycle fast-forward**.  When
+  no component can act *now*, the kernel asks each stateful component
+  for the earliest future cycle at which it could
+  (``next_event_cycle``), jumps straight there, and applies the
+  per-cycle counters the skipped cycles would have accumulated in
+  closed form (``fast_forward``): waiting PEs gain ``idle_cycles``,
+  computing PEs burn ``compute_remaining`` (the program driver settles
+  both when read), busy MNIs gain ``busy_cycles``.  The cycles it does
+  execute are dense's.
 
 A third kernel lives in :mod:`repro.core.batch_kernel`:
 ``MachineConfig(kernel="batch")`` keeps every in-flight message in numpy
@@ -42,7 +39,8 @@ The contract, enforced by ``tests/integration/test_kernel_equivalence.py``
 for every registered kernel: for any workload, the kernel produces a
 :class:`~repro.core.results.RunResult` whose ``to_dict()`` — cycles,
 combines, per-PE finish times and return values, instrumentation
-snapshot, cycle trace — is bit-identical to ``kernel="dense"``.
+snapshot, cycle trace — is bit-identical to the every-component loop
+(the test-only eager oracle), and so to ``kernel="dense"``.
 
 Driver wake contract (optional; see :class:`repro.core.machine.Driver`),
 honoured by the event and batch kernels.  Every kernel ticks the same
@@ -149,20 +147,25 @@ def kernel_names() -> tuple[str, ...]:
 
 
 class DenseKernel:
-    """Reference kernel: tick every component every cycle.
+    """Reference kernel: execute every cycle, visiting only the
+    components that can act in it.
 
     The phase order within a cycle is part of the machine's semantics
     (it realizes the paper's pipelining: an MNI reply injected this
     cycle is seen by the last switch stage this cycle, and so on) and is
-    identical in both kernels:
+    identical in every kernel:
 
     1. MNIs complete/start memory accesses;
-    2. requests move one hop toward memory (downstream stages first);
-    3. PNIs inject queued requests into stage 0;
-    4. replies move one hop toward the PEs;
-    5. MNIs inject queued replies into the last stage;
+    2. requests move one hop toward memory (downstream stages first,
+       each stage's awake switches in ascending index);
+    3. PNIs holding queued requests inject them into stage 0;
+    4. replies move one hop toward the PEs (awake switches only);
+    5. MNIs holding queued replies inject them into the last stage;
     6. drivers (PEs) consume replies and issue new work;
     7. every clock advances.
+
+    The components skipped in phases 2–5 hold nothing to send, so the
+    outcome is the every-component sweep's, bit for bit.
     """
 
     name = "dense"
@@ -175,7 +178,7 @@ class DenseKernel:
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Execute one cycle, ticking everything (the seed semantics)."""
+        """Execute one cycle, visiting the components that can act."""
         m = self.machine
         cycle = m.cycle
         for mni in m._mnis:
@@ -183,11 +186,13 @@ class DenseKernel:
         for network in m._networks:
             network.step_forward()
         for pni in m.pnis:
-            pni.tick_outbound(cycle, m._inject_request)
+            if pni.outbound:
+                pni.tick_outbound(cycle, m._inject_request)
         for network in m._networks:
             network.step_return()
         for mni in m._mnis:
-            mni.tick_outbound(cycle, m._inject_reply)
+            if mni.outbound:
+                mni.tick_outbound(cycle, m._inject_reply)
         for driver in m.drivers:
             driver.tick(cycle)
         for network in m._networks:
@@ -219,35 +224,9 @@ class DenseKernel:
 
 
 class EventKernel(DenseKernel):
-    """Wake-list kernel: skip idle components, fast-forward quiet cycles."""
+    """Dense's executed cycles, plus fast-forward over quiet ones."""
 
     name = "event"
-
-    # ------------------------------------------------------------------
-    # one executed cycle, visiting only awake components
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        m = self.machine
-        cycle = m.cycle
-        for mni in m._mnis:
-            mni.tick(cycle)
-        for network in m._networks:
-            if not network.is_idle():
-                network.step_forward_sparse()
-        for pni in m.pnis:
-            if pni.outbound:
-                pni.tick_outbound(cycle, m._inject_request)
-        for network in m._networks:
-            if not network.is_idle():
-                network.step_return_sparse()
-        for mni in m._mnis:
-            if mni.outbound:
-                mni.tick_outbound(cycle, m._inject_reply)
-        for driver in m.drivers:
-            driver.tick(cycle)
-        for network in m._networks:
-            network.advance_cycle()
-        m.cycle += 1
 
     # ------------------------------------------------------------------
     # event horizon

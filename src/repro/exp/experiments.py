@@ -163,17 +163,19 @@ def fig7_cross_topology(params: dict) -> dict[str, Any]:
     The paper's Figure 7 compares Omega design points (k, d); this
     experiment holds the design fixed and varies the *topology* —
     Omega, binary hypercube, 2-D mesh — running the same uniform
-    Bernoulli(p) workload through the cycle-accurate machine with
-    tracing on.  The payload pairs the observed round trip and
-    span-derived per-hop delay with the generalized hop-class
+    Bernoulli(p) workload through the cycle-accurate machine,
+    uninstrumented.  The payload pairs the observed round trip and the
+    mean per-hop switch delay with the generalized hop-class
     prediction, plus the structural facts (switches, links, crosspoint
-    chip budget) a cost-per-latency comparison needs.
+    chip budget) a cost-per-latency comparison needs.  The delay is
+    read from the networks' stage-delay counters, which count the hops
+    a traced run's spans report (``SpanSet.stage_delays``): the same
+    integer sum over the same count.
     """
     from ..analysis.packaging import topology_chip_budget
     from ..analysis.queueing import CapacityExceededError, predict_uniform_run
     from ..core.machine import MachineConfig, Ultracomputer
     from ..network.topology import make_topology
-    from ..obs.spans import reconstruct_spans
     from ..workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 
     pes = params["pes"]
@@ -184,15 +186,11 @@ def fig7_cross_topology(params: dict) -> dict[str, Any]:
     k = params.get("k", 2)
 
     topo = make_topology(topology, pes, k)
-    expected_requests = max(1, int(pes * rate * cycles))
-    trace_capacity = expected_requests * (topo.stages + 6) * 2 + 4096
     machine = Ultracomputer(MachineConfig(
         n_pes=pes,
         k=k,
         kernel=kernel,
         topology=topology,
-        instrument=True,
-        trace_capacity=trace_capacity,
     ))
     driver = SyntheticTrafficDriver(
         machine,
@@ -204,9 +202,9 @@ def fig7_cross_topology(params: dict) -> dict[str, Any]:
 
     result = machine.stats()
     traffic = driver.stats()
-    spans = reconstruct_spans(result.trace, dropped=result.trace_dropped)
-    pooled = spans.stage_delays()
-    delays = [d for stage_delays in pooled.values() for d in stage_delays]
+    networks = machine.networks
+    delay_sum = sum(sum(network.stage_delay_sum) for network in networks)
+    delay_count = sum(sum(network.stage_delay_count) for network in networks)
     observed_rate = result.requests_issued / (pes * cycles)
     try:
         prediction = predict_uniform_run(pes, k, observed_rate, topology=topo)
@@ -233,7 +231,7 @@ def fig7_cross_topology(params: dict) -> dict[str, Any]:
         "observed_mean_round_trip": result.mean_round_trip,
         "observed_max_round_trip": traffic.max_latency,
         "observed_mean_stage_delay": (
-            sum(delays) / len(delays) if delays else None
+            delay_sum / delay_count if delay_count else None
         ),
         "predicted_round_trip": predicted_round_trip,
         "predicted_switch_delay": predicted_switch_delay,

@@ -80,6 +80,10 @@ class Message:
     packets:
         Cached packet count (section 4.2 model); kept consistent by
         :meth:`replace_op` / :meth:`set_value` at the only mutation sites.
+    enqueued_cycle:
+        Cycle of the request's latest enqueue into a forward (ToMM)
+        queue; the network counts the gap to its next acceptance as that
+        stage's delay (see :class:`~repro.network.multistage.MultistageNetwork`).
     """
 
     op: Op
@@ -94,6 +98,7 @@ class Message:
     issued_cycle: int = 0
     uid: int = field(default_factory=lambda: next(_message_ids))
     packets: int = field(init=False, default=0)
+    enqueued_cycle: int = field(init=False, default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.is_reply:

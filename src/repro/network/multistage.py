@@ -25,7 +25,7 @@ network is this class built over
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..instrumentation import DISABLED, Instrumentation
 from .message import Message
@@ -94,14 +94,22 @@ class MultistageNetwork:
         self.mm_sink: Optional[Sink] = None
         self.pe_sink: Optional[Sink] = None
         self.cycle = 0
-        # Wake sets for the event kernel: per stage, the indices of
-        # switches that may hold traffic in that direction.  Maintained
-        # by both kernels (marking is cheap and keeps the sets valid if
-        # a test mixes dense stepping with sparse stepping); entries may
-        # be stale (switch already drained) — they are pruned on visit,
-        # which is safe because ticking an empty switch is a no-op.
-        self._fwd_dirty: list[set[int]] = [set() for _ in range(topology.stages)]
-        self._ret_dirty: list[set[int]] = [set() for _ in range(topology.stages)]
+        # Wake sets: per stage, the indices of the switches that hold
+        # traffic in that direction.  An accepted offer adds its switch;
+        # the step walks drop a switch once a tick leaves it empty.  A
+        # switch outside the set holds nothing, and ticking an empty
+        # switch is a no-op by construction, so walking only the set is
+        # the every-switch sweep minus its no-op visits.
+        self._fwd_awake: list[set[int]] = [set() for _ in range(topology.stages)]
+        self._ret_awake: list[set[int]] = [set() for _ in range(topology.stages)]
+        # Forward stage delays as (sum, count) per stage: a request that
+        # entered stage s's queue on cycle c and is accepted by stage
+        # s+1 (enqueued or absorbed by a combine) on cycle c' adds
+        # c' - c to stage s.  These are exactly the hops
+        # :meth:`repro.obs.spans.Span.stage_delays` reports; the stage a
+        # request leaves the grid from is never counted.
+        self.stage_delay_sum: list[int] = [0] * topology.stages
+        self.stage_delay_count: list[int] = [0] * topology.stages
         self._build_wiring()
 
     # ------------------------------------------------------------------
@@ -117,11 +125,11 @@ class MultistageNetwork:
         ``return_target`` give it (stages wired alike share one list).
         This is the network's only wiring resolution, read both here and
         by the batch kernel's message plane.  Each callback prebinds its
-        target — switch, input port, dirty-set marker or endpoint line —
+        target — switch, input port, wake-set marker or endpoint line —
         so the per-cycle hot path runs with no lookups or tuple
         unpacking.  The callbacks also mark the receiving switch's wake
         set on acceptance, which is how traffic propagates through the
-        event kernel's dirty sets.
+        wake sets, and a forward hop counts the sending stage's delay.
         """
         topo = self.topology
         arity = topo.switch_arity
@@ -144,11 +152,17 @@ class MultistageNetwork:
 
         def hop(forward: bool, target: Switch, port: int,
                 mark: Callable[[int], None], index: int) -> Deliver:
-            # Per direction: passing the method would add a cell per callback.
+            # Per direction: passing the method would add a cell per
+            # callback (so would the sending stage; it is target.stage - 1).
             if forward:
                 def deliver(msg: Message) -> bool:
-                    if target.offer_forward(port, msg, self.cycle):
+                    cycle = self.cycle
+                    if target.offer_forward(port, msg, cycle):
                         mark(index)
+                        stage = target.stage - 1
+                        self.stage_delay_sum[stage] += cycle - msg.enqueued_cycle
+                        self.stage_delay_count[stage] += 1
+                        msg.enqueued_cycle = cycle
                         return True
                     return False
             else:
@@ -171,7 +185,7 @@ class MultistageNetwork:
 
         def row(stage: int, targets: list, forward: bool) -> list[list[Deliver]]:
             step = 1 if forward else -1
-            dirty = self._fwd_dirty if forward else self._ret_dirty
+            awake = self._fwd_awake if forward else self._ret_awake
             delivers = []
             for q, target in enumerate(targets):
                 if target is None:
@@ -179,7 +193,7 @@ class MultistageNetwork:
                 elif target[0] == "switch":
                     _, index, port = target
                     delivers.append(hop(forward, self.stages[stage + step][index],
-                                        port, dirty[stage + step].add, index))
+                                        port, awake[stage + step].add, index))
                 else:
                     delivers.append(sink(forward, target[1]))
             return [delivers[q:q + arity] for q in range(0, len(delivers), arity)]
@@ -207,7 +221,8 @@ class MultistageNetwork:
         """Inject a request from PE ``pe`` into the first stage."""
         switch_index, in_port = self.topology.inject_point(pe)
         if self.stages[0][switch_index].offer_forward(in_port, message, self.cycle):
-            self._fwd_dirty[0].add(switch_index)
+            self._fwd_awake[0].add(switch_index)
+            message.enqueued_cycle = self.cycle
             return True
         return False
 
@@ -219,7 +234,7 @@ class MultistageNetwork:
             mm, message.origin
         )
         if self.stages[stage][switch_index].offer_return(mm_port, message, self.cycle):
-            self._ret_dirty[stage].add(switch_index)
+            self._ret_awake[stage].add(switch_index)
             return True
         return False
 
@@ -229,67 +244,39 @@ class MultistageNetwork:
     def step_forward(self) -> None:
         """Move requests one hop toward memory (downstream stages first,
         so a message advances at most one stage per cycle while freed
-        queue slots are reusable within the cycle — full pipelining)."""
-        if self.mm_sink is None:
-            raise RuntimeError("network endpoints not connected")
-        for stage in range(self.topology.stages - 1, -1, -1):
-            deliver_row = self._fwd_deliver[stage]
-            for switch in self.stages[stage]:
-                switch.tick_forward(self.cycle, deliver_row[switch.index])
+        queue slots are reusable within the cycle — full pipelining).
 
-    def step_return(self) -> None:
-        """Move replies one hop toward the PEs (PE-side stages first)."""
-        if self.pe_sink is None:
-            raise RuntimeError("network endpoints not connected")
-        for stage in range(self.topology.stages):
-            deliver_row = self._ret_deliver[stage]
-            for switch in self.stages[stage]:
-                switch.tick_return(self.cycle, deliver_row[switch.index])
-
-    def step_forward_sparse(self) -> None:
-        """Like :meth:`step_forward` but visit only woken switches.
-
-        Iteration is over ``sorted(dirty)`` so the offer order — which
-        decides who wins the last slot of a filling downstream queue —
-        matches the dense kernel's ascending-index sweep exactly; the
-        skipped switches hold no requests, so they could not have
-        offered anything.
+        Each stage visits only its awake switches, in ascending index:
+        the offer order, which decides who wins the last slot of a
+        filling downstream queue, is the every-switch sweep's, and the
+        switches skipped hold no requests to offer.
         """
         if self.mm_sink is None:
             raise RuntimeError("network endpoints not connected")
+        cycle = self.cycle
         for stage in range(self.topology.stages - 1, -1, -1):
-            dirty = self._fwd_dirty[stage]
-            if not dirty:
-                continue
-            row = self.stages[stage]
-            deliver_row = self._fwd_deliver[stage]
-            for index in sorted(dirty):
-                switch = row[index]
-                if switch.forward_pending() == 0:
-                    dirty.discard(index)  # stale wake
-                    continue
-                switch.tick_forward(self.cycle, deliver_row[index])
-                if switch.forward_pending() == 0:
-                    dirty.discard(index)
+            awake = self._fwd_awake[stage]
+            if awake:
+                row = self.stages[stage]
+                deliver_row = self._fwd_deliver[stage]
+                for index in sorted(awake):
+                    if not row[index].tick_forward(cycle, deliver_row[index]):
+                        awake.discard(index)
 
-    def step_return_sparse(self) -> None:
-        """Like :meth:`step_return` but visit only woken switches."""
+    def step_return(self) -> None:
+        """Move replies one hop toward the PEs (PE-side stages first),
+        visiting only the awake switches as :meth:`step_forward` does."""
         if self.pe_sink is None:
             raise RuntimeError("network endpoints not connected")
+        cycle = self.cycle
         for stage in range(self.topology.stages):
-            dirty = self._ret_dirty[stage]
-            if not dirty:
-                continue
-            row = self.stages[stage]
-            deliver_row = self._ret_deliver[stage]
-            for index in sorted(dirty):
-                switch = row[index]
-                if switch.return_pending() == 0:
-                    dirty.discard(index)  # stale wake
-                    continue
-                switch.tick_return(self.cycle, deliver_row[index])
-                if switch.return_pending() == 0:
-                    dirty.discard(index)
+            awake = self._ret_awake[stage]
+            if awake:
+                row = self.stages[stage]
+                deliver_row = self._ret_deliver[stage]
+                for index in sorted(awake):
+                    if not row[index].tick_return(cycle, deliver_row[index]):
+                        awake.discard(index)
 
     def advance_cycle(self) -> None:
         self.cycle += 1
@@ -298,14 +285,8 @@ class MultistageNetwork:
     # wake contract (event kernel)
     # ------------------------------------------------------------------
     def has_traffic(self) -> bool:
-        """True when some switch may hold a resident message.
-
-        Conservative: a stale wake entry makes this return True for at
-        most one executed cycle (the sparse step prunes it), which costs
-        time but cannot change observable behavior — executing a cycle
-        in which nothing moves is exactly what the dense kernel does.
-        """
-        return any(self._fwd_dirty) or any(self._ret_dirty)
+        """True when some switch holds a resident message."""
+        return any(self._fwd_awake) or any(self._ret_awake)
 
     def is_idle(self) -> bool:
         return not self.has_traffic()
@@ -340,3 +321,22 @@ class MultistageNetwork:
 
     def is_drained(self) -> bool:
         return self.pending_messages() == 0 and self.pending_wait_records() == 0
+
+
+def pooled_stage_delays(
+    networks: Iterable[MultistageNetwork],
+) -> dict[int, tuple[int, int]]:
+    """``stage -> (sum, count)`` of the forward stage delays of every
+    network copy, for the stages with a counted hop, in stage order —
+    the pooling :meth:`repro.obs.spans.SpanSet.stage_delays` does over
+    the spans of a traced run, without the trace."""
+    sums: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    for network in networks:
+        for stage, (total, count) in enumerate(
+            zip(network.stage_delay_sum, network.stage_delay_count)
+        ):
+            if count:
+                sums[stage] = sums.get(stage, 0) + total
+                counts[stage] = counts.get(stage, 0) + count
+    return {stage: (sums[stage], counts[stage]) for stage in sorted(counts)}

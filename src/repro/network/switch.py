@@ -269,14 +269,16 @@ class Switch:
         self.stats.requests_routed += 1
         return True
 
-    def tick_forward(self, cycle: int, delivers: Sequence[Deliver]) -> None:
-        """Try to transmit each ToMM queue head to the next stage.
+    def tick_forward(self, cycle: int, delivers: Sequence[Deliver]) -> bool:
+        """Try to transmit each ToMM queue head to the next stage;
+        returns whether the ToMM component still holds requests.
 
         ``delivers[out_port]`` is the network's prebound wiring callback
         for that output link; it returns False when the downstream queue
         is full, in which case the head stays (head-of-line blocking, as
         in the hardware).
         """
+        held = False
         out_port = 0
         for queue in self.to_mm:
             slots = queue._slots
@@ -290,7 +292,10 @@ class Switch:
                         port.messages_sent += 1
                     else:
                         self.stats.forward_blocked_cycles += 1
+                if slots:
+                    held = True
             out_port += 1
+        return held
 
     # ------------------------------------------------------------------
     # return path: replies MM side -> PE side
@@ -362,8 +367,10 @@ class Switch:
                 )
         return True
 
-    def tick_return(self, cycle: int, delivers: Sequence[Deliver]) -> None:
-        """Try to transmit each ToPE queue head toward the PE side."""
+    def tick_return(self, cycle: int, delivers: Sequence[Deliver]) -> bool:
+        """Try to transmit each ToPE queue head toward the PE side;
+        returns whether the ToPE component still holds replies."""
+        held = False
         out_port = 0
         for queue in self.to_pe:
             slots = queue._slots
@@ -377,7 +384,10 @@ class Switch:
                         port.messages_sent += 1
                     else:
                         self.stats.return_blocked_cycles += 1
+                if slots:
+                    held = True
             out_port += 1
+        return held
 
     # ------------------------------------------------------------------
     # introspection
@@ -386,20 +396,12 @@ class Switch:
         """Messages resident in this switch (both directions)."""
         return sum(len(q) for q in self.to_mm) + sum(len(q) for q in self.to_pe)
 
-    def forward_pending(self) -> int:
-        """Requests resident in the ToMM component."""
-        return sum(len(q) for q in self.to_mm)
-
-    def return_pending(self) -> int:
-        """Replies resident in the ToPE component."""
-        return sum(len(q) for q in self.to_pe)
-
     def is_idle(self) -> bool:
         """True when ticking this switch would be a no-op.
 
         Wait records are deliberately excluded: they are passive — they
         only act when a matching reply arrives, and that arrival wakes
-        the switch through the network's dirty sets.
+        the switch through the network's wake sets.
         """
         for queue in self.to_mm:
             if queue._slots:

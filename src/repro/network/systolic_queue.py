@@ -65,24 +65,6 @@ class QueueFullError(RuntimeError):
     """Raised when a message is forced into a queue lacking space."""
 
 
-@dataclass(frozen=True, slots=True)
-class QueueSample:
-    """Point-in-time view of one combining queue.
-
-    Read by :mod:`repro.obs.timeline` between ``run_cycles`` windows —
-    pure introspection over counters the queue already maintains, so
-    sampling costs the simulation hot path nothing.  ``inserted`` and
-    ``combined`` are cumulative; the timeline differences consecutive
-    samples to get per-window rates.
-    """
-
-    messages: int
-    packets: int
-    peak_packets: int
-    inserted: int
-    combined: int
-
-
 class CombiningQueue:
     """Behavioral combining FIFO with packet-granular capacity.
 
@@ -265,16 +247,6 @@ class CombiningQueue:
     def is_idle(self) -> bool:
         """True when the queue holds nothing (wake contract)."""
         return not self._slots
-
-    def sample(self) -> QueueSample:
-        """Occupancy and cumulative-throughput snapshot (timeline probe)."""
-        return QueueSample(
-            messages=len(self._slots),
-            packets=self.used_packets,
-            peak_packets=self.peak_packets,
-            inserted=self.total_inserted,
-            combined=self.total_combined,
-        )
 
     def head(self) -> Optional[Message]:
         return self._slots[0].message if self._slots else None

@@ -43,20 +43,6 @@ class WaitBufferFullError(RuntimeError):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class WaitSample:
-    """Point-in-time view of one wait buffer.
-
-    Read by :mod:`repro.obs.timeline` between ``run_cycles`` windows;
-    ``insertions`` is cumulative, differenced by the timeline into a
-    per-window combining rate.
-    """
-
-    occupancy: int
-    peak: int
-    insertions: int
-
-
 class WaitBuffer:
     """Associative store of pending decombining records.
 
@@ -111,14 +97,6 @@ class WaitBuffer:
     def occupancy(self) -> int:
         """Pending decombine records (alias of ``len()`` for sampling)."""
         return self._occupancy
-
-    def sample(self) -> WaitSample:
-        """Occupancy snapshot (timeline probe; pure introspection)."""
-        return WaitSample(
-            occupancy=self._occupancy,
-            peak=self.peak_occupancy,
-            insertions=self.total_insertions,
-        )
 
     def is_full(self) -> bool:
         return self.capacity is not None and self._occupancy >= self.capacity

@@ -4,8 +4,8 @@ The paper validated its network simulator against the Kruskal–Snir
 queueing model of section 4.1 ("our preliminary analyses and partial
 simulations have yielded encouraging results"); :func:`measure_drift`
 automates that check.  It runs uniform Bernoulli traffic through the
-cycle-accurate machine with tracing on, reconstructs per-request spans,
-and compares
+cycle-accurate machine, reads the per-stage switch delays the networks
+count (the hops per-request spans report), and compares
 
 * the observed mean switch delay at each measurable stage against
   :func:`repro.analysis.queueing.switch_delay` (at the request-sized
@@ -19,7 +19,7 @@ configurable threshold.  The model's p is taken from the *observed*
 issue rate, not the offered rate, so PNI backpressure does not read as
 model drift.
 
-The last network stage has no downstream enqueue event to pin down its
+The last network stage has no downstream enqueue to pin down its
 departure, so per-stage comparison covers stages ``0 .. D-2``; the
 round-trip comparison covers the full path including that stage.
 """
@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..analysis.queueing import predict_uniform_run
-from ..network.topology import make_topology
-from .spans import reconstruct_spans
 
 #: Default acceptable relative error — matches the VALID benchmark's
 #: low-load tolerance between the same two models.
@@ -154,24 +152,20 @@ def measure_drift(
 
     Defaults target the Figure 7 reference point: the k=2, d=1 design
     at low load (p ≈ 0.08) on a cycle-simulable 16-port network, with
-    the infinite queues the analytic study assumes.  The trace buffer
-    is sized from the expected event volume so reconstruction never hits
-    :class:`~repro.obs.spans.IncompleteTraceError` on sane parameters.
+    the infinite queues the analytic study assumes.  The machine runs
+    uninstrumented: the observed per-stage delays are the networks'
+    stage-delay counters, which count the hops the spans of a traced
+    run report (``SpanSet.stage_delays``).
     """
     from ..core.machine import MachineConfig, Ultracomputer
+    from ..network.multistage import pooled_stage_delays
     from ..workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
-
-    stages = make_topology(topology, n_pes, k).stages
-    expected_requests = max(1, int(n_pes * rate * cycles))
-    trace_capacity = expected_requests * (stages + 6) * 2 + 4096
 
     machine = Ultracomputer(MachineConfig(
         n_pes=n_pes,
         k=k,
         mm_latency=mm_latency,
         queue_capacity_packets=queue_capacity_packets,
-        instrument=True,
-        trace_capacity=trace_capacity,
         topology=topology,
     ))
     driver = SyntheticTrafficDriver(machine, TrafficSpec(rate=rate, seed=seed))
@@ -181,22 +175,19 @@ def measure_drift(
     driver.drain(cycles * 4)
 
     result = machine.stats()
-    spans = reconstruct_spans(result.trace, dropped=result.trace_dropped)
     observed_rate = result.requests_issued / (n_pes * cycles)
     prediction = predict_uniform_run(
         n_pes, k, observed_rate, mm_latency=mm_latency,
         topology=machine.topology,
     )
-    pooled = spans.stage_delays()
     stage_drifts = tuple(
         StageDrift(
             stage=stage,
-            observed_delay=sum(delays) / len(delays),
+            observed_delay=total / count,
             predicted_delay=prediction.forward_switch_delay,
-            samples=len(delays),
+            samples=count,
         )
-        for stage, delays in sorted(pooled.items())
-        if delays
+        for stage, (total, count) in pooled_stage_delays(machine.networks).items()
     )
     return DriftReport(
         n_pes=n_pes,

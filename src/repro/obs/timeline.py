@@ -2,10 +2,8 @@
 
 :func:`collect_timeline` drives an :class:`~repro.core.machine.
 Ultracomputer` in ``window``-cycle chunks and, between chunks, samples
-component state through the read-only introspection the network already
-exposes (:meth:`CombiningQueue.sample
-<repro.network.systolic_queue.CombiningQueue.sample>`, :meth:`WaitBuffer.
-sample <repro.network.wait_buffer.WaitBuffer.sample>`, the MNI busy
+component state from counters the network already maintains (each
+queue's ``used_packets``, each wait buffer's occupancy, the MNI busy
 counters).  Nothing runs inside the cycle loop, so the series costs the
 hot path nothing and works even with ``instrument=False``.
 
@@ -101,20 +99,18 @@ class Timeline:
 
 
 def _gauge_snapshot(machine: "Ultracomputer") -> tuple[list[int], list[int], int]:
-    """Per-stage forward/return packet occupancy and total wait records."""
+    """Per-stage forward/return packet occupancy and total wait records,
+    read from the counters the queues and wait buffers maintain."""
     stages = machine.network.topology.stages
     forward = [0] * stages
     ret = [0] * stages
     wait_records = 0
     for network in machine.networks:
-        for row in network.stages:
+        for stage, row in enumerate(network.stages):
             for switch in row:
-                stage = switch.stage
-                forward[stage] += sum(q.sample().packets for q in switch.to_mm)
-                ret[stage] += sum(q.sample().packets for q in switch.to_pe)
-                wait_records += sum(
-                    wb.sample().occupancy for wb in switch.wait_buffers
-                )
+                forward[stage] += sum(q.used_packets for q in switch.to_mm)
+                ret[stage] += sum(q.used_packets for q in switch.to_pe)
+                wait_records += sum(len(wb) for wb in switch.wait_buffers)
     return forward, ret, wait_records
 
 

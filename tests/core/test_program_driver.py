@@ -10,7 +10,8 @@ way on every kernel.  This module checks it instead against
 and updates every counter as it goes — the original implementation,
 kept here as a test-only oracle.
 
-Each kernel runs the new driver; dense runs the reference.  Their
+Each kernel runs the new driver; the reference runs on the eager
+kernel (``tests/eager_kernel.py``, the every-component loop).  Their
 ``stats().to_dict()`` must agree after every ``step()``, when a driver
 reads in the middle of a cycle (phase 6, after the program tick, while
 ``machine.cycle`` still names the cycle), and after a final ``run()``
@@ -23,6 +24,7 @@ import random
 from typing import Any, Optional
 
 import pytest
+from eager_kernel import EAGER, eager_kernel
 
 from repro.core.machine import MachineConfig, Ultracomputer, _ProgramPE
 from repro.core.memory_ops import FetchAdd, Load, Op
@@ -233,6 +235,12 @@ class _MidCycleReader:
         """Nothing to skip."""
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _eager_oracle():
+    with eager_kernel():
+        yield
+
+
 def _machine(kernel, max_outstanding, seed, reference=False):
     machine = Ultracomputer(MachineConfig(
         n_pes=N_PES, kernel=kernel, max_outstanding=max_outstanding))
@@ -250,7 +258,7 @@ def _machine(kernel, max_outstanding, seed, reference=False):
 @pytest.mark.parametrize("max_outstanding", [None, 1])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_matches_the_eager_driver(kernel, max_outstanding, seed):
-    reference, expected = _machine("dense", max_outstanding, seed, reference=True)
+    reference, expected = _machine(EAGER, max_outstanding, seed, reference=True)
     machine, reader = _machine(kernel, max_outstanding, seed)
     for cycle in range(STEPPED):
         if cycle == LATE_SPAWN:

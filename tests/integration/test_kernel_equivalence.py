@@ -1,20 +1,25 @@
-"""Differential regression: the optimized kernels must be invisible.
+"""Differential regression: the kernels' schedules must be invisible.
 
-``MachineConfig(kernel="event")`` and ``MachineConfig(kernel="batch")``
-are optimizations, not model changes: for any workload each must
-produce a ``RunResult`` whose ``to_dict()`` — cycles, combines, per-PE
-outcomes, the full instrumentation snapshot, and the cycle trace — is
-bit-identical to the dense reference kernel.  These tests sweep a
-seeded grid of machine sizes, traffic shapes, and cache settings and
-compare each optimized kernel against dense; any divergence is a
-kernel bug by definition.
+Every registered kernel — ``dense`` (which visits only the components
+that can act), ``event`` (dense plus quiet-cycle fast-forward) and
+``batch`` — is a schedule, not a model change: for any workload each
+must produce a ``RunResult`` whose ``to_dict()`` — cycles, combines,
+per-PE outcomes, the full instrumentation snapshot, and the cycle trace
+— is bit-identical to the every-component loop, kept as the test-only
+eager kernel (``tests/eager_kernel.py``).  These tests sweep a seeded
+grid of machine sizes, traffic shapes, and cache settings and compare
+each kernel against that oracle (the test names' "dense" is the dense
+semantics the oracle defines); any divergence is a kernel bug by
+definition.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from eager_kernel import EAGER, eager_kernel
 
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd, Load, Store
@@ -22,8 +27,14 @@ from repro.pe.cached import CachedProgramDriver
 from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 
 GRID_N_PES = [4, 16, 64]
-OPTIMIZED_KERNELS = ["event", "batch"]
+KERNELS = ["dense", "event", "batch"]
 ROUNDS = 6
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _eager_oracle():
+    with eager_kernel():
+        yield
 
 
 def hotspot_program(pe_id, rounds=ROUNDS, seed=0):
@@ -71,6 +82,13 @@ def _run_programs(n_pes: int, kernel: str, pattern: str, seed: int, **overrides)
     return machine.run().to_dict()
 
 
+@functools.lru_cache(maxsize=None)
+def _reference(runner, n_pes: int, pattern: str, seed: int, **overrides):
+    """The eager oracle's result of a grid point, run once for all the
+    kernels compared against it (callers only compare it)."""
+    return runner(n_pes, EAGER, pattern, seed, **overrides)
+
+
 def _run_cached(n_pes: int, kernel: str, pattern: str, seed: int):
     machine = _machine(n_pes, kernel)
     driver = CachedProgramDriver(machine, cache_lines=4)
@@ -87,51 +105,52 @@ def _run_cached(n_pes: int, kernel: str, pattern: str, seed: int):
     return result
 
 
-@pytest.mark.parametrize("kernel", OPTIMIZED_KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestUncachedGrid:
     @pytest.mark.parametrize("n_pes", GRID_N_PES)
     @pytest.mark.parametrize("pattern", ["hotspot", "uniform"])
     def test_identical_to_dense(self, kernel, n_pes, pattern):
-        dense = _run_programs(n_pes, "dense", pattern, seed=11)
+        dense = _reference(_run_programs, n_pes, pattern, seed=11)
         other = _run_programs(n_pes, kernel, pattern, seed=11)
         assert dense == other
 
     @pytest.mark.parametrize("n_pes", [4, 16])
     def test_identical_with_finite_queues_and_window(self, kernel, n_pes):
         kwargs = dict(queue_capacity_packets=4, max_outstanding=2)
-        dense = _run_programs(n_pes, "dense", "uniform", seed=5, **kwargs)
+        dense = _reference(_run_programs, n_pes, "uniform", seed=5, **kwargs)
         other = _run_programs(n_pes, kernel, "uniform", seed=5, **kwargs)
         assert dense == other
 
     def test_identical_across_network_copies(self, kernel):
-        dense = _run_programs(16, "dense", "hotspot", seed=9, copies=2)
+        dense = _reference(_run_programs, 16, "hotspot", seed=9, copies=2)
         other = _run_programs(16, kernel, "hotspot", seed=9, copies=2)
         assert dense == other
 
 
-@pytest.mark.parametrize("kernel", OPTIMIZED_KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestCachedGrid:
     @pytest.mark.parametrize("n_pes", GRID_N_PES)
     @pytest.mark.parametrize("pattern", ["hotspot", "uniform"])
     def test_identical_to_dense(self, kernel, n_pes, pattern):
-        dense = _run_cached(n_pes, "dense", pattern, seed=23)
+        dense = _reference(_run_cached, n_pes, pattern, seed=23)
         other = _run_cached(n_pes, kernel, pattern, seed=23)
         assert dense == other
 
 
 class TestOpenLoopTraffic:
-    """Stochastic open-loop drivers have no wake contract: the sparse
-    kernels must fall back to executing every cycle, keeping the RNG
-    draw sequence — and therefore everything downstream — identical."""
+    """Stochastic open-loop drivers have no wake contract: the
+    fast-forwarding kernels must fall back to executing every cycle,
+    keeping the RNG draw sequence — and therefore everything downstream
+    — identical."""
 
     @pytest.mark.parametrize("copies", [1, 2])
-    @pytest.mark.parametrize("kernel", OPTIMIZED_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("pattern", ["uniform", "hotspot"])
     def test_run_cycles_identical(self, kernel, pattern, copies):
         """With two copies this pins the instrumented phase-3 order:
         heads offered one at a time in PE order, across copies."""
         results = []
-        for name in ("dense", kernel):
+        for name in (EAGER, kernel):
             machine = _machine(16, name, copies=copies)
             machine.attach_driver(
                 SyntheticTrafficDriver(
@@ -150,15 +169,15 @@ class TestTimeoutParity:
 
         messages = []
         counters = []
-        for kernel in ("dense", "event", "batch"):
+        for kernel in (EAGER, "dense", "event", "batch"):
             machine = _machine(4, kernel)
             machine.spawn_many(4, stuck)
             with pytest.raises(RuntimeError) as excinfo:
                 machine.run(max_cycles=500)
             messages.append(str(excinfo.value))
             counters.append((machine.cycle, machine.stats().to_dict()))
-        assert messages[0] == messages[1] == messages[2]
-        assert counters[0] == counters[1] == counters[2]
+        assert messages[0] == messages[1] == messages[2] == messages[3]
+        assert counters[0] == counters[1] == counters[2] == counters[3]
 
 
 class TestKernelProgress:

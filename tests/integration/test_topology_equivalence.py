@@ -1,21 +1,24 @@
 """Differential regression: topologies are fabrics, kernels stay invisible.
 
-Two guarantees at once.  First, the event and batch kernels must remain
-pure optimizations on *every* fabric: for any workload on the hypercube
-or mesh, ``RunResult.to_dict()`` — cycles, combines, per-PE outcomes,
-the instrumentation snapshot, and the cycle trace — must be
-bit-identical to the dense reference kernel.  The batch runs go through
-both of its message paths: one message at a time (the default at these
-sizes) and every stage step vectorized.  Second, the machine itself
-must behave on the new fabrics: combining fires on hotspot traffic and
-fetch-and-add totals are exact.
+Two guarantees at once.  First, the dense, event and batch kernels must
+remain pure schedules on *every* fabric: for any workload on the
+hypercube or mesh, ``RunResult.to_dict()`` — cycles, combines, per-PE
+outcomes, the instrumentation snapshot, and the cycle trace — must be
+bit-identical to the every-component loop, the test-only eager kernel
+(``tests/eager_kernel.py``).  The batch runs go through both of its
+message paths: one message at a time (the default at these sizes) and
+every stage step vectorized.  Second, the machine itself must behave on
+the new fabrics: combining fires on hotspot traffic and fetch-and-add
+totals are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from eager_kernel import EAGER, eager_kernel
 
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd, Load, Store
@@ -49,9 +52,15 @@ def uniform_program(pe_id, rounds=ROUNDS, seed=0):
 PROGRAMS = {"hotspot": hotspot_program, "uniform": uniform_program}
 
 
-#: kernels checked against dense; "batch-vector" is the batch kernel
-#: with every stage step forced through its vectorized path
-KERNELS = ["event", "batch", "batch-vector"]
+#: kernels checked against the eager oracle; "batch-vector" is the
+#: batch kernel with every stage step forced through its vectorized path
+KERNELS = ["dense", "event", "batch", "batch-vector"]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _eager_oracle():
+    with eager_kernel():
+        yield
 
 
 def _run(topology, n_pes, kernel, pattern, seed, **overrides):
@@ -72,22 +81,29 @@ def _run(topology, n_pes, kernel, pattern, seed, **overrides):
     return machine.run().to_dict()
 
 
+@functools.lru_cache(maxsize=None)
+def _reference(topology, n_pes, pattern, seed, **overrides):
+    """The eager oracle's result of a grid point, run once for all the
+    kernels compared against it (callers only compare it)."""
+    return _run(topology, n_pes, EAGER, pattern, seed, **overrides)
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 class TestKernelEquivalenceOffOmega:
     @pytest.mark.parametrize("n_pes", GRID_N_PES)
     @pytest.mark.parametrize("pattern", ["hotspot", "uniform"])
     def test_event_identical_to_dense(self, topology, kernel, n_pes, pattern):
-        dense = _run(topology, n_pes, "dense", pattern, seed=11)
+        dense = _reference(topology, n_pes, pattern, seed=11)
         assert _run(topology, n_pes, kernel, pattern, seed=11) == dense
 
     def test_identical_with_finite_queues_and_window(self, topology, kernel):
         kwargs = dict(queue_capacity_packets=4, max_outstanding=2)
-        dense = _run(topology, 16, "dense", "uniform", seed=5, **kwargs)
+        dense = _reference(topology, 16, "uniform", seed=5, **kwargs)
         assert _run(topology, 16, kernel, "uniform", seed=5, **kwargs) == dense
 
     def test_identical_without_combining(self, topology, kernel):
-        dense = _run(topology, 16, "dense", "hotspot", seed=3, combining=False)
+        dense = _reference(topology, 16, "hotspot", seed=3, combining=False)
         assert _run(topology, 16, kernel, "hotspot", seed=3,
                     combining=False) == dense
 

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.analysis.queueing import predict_uniform_run, switch_delay
+from repro.core.machine import MachineConfig, Ultracomputer
+from repro.network.topology import make_topology
 from repro.obs import measure_drift
+from repro.obs.drift import DriftReport, StageDrift
+from repro.obs.spans import reconstruct_spans
+from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 
 
 class TestMeasureDrift:
@@ -52,6 +57,66 @@ class TestMeasureDrift:
         assert report.round_trip_predicted == pytest.approx(
             prediction.round_trip
         )
+
+
+def _span_path_report(*, n_pes, rate, cycles, seed, topology,
+                      queue_capacity_packets=None, k=2, mm_latency=2,
+                      threshold=0.25):
+    """``measure_drift`` as it was computed from a traced run: the
+    per-stage delays pooled from the reconstructed spans."""
+    stages = make_topology(topology, n_pes, k).stages
+    trace_capacity = max(1, int(n_pes * rate * cycles)) * (stages + 6) * 2 + 4096
+    machine = Ultracomputer(MachineConfig(
+        n_pes=n_pes, k=k, mm_latency=mm_latency,
+        queue_capacity_packets=queue_capacity_packets, instrument=True,
+        trace_capacity=trace_capacity, topology=topology,
+    ))
+    driver = SyntheticTrafficDriver(machine, TrafficSpec(rate=rate, seed=seed))
+    machine.attach_driver(driver)
+    machine.run_cycles(cycles)
+    driver.drain(cycles * 4)
+    result = machine.stats()
+    spans = reconstruct_spans(result.trace, dropped=result.trace_dropped)
+    observed_rate = result.requests_issued / (n_pes * cycles)
+    prediction = predict_uniform_run(n_pes, k, observed_rate,
+                                     mm_latency=mm_latency,
+                                     topology=machine.topology)
+    return DriftReport(
+        n_pes=n_pes, k=k, cycles=cycles, topology=topology,
+        offered_rate=rate, observed_rate=observed_rate,
+        requests=result.requests_issued,
+        stages=tuple(
+            StageDrift(stage=stage, observed_delay=sum(delays) / len(delays),
+                       predicted_delay=prediction.forward_switch_delay,
+                       samples=len(delays))
+            for stage, delays in sorted(spans.stage_delays().items())
+            if delays
+        ),
+        round_trip_observed=result.mean_round_trip,
+        round_trip_predicted=prediction.round_trip,
+        threshold=threshold,
+    )
+
+
+class TestSpanParity:
+    """The untraced report reads the networks' stage-delay counters; it
+    must equal the report the spans of a traced run give, bit for bit
+    (delays and per-stage sample counts included)."""
+
+    @pytest.mark.parametrize("topology", ["omega", "hypercube", "mesh"])
+    def test_matches_the_span_path(self, topology):
+        params = dict(n_pes=16, rate=0.15, cycles=300, seed=2, topology=topology)
+        report = measure_drift(**params)
+        traced = _span_path_report(**params)
+        assert report == traced
+        assert report.to_dict() == traced.to_dict()
+
+    def test_matches_the_span_path_with_finite_queues(self):
+        params = dict(n_pes=16, rate=0.25, cycles=300, seed=4, topology="omega",
+                      queue_capacity_packets=4)
+        report = measure_drift(**params)
+        assert report == _span_path_report(**params)
+        assert max(stage.observed_delay for stage in report.stages) > 1.0
 
 
 class TestPredictUniformRun:

@@ -25,11 +25,25 @@ numpy arrays and moving a whole stage of them per vectorized step:
   ``reply_entry``, so every registered fabric runs here.  A stage whose
   queues both eject and hop (hypercube, mesh) sends its endpoint-bound
   heads and its hopping heads as two groups.
-* **One hop per stage.**  The transmit mask ``qlen != 0 & busy <=
-  cycle`` finds every sending port of a direction at once; a stage's
-  heads are gathered, their targets computed from the wiring tables
-  and digits, and pops, pushes, link occupancy and the
-  routed/blocked counters are committed by scatter.  Offers to one
+* **One pass per direction.**  The transmit mask ``qlen != 0 & busy <=
+  cycle`` finds every sending port of a direction at once, and the
+  per-queue arrays of a direction are rows of ``(stages, queues)``
+  arrays (:class:`_Grid`).  When no offer of the step can combine,
+  decombine or be refused, every stage's heads move in one vectorized
+  pass: their targets come from the stacked wiring tables and digits,
+  and pops, pushes, link occupancy, digits, enqueue cycles and the
+  routed and stage-delay counters are committed by scatter over (stage,
+  queue).  The hazard tests are conservative — a forward offer whose
+  target queue holds a same-cell resident that is not sure to leave
+  first, or that follows an offer to that queue with the same cell; a
+  reply with a wait record at its target stage; a target queue whose
+  ``used`` before any pop plus all its incoming packets exceeds the
+  capacity — so a pass is taken only where the stage-ordered walk would
+  append every offer, and a push lands at ``head + len + rank``, the
+  same slot whether or not its queue popped first.  Exits go to their
+  endpoints stage by stage in the dense order.  Any other step, and
+  every step of an instrumented run, walks the stages in the dense
+  order: a stage's heads are gathered and offered, and offers to one
   target queue are settled in row-major (switch, port) order — the
   dense kernel's nested sweep — so who wins the last slot of a filling
   queue is preserved bit for bit.  Phase 3 offers every ready PNI head
@@ -75,9 +89,11 @@ numpy arrays and moving a whole stage of them per vectorized step:
   ``op``/``combine_depth``, port state, wait buffers, switch counters
   and MNIs, for what was touched since the previous write only — when a
   cycle has run since then and one of the machine's public readers
-  (``networks``, ``network``, ``mnis``, ``stats()``, ``quiescent()``)
-  looks.  ``step()`` itself writes nothing back; the kernel reads the
-  machine's private lists.
+  (``networks``, ``network``, ``mnis``, ``quiescent()``) looks.
+  ``step()`` itself writes nothing back; the kernel reads the machine's
+  private lists.  ``stats()`` writes nothing back either: it reads the
+  combine and decombine totals as the switch counters plus the planes'
+  pending deltas.
 * **Active-set endpoints.**  PNIs are visited only while they hold
   requests: ``PNI.issue`` adds its PE to a set the machine shares with
   the kernel, whatever driver issued, and phase 3 removes each PNI it
@@ -208,6 +224,25 @@ def _op_of(kind: int, address: int, operand: int):
     return Store(address, operand)
 
 
+def _runs(values: Any) -> Any:
+    """Which entries of the sorted array ``values`` start a run of
+    equal entries."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+def _run_bounds(first: Any) -> tuple[Any, Any]:
+    """The start and length of each run marked by ``first`` (see
+    :func:`_runs`)."""
+    starts = np.flatnonzero(first)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = first.size - starts[-1:]
+    return starts, lengths
+
+
 class _Wiring:
     """Where the queues of a lane lead (queue ``f = switch * k + port``),
     from the targets the network resolved at build.
@@ -235,8 +270,77 @@ class _Wiring:
         self.port = np.array(self.port_l, dtype=np.int64)
 
 
+class _Grid:
+    """One direction of a network copy, as arrays: row ``s`` of each
+    per-queue array is stage ``s``'s lane (see :class:`_Lane`).
+
+    ``len``/``used``/``busy``/``peak``/``head``/``ins``/``combs``/
+    ``base`` are ``(stages, queues)``, the switch counters ``routed``/
+    ``merged``/``blocked`` ``(stages, switches)``, and ``ring`` holds
+    every queue's message ids, ``(stages, queues, slots)``: the rings
+    of a direction grow together.  ``kinds``/``to``/``port`` stack the
+    lanes' wiring tables, and ``tot`` counts the messages resident in
+    the direction.  One mask over ``len`` and ``busy`` finds the
+    senders of every stage, and the one-pass step commits them by
+    scatter over (stage, queue).
+    """
+
+    __slots__ = (
+        "forward", "lanes", "len", "used", "busy", "peak", "head", "ins",
+        "combs", "base", "routed", "merged", "blocked", "ring", "slots",
+        "kinds", "to", "port", "tot",
+    )
+
+    def __init__(self, forward: bool, rows: list, wires: list) -> None:
+        stages, switches = len(rows), len(rows[0])
+        shape = (stages, wires[0].kinds.size)
+        self.forward = forward
+        for name in ("len", "used", "peak", "head", "ins", "combs", "base"):
+            setattr(self, name, np.zeros(shape, dtype=np.int32))
+        self.busy = np.zeros(shape, dtype=np.int64)
+        for name in ("routed", "merged", "blocked"):
+            setattr(self, name, np.zeros((stages, switches), dtype=np.int64))
+        self.slots = _RING_START
+        self.ring = np.zeros(shape + (_RING_START,), dtype=np.int32)
+        self.kinds = np.stack([wire.kinds for wire in wires])
+        self.to = np.stack([wire.to for wire in wires])
+        self.port = np.stack([wire.port for wire in wires])
+        self.tot = 0
+        self.lanes = [_Lane(self, s, row, wire)
+                      for s, (row, wire) in enumerate(zip(rows, wires))]
+
+    def residents(self, q: Any) -> tuple[Any, Any]:
+        """Ring rows of the flat queues ``q`` (``stage * queues +
+        queue``) from their heads, oldest first, as wide as the longest
+        (at least one slot), and which slots hold a message."""
+        slots = self.slots
+        held = self.len.reshape(-1)[q]
+        pos = np.arange(max(1, int(held.max(initial=0))))
+        rows = self.ring.reshape(-1, slots)[
+            q[:, None], (self.head.reshape(-1)[q][:, None] + pos) % slots]
+        return rows, pos < held[:, None]
+
+    def set_ring(self, ring: Any) -> None:
+        """Make ``ring`` the direction's rings, every lane's row included."""
+        self.ring = ring
+        self.slots = ring.shape[2]
+        for lane in self.lanes:
+            lane.ring = ring[lane.stage]
+            lane.slots = self.slots
+
+    def grow(self) -> None:
+        """Double every ring, unrolling each queue to start at slot 0."""
+        slots = self.slots
+        order = (self.head[..., None] + np.arange(slots)) % slots
+        ring = np.zeros(self.ring.shape[:2] + (2 * slots,), dtype=np.int32)
+        ring[..., :slots] = np.take_along_axis(self.ring, order, axis=2)
+        self.head[:] = 0
+        self.set_ring(ring)
+
+
 class _Lane:
-    """One (direction, stage) of a network copy, as arrays.
+    """One (direction, stage) of a network copy: row ``stage`` of its
+    :class:`_Grid`'s arrays.
 
     Queue ``f = switch * k + port`` (``k`` ports per switch) is the ToMM
     queue of that port for a forward lane and the ToPE queue for a
@@ -249,53 +353,32 @@ class _Lane:
     decombines) and ``base`` is each queue's length at the last flush,
     so ``base + ins - len`` messages were sent since; a queue changed
     since the last flush is one that inserted, combined or sent.
-    ``len`` and ``busy``
-    are rows of per-direction ``(stages, queues)`` arrays, so one mask
-    finds the senders of every stage.
     """
 
     __slots__ = (
-        "stage", "forward", "switches", "queues", "ports", "hist",
+        "grid", "stage", "at", "forward", "switches", "queues", "ports", "hist",
         "len", "used", "busy", "peak", "head", "ring", "slots", "ins", "combs",
-        "base", "routed", "merged", "blocked", "tot", "wire",
+        "base", "routed", "merged", "blocked", "wire",
     )
 
-    def __init__(self, stage: int, forward: bool, switches: list,
-                 wire: _Wiring, ring_slots: int, length: Any, busy: Any) -> None:
+    def __init__(self, grid: _Grid, stage: int, switches: list,
+                 wire: _Wiring) -> None:
+        self.grid = grid
         self.stage = stage
-        self.forward = forward
+        self.at = stage * grid.len.shape[1]  # flat index of queue 0
+        self.forward = grid.forward
         self.switches = switches
         self.queues = [q for sw in switches
-                       for q in (sw.to_mm if forward else sw.to_pe)]
+                       for q in (sw.to_mm if grid.forward else sw.to_pe)]
         self.ports = [p for sw in switches
-                      for p in (sw.mm_ports if forward else sw.pe_ports)]
+                      for p in (sw.mm_ports if grid.forward else sw.pe_ports)]
         self.hist = self.queues[0]._occupancy_histogram
-        n = len(self.queues)
-        self.len = length
-        self.used = np.zeros(n, dtype=np.int32)
-        self.busy = busy
-        self.peak = np.zeros(n, dtype=np.int32)
-        self.head = np.zeros(n, dtype=np.int32)
-        self.ring = np.zeros((n, ring_slots), dtype=np.int32)
-        self.slots = ring_slots
-        self.ins = np.zeros(n, dtype=np.int32)
-        self.combs = np.zeros(n, dtype=np.int32)
-        self.base = np.zeros(n, dtype=np.int32)
-        self.routed = np.zeros(len(switches), dtype=np.int64)
-        self.merged = np.zeros(len(switches), dtype=np.int64)
-        self.blocked = np.zeros(len(switches), dtype=np.int64)
-        self.tot = 0
+        for name in ("len", "used", "busy", "peak", "head", "ins", "combs",
+                     "base", "routed", "merged", "blocked"):
+            setattr(self, name, getattr(grid, name)[stage])
+        self.ring = grid.ring[stage]
+        self.slots = grid.slots
         self.wire = wire
-
-    def grow(self) -> None:
-        """Double the ring, unrolling every queue to start at slot 0."""
-        slots = self.slots
-        order = (self.head[:, None] + np.arange(slots)) % slots
-        ring = np.zeros((self.ring.shape[0], 2 * slots), dtype=np.int32)
-        ring[:, :slots] = np.take_along_axis(self.ring, order, axis=1)
-        self.ring = ring
-        self.slots = 2 * slots
-        self.head[:] = 0
 
     def contents(self, queues: Any) -> tuple[Any, Any]:
         """Message ids of ``queues``, queue by queue and oldest first,
@@ -304,16 +387,13 @@ class _Lane:
         return rows[live], self.len[queues]
 
     def residents(self, q: Any) -> tuple[Any, Any]:
-        """Ring rows of the queues ``q`` from their heads (oldest first),
-        and which slots hold a message."""
-        pos = np.arange(self.slots)
-        rows = self.ring[q[:, None], (self.head[q][:, None] + pos) % self.slots]
-        return rows, pos < self.len[q][:, None]
+        """:meth:`_Grid.residents` of this lane's queues ``q``."""
+        return self.grid.residents(self.at + q)
 
     def push_many(self, q: Any, ids: Any, packets: Any) -> None:
         """Append ``ids`` to the distinct queues ``q`` (no capacity check)."""
         while int(self.len[q].max()) >= self.slots:
-            self.grow()
+            self.grid.grow()
         held = self.len[q]
         self.ring[q, (self.head[q] + held) % self.slots] = ids
         self.len[q] = held + 1
@@ -321,15 +401,16 @@ class _Lane:
         self.used[q] = used
         self.peak[q] = np.maximum(self.peak[q], used)
         self.ins[q] += 1
-        self.tot += q.size
+        self.grid.tot += q.size
 
 
 class _MessagePlane:
     """Every message resident in one network copy, in struct-of-arrays
-    form, moved a stage at a time (see the module docstring)."""
+    form, moved a direction per pass (see the module docstring)."""
 
     #: a stage step, injection or memory-side phase with fewer heads
-    #: (or MNIs) than this moves them one at a time: below it the
+    #: (or MNIs) than this moves them one at a time, and a direction
+    #: step with fewer senders walks the stages: below it the
     #: vectorized step's fixed cost is the larger
     vector_min = 32
 
@@ -357,20 +438,17 @@ class _MessagePlane:
         self._instr_on = instr.enabled
         #: whether combining and decombining may take the vectorized path
         self.vector = self.combining and self.pairwise and not instr.enabled
-        slots = _RING_START
-        shape = (self.D, self.Q)
-        self.fwd_len, self.fwd_busy = np.zeros(shape, np.int32), np.zeros(shape, np.int64)
-        self.ret_len, self.ret_busy = np.zeros(shape, np.int32), np.zeros(shape, np.int64)
         wires: dict[int, _Wiring] = {}  # stages wired alike share a list
         for targets in network.forward_targets + network.return_targets:
             if id(targets) not in wires:
                 wires[id(targets)] = _Wiring(targets)
-        self.fwd = [_Lane(s, True, row, wires[id(network.forward_targets[s])],
-                          slots, self.fwd_len[s], self.fwd_busy[s])
-                    for s, row in enumerate(network.stages)]
-        self.ret = [_Lane(s, False, row, wires[id(network.return_targets[s])],
-                          slots, self.ret_len[s], self.ret_busy[s])
-                    for s, row in enumerate(network.stages)]
+        self.fwd_grid, self.ret_grid = (
+            _Grid(forward, network.stages,
+                  [wires[id(targets)] for targets in lists])
+            for forward, lists in ((True, network.forward_targets),
+                                   (False, network.return_targets)))
+        self.fwd = self.fwd_grid.lanes
+        self.ret = self.ret_grid.lanes
         points = [topo.inject_point(pe) for pe in range(topo.n_ports)]
         self.inject_points = points
         self.inject_sw = np.array([p[0] for p in points], dtype=np.int64)
@@ -620,19 +698,21 @@ class _MessagePlane:
                                       + int(self.wb_occ.sum()))))
         self._seq = 0
         by_tag: dict[int, int] = {}
-        for lane, held in zip(lanes, lengths):
-            lane.slots = max(lane.slots, max(held))
-            lane.ring = np.zeros((len(held), lane.slots), dtype=np.int32)
-            lane.len[:] = held
-            lane.base[:] = held
-            lane.head[:] = 0
+        for grid, held in ((self.fwd_grid, lengths[:self.D]),
+                           (self.ret_grid, lengths[self.D:])):
+            grid.set_ring(np.zeros(
+                grid.len.shape + (max([grid.slots] + [max(h) for h in held]),),
+                dtype=np.int32))
+            grid.len[:] = held
+            grid.base[:] = held
+            grid.tot = sum(map(sum, held))
+            for arr in (grid.head, grid.ins, grid.combs, grid.routed,
+                        grid.merged, grid.blocked):
+                arr[:] = 0
+        for lane in lanes:
             lane.used[:] = [q.used_packets for q in lane.queues]
             lane.peak[:] = [q.peak_packets for q in lane.queues]
             lane.busy[:] = [p.busy_until for p in lane.ports]
-            for arr in (lane.ins, lane.combs, lane.routed, lane.merged,
-                        lane.blocked):
-                arr[:] = 0
-            lane.tot = sum(held)
             for f in np.flatnonzero(lane.len).tolist():
                 for j, slot in enumerate(lane.queues[f]._slots):
                     i = self._admit(slot.message, slot.already_combined)
@@ -675,8 +755,8 @@ class _MessagePlane:
             "fwd_busy": [lane.busy.reshape(shape).copy() for lane in self.fwd],
             "ret_len": [lane.len.reshape(shape).copy() for lane in self.ret],
             "ret_busy": [lane.busy.reshape(shape).copy() for lane in self.ret],
-            "fwd_tot": [lane.tot for lane in self.fwd],
-            "ret_tot": [lane.tot for lane in self.ret],
+            "fwd_tot": self.fwd_grid.tot,
+            "ret_tot": self.ret_grid.tot,
             "wait_occupancy": self.wb_occ.reshape(self.D, self.Q).copy(),
             "wait_peak": self.wb_peak.reshape(self.D, self.Q).copy(),
         }
@@ -689,6 +769,9 @@ class _MessagePlane:
         pairwise = self.pairwise
         obj = self.obj
         for lane in self.fwd + self.ret:
+            # only a combining queue keeps a key index (a ToPE queue or
+            # a ToMM queue of a non-combining network is never searched)
+            indexed = lane.queues[0].combining
             sends = lane.base + lane.ins - lane.len
             touched = np.flatnonzero((lane.ins != 0) | (lane.combs != 0)
                                      | (sends != 0))
@@ -719,21 +802,26 @@ class _MessagePlane:
                     queue = queues[f]
                     if n:
                         end = start + n
-                        slots = deque()
-                        index: dict[tuple[int, int], list[_Slot]] = {}
-                        for i, combined in zip(ids_l[start:end],
-                                               combined_l[start:end]):
-                            m = obj[i]
-                            slot = _Slot(m, combined)
-                            slots.append(slot)
-                            if not (pairwise and combined):
-                                key = (m.mm, m.offset)
-                                if key in index:
-                                    index[key].append(slot)
-                                else:
-                                    index[key] = [slot]
+                        if indexed:
+                            slots = deque()
+                            index: dict[tuple[int, int], list[_Slot]] = {}
+                            for i, combined in zip(ids_l[start:end],
+                                                   combined_l[start:end]):
+                                m = obj[i]
+                                slot = _Slot(m, combined)
+                                slots.append(slot)
+                                if not (pairwise and combined):
+                                    key = (m.mm, m.offset)
+                                    if key in index:
+                                        index[key].append(slot)
+                                    else:
+                                        index[key] = [slot]
+                            queue._by_key = index
+                        else:
+                            slots = deque([_Slot(obj[i], combined) for i, combined
+                                           in zip(ids_l[start:end],
+                                                  combined_l[start:end])])
                         queue._slots = slots
-                        queue._by_key = index
                         start = end
                     elif queue._slots:
                         queue._slots = deque()
@@ -794,8 +882,7 @@ class _MessagePlane:
         self.wb_dirty[touched] = False
 
     def has_messages(self) -> bool:
-        return any(lane.tot for lane in self.fwd) or any(
-            lane.tot for lane in self.ret)
+        return bool(self.fwd_grid.tot or self.ret_grid.tot)
 
     # ------------------------------------------------------------------
     # injections (PNI -> stage 0, MNI -> the reply-entry stage)
@@ -854,7 +941,7 @@ class _MessagePlane:
     def _push(self, lane: _Lane, q: int, i: int, packets: int) -> None:
         n = lane.len.item(q)
         if n == lane.slots:
-            lane.grow()
+            lane.grid.grow()
         lane.ring[q, (lane.head.item(q) + n) % lane.slots] = i
         lane.len[q] = n + 1
         used = lane.used.item(q) + packets
@@ -862,7 +949,7 @@ class _MessagePlane:
         if used > lane.peak.item(q):
             lane.peak[q] = used
         lane.ins[q] = lane.ins.item(q) + 1
-        lane.tot += 1
+        lane.grid.tot += 1
         if lane.hist is not None:
             lane.hist.observe(used)
 
@@ -872,7 +959,7 @@ class _MessagePlane:
         lane.len[f] = lane.len.item(f) - 1
         lane.used[f] = lane.used.item(f) - packets
         lane.busy[f] = cycle + packets
-        lane.tot -= 1
+        lane.grid.tot -= 1
 
     def _count_delays(self, stage: int, ids: Any, cycle: int) -> None:
         """Stage ``stage - 1``'s delays of the requests ``ids``, accepted
@@ -1021,37 +1108,144 @@ class _MessagePlane:
         return True
 
     # ------------------------------------------------------------------
-    # one hop per resident message, a whole stage per step
+    # one hop per resident message: a direction in one pass, or a
+    # stage at a time
     # ------------------------------------------------------------------
     def step_forward(self, cycle: int) -> None:
         """Move requests one hop toward memory (dense phase 2), memory
         side first so each message advances at most one stage."""
-        self._step(self.fwd, self.fwd_len, self.fwd_busy, cycle)
+        self._step(self.fwd_grid, cycle)
 
     def step_return(self, cycle: int) -> None:
         """Move replies one hop toward the PEs (dense phase 4)."""
-        self._step(self.ret, self.ret_len, self.ret_busy, cycle)
+        self._step(self.ret_grid, cycle)
 
-    def _step(self, lanes: list[_Lane], length: Any, busy: Any,
-              cycle: int) -> None:
-        """Send the head of every transmitting queue of a direction, a
-        stage at a time in the dense order (queues row-major within it).
+    def _step(self, grid: _Grid, cycle: int) -> None:
+        """Send the head of every transmitting queue of a direction:
+        all stages in one pass when no offer can combine, decombine or
+        be refused (:meth:`_one_pass`), else a stage at a time
+        (:meth:`_staged`).
 
         One mask serves the whole direction: a stage's queues change
         during a step only through its own pops and through pushes from
         the stage processed after it, so its senders are fixed before
         the step starts."""
-        if not any(lane.tot for lane in lanes):
+        if not grid.tot:
             return
-        stages, queues = np.nonzero((length != 0) & (busy <= cycle))
-        bounds = np.searchsorted(stages, np.arange(self.D + 1)).tolist()
-        forward = lanes[0].forward
-        for stage in range(self.D - 1, -1, -1) if forward else range(self.D):
-            src = queues[bounds[stage]:bounds[stage + 1]]
-            if src.size:
-                nxt = stage + 1 if forward else stage - 1
-                self._move(lanes[stage], lanes[nxt] if 0 <= nxt < self.D else None,
-                           src, cycle)
+        src = np.flatnonzero((grid.len != 0) & (grid.busy <= cycle))
+        if (src.size < self.vector_min or self._instr_on
+                or not self._one_pass(grid, src, cycle)):
+            self._staged(grid, src, cycle)
+
+    def _staged(self, grid: _Grid, src: Any, cycle: int) -> None:
+        """Send the heads of ``src`` (flat ``stage * Q + queue``,
+        ascending) a stage at a time in the dense order: downstream
+        stages first, queues row-major within a stage."""
+        lanes = grid.lanes
+        forward = grid.forward
+        for stage, queues in self._by_stage(src, forward):
+            nxt = stage + 1 if forward else stage - 1
+            self._move(lanes[stage], lanes[nxt] if 0 <= nxt < self.D else None,
+                       queues, cycle)
+
+    def _by_stage(self, src: Any, forward: bool) -> Any:
+        """``(stage, queues)`` for each stage of the flat queues ``src``
+        (ascending), downstream stages first."""
+        Q, D = self.Q, self.D
+        bounds = np.searchsorted(src, np.arange(D + 1) * Q).tolist()
+        for stage in range(D - 1, -1, -1) if forward else range(D):
+            lo, hi = bounds[stage], bounds[stage + 1]
+            if lo < hi:
+                yield stage, src[lo:hi] - stage * Q
+
+    def _one_pass(self, grid: _Grid, src: Any, cycle: int) -> bool:
+        """Send the heads of ``src`` (as :meth:`_staged`) with every
+        stage's hops settled in one vectorized pass; returns False,
+        having changed nothing, when the step has a hazard.
+
+        The staged walk's outcome differs from a plain append of every
+        hop only if an offer combines, decombines or is refused, and
+        each hazard test checks a superset of what that walk would see:
+        a forward offer that may combine (:meth:`_flagged`); a reply
+        with a wait record at its target stage; a target queue whose
+        ``used`` before any pop plus every packet offered to it exceeds
+        the capacity.  With none, every hop is taken.  A push lands at
+        ``head + len + rank`` (``rank``: its place among the offers to
+        its queue in row-major order), the same slot whether or not that
+        queue popped first, and a queue's peak is its ``used`` after its
+        own pop and all its pushes, as it is in the staged order.  Exits
+        go to their endpoints stage by stage in the staged order (MNI
+        inbound rings and PNI ``completed`` deques see arrivals in that
+        order); they do not interact with the hops."""
+        Q, k, D = self.Q, self.k, self.D
+        forward = grid.forward
+        kinds = grid.kinds.reshape(-1)[src]
+        hopping = kinds == _HOP
+        hops = src[hopping]
+        n = hops.size
+        # (stage, queue) arrays and the per-id digit rows read flat
+        length, used = grid.len.reshape(-1), grid.used.reshape(-1)
+        head = grid.head.reshape(-1)
+        dig = self.dig.reshape(-1)
+        if n:
+            ids = grid.ring.reshape(-1)[hops * grid.slots + head[hops]]
+            stage = hops // Q
+            to = stage + 1 if forward else stage - 1
+            at_digit = ids * D + to
+            t_sw = grid.to.reshape(-1)[hops]
+            target = to * Q + t_sw * k + dig[at_digit]
+            # offers grouped by target queue, row-major within a group,
+            # and each one's place in its group
+            order, rank, _ = self._ranks(target)
+            grouped, rank = target[order], rank[order]
+            packets = self.pk[ids]
+            if forward:
+                if self._flagged(grid, ids, target, order, cycle) is not None:
+                    return False
+            elif self.combining and (self.link.reshape(-1)[at_digit] >= 0).any():
+                return False
+            if self.cap is not None:
+                total = np.cumsum(packets[order])
+                offered = total - (total - packets[order])[np.arange(n) - rank]
+                if (used[grouped] + offered > self.cap).any():
+                    return False
+        if n < src.size:
+            assert not (kinds == _UNUSED).any(), "routed out an unused port"
+            for s, queues in self._by_stage(src[~hopping], forward):
+                self._exit(grid.lanes[s], queues, cycle)
+        if not n:
+            return True
+        while int((length[grouped] + rank).max()) >= grid.slots:
+            grid.grow()
+        slots = grid.slots
+        slot = (head[grouped] + length[grouped] + rank) % slots
+        # the sending side: pop, occupy the link
+        head[hops] = (head[hops] + 1) % slots
+        length[hops] -= 1
+        used[hops] -= packets
+        grid.busy.reshape(-1)[hops] = cycle + packets
+        # the receiving side: push in rank order
+        grid.ring.reshape(-1)[grouped * slots + slot] = ids[order]
+        firsts, counts = _run_bounds(rank == 0)
+        queues = grouped[firsts]
+        length[queues] += counts
+        used[queues] += np.add.reduceat(packets[order], firsts)
+        peak = grid.peak.reshape(-1)
+        peak[queues] = np.maximum(peak[queues], used[queues])
+        grid.ins.reshape(-1)[queues] += counts
+        np.add.at(grid.routed.reshape(-1), to * self.S + t_sw, 1)
+        if forward:
+            dig[at_digit] = grid.port.reshape(-1)[hops]
+            self.comb[ids] = False  # new slots, not yet combined
+            # each sending stage's delays (``stage`` ascends)
+            cut, counts = _run_bounds(_runs(stage))
+            waited = np.add.reduceat(cycle - self.enq[ids].astype(np.int64), cut)
+            for s, total, count in zip(stage[cut].tolist(), waited.tolist(),
+                                       counts.tolist()):
+                self.delay_sum[s] += total
+                self.delay_count[s] += count
+            self.enq[ids] = cycle
+        return True
 
     def _move(self, lane: _Lane, target: Optional[_Lane], src: Any,
               cycle: int) -> None:
@@ -1162,7 +1356,7 @@ class _MessagePlane:
         lane.len[f] -= 1
         lane.used[f] -= p
         lane.busy[f] = cycle + p
-        lane.tot -= accepted.size
+        lane.grid.tot -= accepted.size
 
     def _hop(self, lane: _Lane, target: _Lane, src: Any, cycle: int) -> None:
         """Move the heads of the sending queues ``src`` of ``lane``
@@ -1190,10 +1384,7 @@ class _MessagePlane:
         if n < 2:
             return np.arange(n), np.zeros(n, dtype=np.int64), 1
         order = np.argsort(group, kind="stable")
-        grouped = group[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+        first = _runs(group[order])
         if first.all():
             return order, np.zeros(n, dtype=np.int64), 1
         pos = np.arange(n)
@@ -1208,11 +1399,13 @@ class _MessagePlane:
         forward = lane.forward
         offer = self._offer_forward if forward else self._offer_return
         t_sw, t_port = lane.wire.to_l, lane.wire.port_l
-        ring, head, dig = lane.ring, lane.head, self.dig
+        head, dig = lane.head, self.dig
         stage = target.stage
         k = self.k
         for f in src:
-            i = ring.item(f, head.item(f))
+            # a push into ``target`` may grow the direction's rings,
+            # this lane's included
+            i = lane.ring.item(f, head.item(f))
             if offer(target, t_sw[f], t_port[f], dig.item(i, stage), i, cycle):
                 self._pop(lane, f, self.pk.item(i), cycle)
             else:
@@ -1241,7 +1434,7 @@ class _MessagePlane:
         out = self.dig[ids, target.stage]
         tq = t_sw * self.k + out
         order, rank, ranks = self._ranks(tq)
-        flagged = self._flagged(target, ids, tq, order)
+        flagged = self._flagged(target.grid, ids, target.at + tq, order)
         if flagged is None:
             return self._append(target, ids, tq, t_sw, t_port, cycle, rank, ranks)
         n = ids.size
@@ -1266,13 +1459,20 @@ class _MessagePlane:
                              cycle)
         return np.flatnonzero(accepted)
 
-    def _flagged(self, target: _Lane, ids: Any, tq: Any,
-                 order: Any) -> Optional[Any]:
+    def _flagged(self, grid: _Grid, ids: Any, tq: Any, order: Any,
+                 cycle: Optional[int] = None) -> Optional[Any]:
         """Requests that may combine, or None if none: the target queue
-        holds an uncombined request for the same cell, or an earlier
-        offer of this step goes to the same queue with the same cell
-        (``order`` sorts the offers stably by target queue).  Cells are
-        compared by key (:func:`_cell_key`)."""
+        (``tq``: flat indices into ``grid``) holds an uncombined request
+        for the same cell, or an earlier offer of this step goes to the
+        same queue with the same cell (``order`` sorts the offers stably
+        by target queue).  Cells are compared by key (:func:`_cell_key`).
+
+        With ``cycle`` the queues are taken before any pop of a one-pass
+        step, and a head that is sure to leave first is no resident: one
+        that hops (every hop is taken when no offer of the step may
+        combine or be refused, by induction over the staged order) or
+        exits to an MNI, which takes it unless its inbound capacity is
+        finite."""
         if not self.combining:
             return None
         key = self.key[ids]
@@ -1283,12 +1483,18 @@ class _MessagePlane:
         for d in range(1, min(self.k, ids.size)):
             same = (by_queue[d:] == by_queue[:-d]) & (by_key[d:] == by_key[:-d])
             flagged[order[d:][same]] = True
-        busy = np.flatnonzero(target.len[tq])
+        busy = np.flatnonzero(grid.len.reshape(-1)[tq])
         if busy.size:
-            resident, live = target.residents(tq[busy])
+            q = tq[busy]
+            resident, live = grid.residents(q)
             hit = live & (self.key[resident] == key[busy][:, None])
             if self.pairwise:
                 hit &= ~self.comb[resident]
+            if cycle is not None:
+                leaves = grid.busy.reshape(-1)[q] <= cycle
+                if self.memory.cap is not None:
+                    leaves &= grid.kinds.reshape(-1)[q] == _HOP
+                hit[:, 0] &= ~leaves
             flagged[busy] |= hit.any(axis=1)
         return flagged if flagged.any() else None
 
@@ -1361,7 +1567,7 @@ class _MessagePlane:
         n = ids.size
         packets = self.pk[ids]
         while int(target.len[tq].max()) + ranks > target.slots:
-            target.grow()
+            target.grid.grow()
         slots = target.slots
         cap = self.cap
         accepted = np.ones(n, dtype=bool) if cap is None else np.zeros(n, dtype=bool)
@@ -1389,7 +1595,7 @@ class _MessagePlane:
         if taken.size:
             q = tq[taken]
             target.peak[q] = np.maximum(target.peak[q], target.used[q])
-            target.tot += taken.size
+            target.grid.tot += taken.size
             np.add.at(target.routed, t_sw[taken], 1)
             if target.forward:
                 moved = ids[taken]
@@ -2000,8 +2206,9 @@ class BatchKernel(DenseKernel):
     """Vectorized stage-stepping kernel (``MachineConfig(kernel="batch")``).
 
     Executes the exact dense cycle — same seven phases, same component
-    order — but moves network traffic a stage at a time in each copy's
-    :class:`_MessagePlane` and visits only endpoints that can act.  See
+    order — but moves network traffic a direction at a time in each
+    copy's :class:`_MessagePlane` and visits only endpoints that can
+    act.  See
     the module docstring for the design; bit-identity with the dense
     kernel is enforced by the differential grid.
     """
@@ -2050,6 +2257,15 @@ class BatchKernel(DenseKernel):
             state.flush()
         self._memory.flush()
         self._unsynced = False
+
+    def combine_totals(self) -> tuple[int, int]:
+        """The switch counters plus the planes' deltas not yet written
+        back."""
+        combines, decombines = super().combine_totals()
+        for state in self._states:
+            combines += int(state.fwd_grid.merged.sum())
+            decombines += int(state.ret_grid.merged.sum())
+        return combines, decombines
 
     def _deliver(self, pes: list[int], tags: list[int],
                  values: list[Optional[int]]) -> None:

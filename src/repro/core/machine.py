@@ -670,8 +670,11 @@ class Ultracomputer:
         return self.kernel.run_cycles(n)
 
     def stats(self) -> RunResult:
-        self.kernel.sync()
+        # Everything read here is current under every kernel except the
+        # switch counters, which the kernel totals without writing its
+        # object view back.
         self.programs.sync()
+        combines, decombines = self.kernel.combine_totals()
         instr = self.instrumentation
         return RunResult(
             cycles=self.cycle,
@@ -681,8 +684,8 @@ class Ultracomputer:
                 sum(p.total_round_trip for p in self.pnis)
                 / max(1, sum(p.replies_received for p in self.pnis))
             ),
-            combines=sum(n.total_combines() for n in self._networks),
-            decombines=sum(n.total_decombines() for n in self._networks),
+            combines=combines,
+            decombines=decombines,
             memory_accesses=sum(m.accesses for m in self.memory.modules),
             idle_cycles=self.programs.total_idle_cycles,
             compute_cycles=self.programs.total_compute_cycles,

@@ -112,6 +112,10 @@ class Kernel(Protocol):
         """Bring the machine's object view (network, MNI and PE objects)
         up to date; the machine's public readers call it first."""
 
+    def combine_totals(self) -> tuple[int, int]:
+        """The machine's combines and decombines so far, read without
+        writing the object view back (``Ultracomputer.stats()``)."""
+
 
 #: A kernel factory receives the fully wired machine and returns a
 #: :class:`Kernel` bound to it; factories run at machine construction.
@@ -175,6 +179,11 @@ class DenseKernel:
 
     def sync(self) -> None:
         """Nothing to do: this kernel runs on the objects themselves."""
+
+    def combine_totals(self) -> tuple[int, int]:
+        networks = self.machine._networks
+        return (sum(n.total_combines() for n in networks),
+                sum(n.total_decombines() for n in networks))
 
     # ------------------------------------------------------------------
     def step(self) -> None:

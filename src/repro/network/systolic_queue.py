@@ -95,7 +95,8 @@ class CombiningQueue:
 
     The associative search is served by a keyed-address index: a dict
     from ``(mm, offset)`` to the queued slots carrying that address, in
-    FIFO order.  :meth:`find_partner` therefore probes one key instead
+    FIFO order, kept only by a combining queue (a plain FIFO is never
+    searched).  :meth:`find_partner` therefore probes one key instead
     of scanning the whole queue — the same candidates in the same order
     as the linear scan (any earlier slot with the key precedes it in the
     per-key list too), so outcomes are identical; only the cost changes.
@@ -162,13 +163,12 @@ class CombiningQueue:
     ) -> Optional[tuple[_Slot, Combined]]:
         """Search for a queued combinable partner without committing.
 
-        ``combining`` overrides the queue's own flag for this search
+        ``combining=False`` switches the search off for this offer
         (switches disable combining stage-locally for ablations without
-        mutating shared queue state).
+        mutating shared queue state); a queue built without combining
+        keeps no index and never finds a partner.
         """
-        if combining is None:
-            combining = self.combining
-        if not combining or message.is_reply:
+        if not self.combining or combining is False or message.is_reply:
             return None
         candidates = self._by_key.get((message.mm, message.offset))
         if not candidates:
@@ -218,7 +218,8 @@ class CombiningQueue:
             )
         slot = _Slot(message=message)
         self._slots.append(slot)
-        self._by_key.setdefault((message.mm, message.offset), []).append(slot)
+        if self.combining:
+            self._by_key.setdefault((message.mm, message.offset), []).append(slot)
         self.used_packets += message.packets
         if self.used_packets > self.peak_packets:
             self.peak_packets = self.used_packets
@@ -253,7 +254,7 @@ class CombiningQueue:
 
     def pop(self) -> Message:
         slot = self._slots.popleft()
-        if not (self.pairwise_only and slot.already_combined):
+        if self.combining and not (self.pairwise_only and slot.already_combined):
             self._unindex(slot)
         self.used_packets -= slot.message.packets
         return slot.message

@@ -13,8 +13,11 @@ uniform-traffic tests run the benchmark's traffic shape (Bernoulli
 offers from a custom driver, then a drain one ``step()`` at a time) and
 check that phase 3 batches that driver's requests too, and that the
 memory side runs on arrays: no ``MNI`` method and no ``make_reply`` is
-called per message.  A 256-PE barrier under dense checks that the
-program driver polls no waiting PE: one ``PNI.pop_reply`` per reply.
+called per message; they also pin how many direction steps move in one
+pass, and check that ``stats()`` writes no plane back.  A 256-PE
+barrier under dense checks that the program driver polls no waiting
+PE: one ``PNI.pop_reply`` per reply; under batch, that its combining
+bursts walk the stages.
 """
 
 from __future__ import annotations
@@ -107,6 +110,55 @@ class TestUniformTrafficParity:
         assert calls == {}
         assert batch == uniform_drained(N_PES, "dense")
 
+    def test_uniform_drain_moves_in_one_pass(self, monkeypatch):
+        """Pinned work counts: of the drain's 124 direction steps, 37
+        find no traffic, 81 move every stage in one pass and 6 walk the
+        stages (a possible combine or a wait record), so the per-stage
+        ``_hop`` runs 7 times, where it ran 603 times when every step
+        walked the stages."""
+        plane = batch_kernel._MessagePlane
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(plane, name)
+
+            def spy(self, *args):
+                out = real(self, *args)
+                calls[name, out if name == "_one_pass" else None] += 1
+                return out
+            return spy
+
+        for name in ("_step", "_one_pass", "_staged", "_hop"):
+            monkeypatch.setattr(plane, name, counted(name))
+        uniform_drained(N_PES, "batch")
+        assert calls == {("_step", None): 124, ("_one_pass", True): 81,
+                         ("_staged", None): 6, ("_hop", None): 7}
+
+    def test_stats_writes_nothing_back(self, monkeypatch):
+        """``stats()`` totals the combines and decombines from the
+        switch counters and the planes' pending deltas: an open-loop
+        ``run_cycles`` and a ``stats()`` flush no plane, and both
+        results equal dense's."""
+        flushes = collections.Counter()
+        flush = batch_kernel._MessagePlane.flush
+
+        def spy(self):
+            flushes["flush"] += 1
+            flush(self)
+
+        monkeypatch.setattr(batch_kernel._MessagePlane, "flush", spy)
+        results = []
+        for kernel in ("batch", "dense"):
+            machine = Ultracomputer(MachineConfig(n_pes=N_PES, kernel=kernel))
+            machine.attach_driver(SyntheticTrafficDriver(machine, TrafficSpec(
+                rate=0.05, pattern="hotspot", hot_fraction=0.1, seed=5)))
+            results.append((machine.run_cycles(40).to_dict(),
+                            machine.stats().to_dict()))
+            if kernel == "batch":
+                assert flushes == {}
+        assert results[0] == results[1]
+        assert results[0][1]["combines"] > results[0][1]["decombines"] > 0
+
     def test_program_driver_visits_only_acting_pes(self, monkeypatch):
         """The program driver polls no waiting PE: on a 256-PE F&A
         barrier under dense it pops each delivered reply once and makes
@@ -171,6 +223,38 @@ class TestThousandPEBarrier:
         result = machine.run()
         assert result.combines == 2 * (N_PES - 1)
         assert calls == {}
+
+
+class TestBarrierBursts:
+    def test_combining_bursts_walk_the_stages(self, monkeypatch):
+        """On a 256-PE barrier the hazard test sends the combining
+        bursts down the stage-ordered walk: every combine and decombine
+        a direction step makes, it makes in ``_staged``."""
+        plane = batch_kernel._MessagePlane
+        merged = collections.Counter()
+        refused = collections.Counter()
+
+        def counted(name):
+            real = getattr(plane, name)
+
+            def spy(self, grid, *args):
+                before = int(grid.merged.sum())
+                out = real(self, grid, *args)
+                merged[name, grid.forward] += int(grid.merged.sum()) - before
+                if out is False:
+                    refused[grid.forward] += 1
+                return out
+            return spy
+
+        for name in ("_one_pass", "_staged"):
+            monkeypatch.setattr(plane, name, counted(name))
+        machine = Ultracomputer(MachineConfig(n_pes=256, kernel="batch"))
+        machine.spawn_many(256, barrier_rounds, 2, 20)
+        result = machine.run()
+        assert result.combines == 2 * 255
+        assert refused[True] > 0 and refused[False] > 0
+        assert merged["_one_pass", True] == merged["_one_pass", False] == 0
+        assert merged["_staged", True] > 0 and merged["_staged", False] > 0
 
 
 class TestThousandPECompletion:

@@ -488,11 +488,16 @@ class Ultracomputer:
         self.translation: AddressTranslation = make_translation(
             config.translation, config.n_pes, config.words_per_module
         )
+        # MM indices whose MNI holds inbound or in-service work: an MNI
+        # adds itself on accepting a request, and the dense kernel drops
+        # one when its tick leaves it empty.
+        self._mni_busy: set[int] = set()
         self._mnis = [
             MNI(
                 module,
                 inbound_capacity_packets=config.mni_inbound_capacity_packets,
                 instrumentation=self.instrumentation,
+                busy=self._mni_busy,
             )
             for module in self.memory.modules
         ]

@@ -11,7 +11,8 @@ the *semantics* of a cycle from the *schedule* that executes it:
   visiting only the components that can act in it — the activity mask
   of a SIMD control unit: switches are tracked in per-stage wake sets
   (a switch wakes when it accepts a message and drops out when a tick
-  leaves it empty) and walked in ascending index, and PNIs and MNIs
+  leaves it empty) and walked in ascending index, MNIs are ticked
+  only while they hold inbound or in-service work, and PNIs and MNIs
   with nothing queued outbound are skipped.  Skipping is safe because
   ticking an empty component is a no-op by construction.  The
   every-component loop it replaced is kept as a test-only oracle
@@ -159,7 +160,8 @@ class DenseKernel:
     cycle is seen by the last switch stage this cycle, and so on) and is
     identical in every kernel:
 
-    1. MNIs complete/start memory accesses;
+    1. MNIs holding inbound or in-service work complete/start memory
+       accesses (ascending MM index);
     2. requests move one hop toward memory (downstream stages first,
        each stage's awake switches in ascending index);
     3. PNIs holding queued requests inject them into stage 0;
@@ -168,7 +170,7 @@ class DenseKernel:
     6. drivers (PEs) consume replies and issue new work;
     7. every clock advances.
 
-    The components skipped in phases 2–5 hold nothing to send, so the
+    The components skipped in phases 1–5 hold nothing to act on, so the
     outcome is the every-component sweep's, bit for bit.
     """
 
@@ -190,8 +192,10 @@ class DenseKernel:
         """Execute one cycle, visiting the components that can act."""
         m = self.machine
         cycle = m.cycle
-        for mni in m._mnis:
-            mni.tick(cycle)
+        busy = m._mni_busy
+        for mm in sorted(busy):
+            if not m._mnis[mm].tick(cycle):
+                busy.discard(mm)
         for network in m._networks:
             network.step_forward()
         for pni in m.pnis:

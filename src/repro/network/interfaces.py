@@ -289,11 +289,16 @@ class MNI:
     operation atomically at the module — this is where the paper's MNI
     adder performs the fetch-and-add — and disassembles replies back
     into the network.
+
+    ``busy`` is the set :meth:`offer_inbound` adds the module index to;
+    the machine shares one among its MNIs, so the dense kernel ticks only
+    those with work.  Standalone MNIs default to a private set.
     """
 
     __slots__ = (
         "module",
         "inbound_capacity_packets",
+        "_busy",
         "_inbound",
         "_inbound_packets",
         "_in_service",
@@ -312,9 +317,11 @@ class MNI:
         *,
         inbound_capacity_packets: Optional[int] = None,
         instrumentation: Instrumentation = DISABLED,
+        busy: Optional[set[int]] = None,
     ) -> None:
         self.module = module
         self.inbound_capacity_packets = inbound_capacity_packets
+        self._busy = busy if busy is not None else set()
         self._inbound: deque[tuple[Message, int]] = deque()  # (message, ready cycle)
         self._inbound_packets = 0
         self._in_service: Optional[tuple[Message, int]] = None  # (message, done cycle)
@@ -347,6 +354,7 @@ class MNI:
         ready = cycle + max(0, message.packets - 1)
         self._inbound.append((message, ready))
         self._inbound_packets += message.packets
+        self._busy.add(self.module.index)
         if self._instr_on:
             self._inbound_histogram.observe(self._inbound_packets)
         return True
@@ -354,10 +362,11 @@ class MNI:
     # ------------------------------------------------------------------
     # service
     # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        """Complete / start one memory access (serial server)."""
+    def tick(self, cycle: int) -> bool:
+        """Complete / start one memory access (serial server); returns
+        whether inbound or in-service work remains."""
         if self._in_service is None and not self._inbound:
-            return  # nothing in service, nothing assembling: a true no-op
+            return False  # nothing in service, nothing assembling: a true no-op
         if self._in_service is not None:
             message, done = self._in_service
             if cycle >= done:
@@ -381,6 +390,8 @@ class MNI:
 
         if self._in_service is not None:
             self.busy_cycles += 1
+            return True
+        return bool(self._inbound)
 
     def tick_outbound(self, cycle: int, inject: Callable[[int, Message], bool]) -> None:
         """Push the head reply back into the last network stage."""

@@ -2,9 +2,10 @@
 
 Assembles the stage grid a :class:`~repro.network.topology.Topology`
 describes out of :class:`~repro.network.switch.Switch` instances and
-wires it with prebound delivery callables — the generic form of the
-Omega assembly (section 3.1), achieving the paper's design objectives
-wherever the geometry allows:
+wires it with one table of resolved targets per direction — static
+wiring held as data, the generic form of the Omega assembly (section
+3.1) — achieving the paper's design objectives wherever the geometry
+allows:
 
 1. bandwidth from pipelining + queues + combining;
 2. latency of one cycle per traversed stage when queues are empty;
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Optional
 
 from ..instrumentation import DISABLED, Instrumentation
 from .message import Message
-from .switch import Deliver, Switch
+from .switch import Switch
 from .topology import Topology
 
 #: Endpoint sinks: called with (endpoint index, message); return True to
@@ -116,20 +117,15 @@ class MultistageNetwork:
     # static wiring
     # ------------------------------------------------------------------
     def _build_wiring(self) -> None:
-        """Resolve the topology's wiring once and bind one delivery
-        callback per (stage, switch, port).
+        """Resolve the topology's wiring once, as data.
 
         ``forward_targets[stage][q]`` and ``return_targets[stage][q]``
         hold the target of output ``q = switch * switch_arity + port``
         as :meth:`~repro.network.topology.Topology.forward_target` and
         ``return_target`` give it (stages wired alike share one list).
-        This is the network's only wiring resolution, read both here and
-        by the batch kernel's message plane.  Each callback prebinds its
-        target — switch, input port, wake-set marker or endpoint line —
-        so the per-cycle hot path runs with no lookups or tuple
-        unpacking.  The callbacks also mark the receiving switch's wake
-        set on acceptance, which is how traffic propagates through the
-        wake sets, and a forward hop counts the sending stage's delay.
+        This is the network's only wiring: the switch ticks deliver
+        through it (:meth:`_deliver_forward`/:meth:`_deliver_return`)
+        and the batch kernel's message plane builds its arrays from it.
         """
         topo = self.topology
         arity = topo.switch_arity
@@ -145,67 +141,49 @@ class MultistageNetwork:
         self.forward_targets = resolve(topo.forward_target)
         self.return_targets = resolve(topo.return_target)
 
-        def sink(forward: bool, line: int) -> Deliver:
-            if forward:
-                return lambda msg: self.mm_sink(line, msg)  # type: ignore[misc]
-            return lambda msg: self.pe_sink(line, msg)  # type: ignore[misc]
+    def _unused(self, stage: int, q: int) -> AssertionError:
+        arity = self.topology.switch_arity
+        return AssertionError(
+            f"message routed out unused port {q % arity} of switch "
+            f"{q // arity} at stage {stage} — routing invariant broken"
+        )
 
-        def hop(forward: bool, target: Switch, port: int,
-                mark: Callable[[int], None], index: int) -> Deliver:
-            # Per direction: passing the method would add a cell per
-            # callback (so would the sending stage; it is target.stage - 1).
-            if forward:
-                def deliver(msg: Message) -> bool:
-                    cycle = self.cycle
-                    if target.offer_forward(port, msg, cycle):
-                        mark(index)
-                        stage = target.stage - 1
-                        self.stage_delay_sum[stage] += cycle - msg.enqueued_cycle
-                        self.stage_delay_count[stage] += 1
-                        msg.enqueued_cycle = cycle
-                        return True
-                    return False
-            else:
-                def deliver(msg: Message) -> bool:
-                    if target.offer_return(port, msg, self.cycle):
-                        mark(index)
-                        return True
-                    return False
+    # ------------------------------------------------------------------
+    # delivery (the switches' ticks call these with their output index)
+    # ------------------------------------------------------------------
+    def _deliver_forward(self, stage: int, q: int, msg: Message) -> bool:
+        """Offer the request leaving output ``q`` of ``stage`` to its
+        target.  An accepted hop marks the receiving switch awake, which
+        is how traffic propagates through the wake sets, and counts the
+        sending stage's delay."""
+        target = self.forward_targets[stage][q]
+        if target is None:
+            raise self._unused(stage, q)
+        if target[0] != "switch":
+            return self.mm_sink(target[1], msg)  # type: ignore[misc]
+        _, index, port = target
+        cycle = self.cycle
+        if self.stages[stage + 1][index].offer_forward(port, msg, cycle):
+            self._fwd_awake[stage + 1].add(index)
+            self.stage_delay_sum[stage] += cycle - msg.enqueued_cycle
+            self.stage_delay_count[stage] += 1
+            msg.enqueued_cycle = cycle
+            return True
+        return False
 
-            return deliver
-
-        def unused(stage: int, q: int) -> Deliver:
-            def deliver(msg: Message) -> bool:
-                raise AssertionError(
-                    f"message routed out unused port {q % arity} of switch "
-                    f"{q // arity} at stage {stage} — routing invariant broken"
-                )
-
-            return deliver
-
-        def row(stage: int, targets: list, forward: bool) -> list[list[Deliver]]:
-            step = 1 if forward else -1
-            awake = self._fwd_awake if forward else self._ret_awake
-            delivers = []
-            for q, target in enumerate(targets):
-                if target is None:
-                    delivers.append(unused(stage, q))
-                elif target[0] == "switch":
-                    _, index, port = target
-                    delivers.append(hop(forward, self.stages[stage + step][index],
-                                        port, awake[stage + step].add, index))
-                else:
-                    delivers.append(sink(forward, target[1]))
-            return [delivers[q:q + arity] for q in range(0, len(delivers), arity)]
-
-        self._fwd_deliver = [
-            row(stage, targets, True)
-            for stage, targets in enumerate(self.forward_targets)
-        ]
-        self._ret_deliver = [
-            row(stage, targets, False)
-            for stage, targets in enumerate(self.return_targets)
-        ]
+    def _deliver_return(self, stage: int, q: int, msg: Message) -> bool:
+        """Offer the reply leaving output ``q`` of ``stage`` to its
+        target, marking the receiving switch awake on acceptance."""
+        target = self.return_targets[stage][q]
+        if target is None:
+            raise self._unused(stage, q)
+        if target[0] != "switch":
+            return self.pe_sink(target[1], msg)  # type: ignore[misc]
+        _, index, port = target
+        if self.stages[stage - 1][index].offer_return(port, msg, self.cycle):
+            self._ret_awake[stage - 1].add(index)
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # endpoint attachment
@@ -254,13 +232,13 @@ class MultistageNetwork:
         if self.mm_sink is None:
             raise RuntimeError("network endpoints not connected")
         cycle = self.cycle
+        deliver = self._deliver_forward
         for stage in range(self.topology.stages - 1, -1, -1):
             awake = self._fwd_awake[stage]
             if awake:
                 row = self.stages[stage]
-                deliver_row = self._fwd_deliver[stage]
                 for index in sorted(awake):
-                    if not row[index].tick_forward(cycle, deliver_row[index]):
+                    if not row[index].tick_forward(cycle, deliver):
                         awake.discard(index)
 
     def step_return(self) -> None:
@@ -269,13 +247,13 @@ class MultistageNetwork:
         if self.pe_sink is None:
             raise RuntimeError("network endpoints not connected")
         cycle = self.cycle
+        deliver = self._deliver_return
         for stage in range(self.topology.stages):
             awake = self._ret_awake[stage]
             if awake:
                 row = self.stages[stage]
-                deliver_row = self._ret_deliver[stage]
                 for index in sorted(awake):
-                    if not row[index].tick_return(cycle, deliver_row[index]):
+                    if not row[index].tick_return(cycle, deliver):
                         awake.discard(index)
 
     def advance_cycle(self) -> None:

@@ -39,11 +39,12 @@ from .message import Message, packets_for
 from .systolic_queue import CombiningQueue
 from .wait_buffer import WaitBuffer, WaitRecord
 
-#: Signature of the delivery callbacks the network wires between stages:
-#: called with the outgoing message; returns True when the downstream
-#: structure accepted it this cycle.  Ticks take one prebound callable
-#: per output port.
-Deliver = Callable[[Message], bool]
+#: Signature of the delivery function a tick hands its heads to: called
+#: with the sending stage, the output index ``switch.index * k + port``
+#: on that stage, and the outgoing message; returns True when the
+#: downstream structure accepted it this cycle.  The network's is one
+#: method per direction that looks the target up in its wiring table.
+Deliver = Callable[[int, int, Message], bool]
 
 
 def decombine_fits(
@@ -92,13 +93,6 @@ class _Port:
 
     busy_until: int = 0
     messages_sent: int = 0
-
-    def free(self, cycle: int) -> bool:
-        return cycle >= self.busy_until
-
-    def occupy(self, cycle: int, packets: int) -> None:
-        self.busy_until = cycle + packets
-        self.messages_sent += 1
 
 
 class Switch:
@@ -269,24 +263,24 @@ class Switch:
         self.stats.requests_routed += 1
         return True
 
-    def tick_forward(self, cycle: int, delivers: Sequence[Deliver]) -> bool:
+    def tick_forward(self, cycle: int, deliver: Deliver) -> bool:
         """Try to transmit each ToMM queue head to the next stage;
         returns whether the ToMM component still holds requests.
 
-        ``delivers[out_port]`` is the network's prebound wiring callback
-        for that output link; it returns False when the downstream queue
-        is full, in which case the head stays (head-of-line blocking, as
-        in the hardware).
+        ``deliver(stage, index * k + out_port, head)`` offers a head to
+        whatever that output link is wired to; it returns False when the
+        downstream queue is full, in which case the head stays
+        (head-of-line blocking, as in the hardware).
         """
         held = False
-        out_port = 0
-        for queue in self.to_mm:
+        stage = self.stage
+        q = self.index * self.k
+        for queue, port in zip(self.to_mm, self.mm_ports):
             slots = queue._slots
             if slots:
-                port = self.mm_ports[out_port]
                 if cycle >= port.busy_until:
                     head = slots[0].message
-                    if delivers[out_port](head):
+                    if deliver(stage, q, head):
                         queue.pop()
                         port.busy_until = cycle + head.packets
                         port.messages_sent += 1
@@ -294,7 +288,7 @@ class Switch:
                         self.stats.forward_blocked_cycles += 1
                 if slots:
                     held = True
-            out_port += 1
+            q += 1
         return held
 
     # ------------------------------------------------------------------
@@ -367,18 +361,19 @@ class Switch:
                 )
         return True
 
-    def tick_return(self, cycle: int, delivers: Sequence[Deliver]) -> bool:
-        """Try to transmit each ToPE queue head toward the PE side;
-        returns whether the ToPE component still holds replies."""
+    def tick_return(self, cycle: int, deliver: Deliver) -> bool:
+        """Try to transmit each ToPE queue head toward the PE side, as
+        :meth:`tick_forward` does; returns whether the ToPE component
+        still holds replies."""
         held = False
-        out_port = 0
-        for queue in self.to_pe:
+        stage = self.stage
+        q = self.index * self.k
+        for queue, port in zip(self.to_pe, self.pe_ports):
             slots = queue._slots
             if slots:
-                port = self.pe_ports[out_port]
                 if cycle >= port.busy_until:
                     head = slots[0].message
-                    if delivers[out_port](head):
+                    if deliver(stage, q, head):
                         queue.pop()
                         port.busy_until = cycle + head.packets
                         port.messages_sent += 1
@@ -386,7 +381,7 @@ class Switch:
                         self.stats.return_blocked_cycles += 1
                 if slots:
                     held = True
-            out_port += 1
+            q += 1
         return held
 
     # ------------------------------------------------------------------

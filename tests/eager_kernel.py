@@ -31,9 +31,8 @@ def step_forward_every_switch(network: MultistageNetwork) -> None:
     if network.mm_sink is None:
         raise RuntimeError("network endpoints not connected")
     for stage in range(network.topology.stages - 1, -1, -1):
-        deliver_row = network._fwd_deliver[stage]
         for switch in network.stages[stage]:
-            switch.tick_forward(network.cycle, deliver_row[switch.index])
+            switch.tick_forward(network.cycle, network._deliver_forward)
 
 
 def step_return_every_switch(network: MultistageNetwork) -> None:
@@ -42,9 +41,8 @@ def step_return_every_switch(network: MultistageNetwork) -> None:
     if network.pe_sink is None:
         raise RuntimeError("network endpoints not connected")
     for stage in range(network.topology.stages):
-        deliver_row = network._ret_deliver[stage]
         for switch in network.stages[stage]:
-            switch.tick_return(network.cycle, deliver_row[switch.index])
+            switch.tick_return(network.cycle, network._deliver_return)
 
 
 class EagerKernel(DenseKernel):

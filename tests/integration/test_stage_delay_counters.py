@@ -12,10 +12,12 @@ Two contracts of the activity-masked object kernel:
   Checked on every kernel, both batch message paths, every fabric, two
   network copies and a combining hot spot, traced and untraced, against
   the spans of a traced run.
-* **Dense visits only awake switches.**  The exact ``tick_forward`` and
-  ``tick_return`` call counts of one ``fig7.cross_topology`` point are
-  pinned; the every-switch loop (``tests/eager_kernel.py``) makes
-  19,584 / 48,800 / 68,768 calls per direction on the same points.
+* **Dense visits only awake switches and busy MNIs.**  The exact
+  ``tick_forward`` and ``tick_return`` call counts of one
+  ``fig7.cross_topology`` point are pinned; the every-switch loop
+  (``tests/eager_kernel.py``) makes 19,584 / 48,800 / 68,768 calls per
+  direction on the same points.  So are the ``MNI.tick`` calls, which
+  the every-component loop makes 16 per cycle (9,792 / 9,760 / 9,824).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from eager_kernel import EAGER, eager_kernel
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd
 from repro.exp.experiments import fig7_cross_topology
+from repro.network.interfaces import MNI
 from repro.network.multistage import pooled_stage_delays
 from repro.network.switch import Switch
 from repro.obs.spans import reconstruct_spans
@@ -127,16 +130,36 @@ def test_dense_visits_only_awake_switches(topology, monkeypatch):
     calls = {"forward": 0, "return": 0}
     tick_forward, tick_return = Switch.tick_forward, Switch.tick_return
 
-    def counted_forward(self, cycle, delivers):
+    def counted_forward(self, cycle, deliver):
         calls["forward"] += 1
-        return tick_forward(self, cycle, delivers)
+        return tick_forward(self, cycle, deliver)
 
-    def counted_return(self, cycle, delivers):
+    def counted_return(self, cycle, deliver):
         calls["return"] += 1
-        return tick_return(self, cycle, delivers)
+        return tick_return(self, cycle, deliver)
 
     monkeypatch.setattr(Switch, "tick_forward", counted_forward)
     monkeypatch.setattr(Switch, "tick_return", counted_return)
     fig7_cross_topology({"pes": 16, "rate": 0.05, "seed": 1,
                          "topology": topology, "kernel": "dense"})
     assert (calls["forward"], calls["return"]) == PINNED_VISITS[topology]
+
+
+#: ``MNI.tick`` calls of the dense kernel on the same points
+PINNED_MNI_TICKS = {"omega": 1386, "hypercube": 1380, "mesh": 1383}
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_dense_ticks_only_busy_mnis(topology, monkeypatch):
+    calls = 0
+    tick = MNI.tick
+
+    def counted(self, cycle):
+        nonlocal calls
+        calls += 1
+        return tick(self, cycle)
+
+    monkeypatch.setattr(MNI, "tick", counted)
+    fig7_cross_topology({"pes": 16, "rate": 0.05, "seed": 1,
+                         "topology": topology, "kernel": "dense"})
+    assert calls == PINNED_MNI_TICKS[topology]

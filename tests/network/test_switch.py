@@ -22,15 +22,17 @@ def make_switch(**kwargs):
 
 
 def delivers_logging(log):
-    """Per-port delivery callbacks that record (port, message) and accept."""
-    return [
-        (lambda msg, _port=port: log.append((_port, msg)) or True)
-        for port in range(2)
-    ]
+    """A delivery function that records (output, message) and accepts;
+    on switch 0 the output index is the port."""
+    return lambda stage, q, msg: log.append((q, msg)) or True
 
 
-ACCEPT_ALL = [lambda msg: True] * 2
-REJECT_ALL = [lambda msg: False] * 2
+def ACCEPT_ALL(stage, q, msg):
+    return True
+
+
+def REJECT_ALL(stage, q, msg):
+    return False
 
 TOPO = OmegaTopology(8, 2)
 
@@ -77,9 +79,9 @@ class TestForwardRouting:
         switch.offer_forward(0, b, 0)
         sent = []
         for cycle in range(6):
-            accept = [
-                (lambda msg, _c=cycle: sent.append((_c, msg.tag)) or True)
-            ] * 2
+            accept = (
+                lambda stage, q, msg, _c=cycle: sent.append((_c, msg.tag)) or True
+            )
             switch.tick_forward(cycle, accept)
         assert sent[0][1] == 1
         assert sent[1][1] == 2

@@ -18,6 +18,14 @@ numpy arrays and moving a whole stage of them per vectorized step:
   objects are made only where a PNI issues a request and on the
   per-message combining path; a reply reaches its PNI as a tag and a
   value.
+* **The PE boundary without per-request lists.**  A PNI issues a
+  request with its topology's interned route tuple, and the plane
+  copies no digit list: a batch of requests admitted at stage 0 writes
+  the tuples' digits straight into its digit array and streams the
+  other fields in, making no row per request.  On the way out, each
+  reply of an exit batch goes through ``PNI.deliver``, the delivery
+  rule's one definition, and the exits release their ids and forget
+  the tags' network copies without a Python statement per id.
 * **Wiring from the topology.**  Each lane's per-queue tables (target
   kind, next switch and port, endpoint line) come from the targets
   :class:`~repro.network.multistage.MultistageNetwork` resolved at
@@ -104,6 +112,11 @@ numpy arrays and moving a whole stage of them per vectorized step:
 * **Quiet-cycle fast-forward.**  Reused from the event kernel: when no
   component can act now, jump to the earliest future event and apply the
   skipped cycles' counters in closed form.
+* **End-of-run check from the arrays.**  :meth:`BatchKernel.run` ends
+  when the planes are empty, no MNI or PNI holds work and every driver
+  is done, which is exactly ``machine.quiescent()`` (see
+  :meth:`BatchKernel._quiescent`); it does not write the object view
+  back or walk the switches to find out.
 
 The contract is the registry-wide one (see :mod:`repro.core.scheduler`):
 ``RunResult.to_dict()`` — including per-PE stats, instrumentation
@@ -136,6 +149,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .results import RunResult
 
 __all__ = ["BatchKernel"]
+
+#: run an iterator to its end (each ``map`` below applies a method per
+#: element without a Python statement per element)
+_consume = deque(maxlen=0).extend
 
 #: ring slots per queue before the first growth (a lane's rings double
 #: whenever one of its queues outgrows them)
@@ -516,7 +533,12 @@ class _MessagePlane:
 
     def _admit_many(self, messages: list["Message"]) -> Any:
         """:meth:`_admit` for a batch of requests, one array write per
-        field."""
+        field.  Their digits are read from the interned route tuples
+        they were issued with; no digit list is made.  The fields are
+        streamed into their arrays, so no tracked object per request
+        outlives its own conversion (a batch of thousands of live row
+        tuples would set off young collections, and those promote the
+        requests in flight toward full ones)."""
         n = len(messages)
         while len(self._free) < n:
             self._grow_pool()
@@ -526,10 +548,13 @@ class _MessagePlane:
         for i, message in zip(ids_l, messages):
             obj[i] = message
         ids = np.array(ids_l, dtype=np.int64)
-        rows = np.array([(m.packets, m.tag, m.combine_depth) + _request_fields(m)
-                         for m in messages], dtype=np.int64)
-        for col, name in enumerate(("pk", "tag", "depth", "key", "vk", "opnd")):
-            getattr(self, name)[ids] = rows[:, col]
+        self.pk[ids] = [m.packets for m in messages]
+        self.tag[ids] = [m.tag for m in messages]
+        self.depth[ids] = [m.combine_depth for m in messages]
+        fields = np.fromiter(
+            itertools.chain.from_iterable(map(_request_fields, messages)),
+            dtype=np.int64, count=3 * n).reshape(n, 3)
+        self.key[ids], self.vk[ids], self.opnd[ids] = fields.T
         self.dig[ids] = [m.digits for m in messages]
         self.comb[ids] = False
         return ids
@@ -1307,8 +1332,7 @@ class _MessagePlane:
              zip(np.where(status == 1, self.val[ids], 0).tolist(),
                  status.tolist(), ids_l)])
         self.lazy[ids] = self.stale[ids] = False
-        for i in ids_l:
-            obj[i] = None
+        _consume(map(obj.__setitem__, ids_l, itertools.repeat(None)))
         self._free.extend(ids_l)
         self._pop_many(lane, src, self.pk[ids], np.arange(src.size), cycle)
 
@@ -2272,10 +2296,10 @@ class BatchKernel(DenseKernel):
         """``Ultracomputer._pe_sink`` for replies given by PE, tag and
         value (the PE side always takes them)."""
         m = self.machine
-        pnis, cycle, copy_by_tag = m.pnis, m.cycle, m._copy_by_tag
+        pnis, cycle = m.pnis, m.cycle
         for pe, tag, value in zip(pes, tags, values):
             pnis[pe].deliver(tag, value, cycle)
-            copy_by_tag.pop(tag, None)
+        _consume(map(m._copy_by_tag.pop, tags, itertools.repeat(None)))
 
     def _inject_heads(self, cycle: int) -> None:
         """``PNI.tick_outbound`` for every PNI holding requests: the
@@ -2350,9 +2374,23 @@ class BatchKernel(DenseKernel):
     # ------------------------------------------------------------------
     # event horizon (the event kernel's logic over the active sets)
     # ------------------------------------------------------------------
-    def _maybe_quiescent(self) -> bool:
-        """Cheap necessary condition for quiescence; when it holds the
-        authoritative ``machine.quiescent()`` is consulted."""
+    def _quiescent(self) -> bool:
+        """``machine.quiescent()`` decided from the arrays: the planes
+        hold no message, no MNI holds work, no PNI holds a request and
+        every driver is done.
+
+        This is exact, not just necessary.  The machine's test adds
+        that the switches hold no wait record and that no PNI has a
+        request outstanding; both follow.  A request leaves its PNI's
+        outstanding set only when its reply is delivered; until then it
+        is queued at the PNI, in a plane, at the memory side, or
+        absorbed into a wait record.  A wait record lives until the
+        reply of the request that absorbed it passes back through its
+        switch, and that request, or one that absorbed it in turn, is
+        still in a plane or at the memory side.  So with every plane,
+        MNI and PNI empty, nothing is outstanding and no record is left.
+        Nothing here writes the object view back (``machine.quiescent()``
+        would flush it and walk every switch)."""
         memory = self._memory
         if memory.serving or memory.replying or self._pni_out:
             return False
@@ -2411,7 +2449,7 @@ class BatchKernel(DenseKernel):
     def run(self, max_cycles: int = 1_000_000) -> "RunResult":
         m = self.machine
         self._ensure_state()
-        while not (self._maybe_quiescent() and m.quiescent()):
+        while not self._quiescent():
             if m.cycle >= max_cycles:
                 raise self._timeout(max_cycles)
             nxt = self._next_event_cycle()

@@ -72,7 +72,11 @@ class PNI:
     pe_id:
         The PE (and network input line) this interface serves.
     topology:
-        Network wiring, used to precompute route digits.
+        Network wiring.  :meth:`issue` puts its interned route tuple for
+        (destination, this PE) on each request and allocates no digit
+        list: the tuple is shared until a network is first offered the
+        request, which then rewrites a private copy (the batch kernel
+        keeps the digits in its arrays instead).
     translation:
         Virtual-to-physical map; the message carries the module-internal
         offset so MNIs apply operations locally.
@@ -199,7 +203,7 @@ class PNI:
             offset=offset,
             origin=self.pe_id,
             tag=tag,
-            digits=self.topology.route_digits(module, self.pe_id),
+            digits=self.topology.route_tuple(module, self.pe_id),
             issued_cycle=cycle,
         )
         self.outbound.append(message)
@@ -240,19 +244,13 @@ class PNI:
                 f"PNI {self.pe_id} received reply with unknown tag {tag}"
             )
         self._outstanding_cells.discard((original.mm, original.offset))
-        record = ReplyRecord(
-            tag=tag,
-            op=original.op,
-            value=value,
-            issued_cycle=original.issued_cycle,
-            completed_cycle=cycle,
-        )
-        self.completed.append(record)
+        issued = original.issued_cycle
+        self.completed.append(ReplyRecord(tag, original.op, value, issued, cycle))
         self._replied.add(self.pe_id)
         self.replies_received += 1
-        self.total_round_trip += record.round_trip
+        self.total_round_trip += cycle - issued
         if self._instr_on:
-            self._rtt_histogram.observe(record.round_trip)
+            self._rtt_histogram.observe(cycle - issued)
             self._instr.record("reply", cycle, tag=tag, pe=self.pe_id, value=value)
         return True
 

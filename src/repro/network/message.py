@@ -9,10 +9,12 @@ pj, which equals the number of the input port on which the message
 arrived.  Thus, when the message reaches its destination, the return
 address is available."
 
-:class:`Message` realizes that scheme with a mutable digit vector (base
-``k`` for k-by-k switches).  Packet accounting follows the paper's
-simulation model (section 4.2): a message is one packet if it carries no
-data word and three packets otherwise.
+:class:`Message` realizes that scheme with a digit vector (base ``k``
+for k-by-k switches): a request is issued carrying its destination's
+interned route, and the network it is first offered to rewrites a
+private copy.  Packet accounting follows the paper's simulation model
+(section 4.2): a message is one packet if it carries no data word and
+three packets otherwise.
 
 Messages are the unit of work on the per-cycle fast path, so the class is
 slotted and the packet count is computed once at construction and
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..core.memory_ops import PACKETS_WITH_DATA, PACKETS_WITHOUT_DATA, Op
 
@@ -69,7 +71,14 @@ class Message:
         The amalgam address, most-significant digit first.  On the
         forward path, stage ``s`` routes on ``digits[s]`` and overwrites
         it with the arrival port; on the return path, stage ``s`` routes
-        on ``digits[s]``.
+        on ``digits[s]``.  A request is issued with its topology's
+        interned route tuple (only the destination is needed to enter
+        the network), shared by every request to that destination,
+        until a network is first offered it: that network makes the
+        mutable list the switches rewrite
+        (``MultistageNetwork.offer_request``), which stays with the
+        request if the offer is refused.  A batch kernel keeps the
+        digits in its arrays instead.
     is_reply:
         Direction flag.
     value:
@@ -91,12 +100,12 @@ class Message:
     offset: int
     origin: int
     tag: int
-    digits: list[int]
+    digits: Sequence[int]
     is_reply: bool = False
     value: Optional[int] = None
     combine_depth: int = 0
     issued_cycle: int = 0
-    uid: int = field(default_factory=lambda: next(_message_ids))
+    uid: int = field(default_factory=_message_ids.__next__)
     packets: int = field(init=False, default=0)
     enqueued_cycle: int = field(init=False, default=0, repr=False, compare=False)
 
@@ -126,7 +135,8 @@ class Message:
         return self.digits[stage]
 
     def record_arrival_port(self, stage: int, port: int) -> None:
-        """Overwrite the consumed destination digit with the origin digit."""
+        """Overwrite the consumed destination digit with the origin digit
+        (on a network's private list, never the interned route)."""
         self.digits[stage] = port
 
     def make_reply(self, value: Optional[int]) -> "Message":

@@ -196,7 +196,14 @@ class MultistageNetwork:
     # injection (PNI -> stage 0, MNI -> the reply-entry stage)
     # ------------------------------------------------------------------
     def offer_request(self, pe: int, message: Message) -> bool:
-        """Inject a request from PE ``pe`` into the first stage."""
+        """Inject a request from PE ``pe`` into the first stage.
+
+        The PNI issues a request with its topology's interned route
+        tuple; from the first offer on the digits are network state, so
+        the request gets the private list the switches rewrite (once: a
+        refused offer leaves the list with the request for the retry)."""
+        if type(message.digits) is tuple:
+            message.digits = list(message.digits)
         switch_index, in_port = self.topology.inject_point(pe)
         if self.stages[0][switch_index].offer_forward(in_port, message, self.cycle):
             self._fwd_awake[0].add(switch_index)

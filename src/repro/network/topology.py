@@ -119,7 +119,7 @@ class Topology(Protocol):
         ...
 
     def route_digits(self, destination: int, source: int = 0) -> list[int]:
-        """Mutable copy of :meth:`route_tuple` for a new message."""
+        """Mutable copy of :meth:`route_tuple`."""
         ...
 
     def forward_path(self, source: int, destination: int) -> list[Hop]:
@@ -286,7 +286,8 @@ class OmegaTopology:
     def route_tuple(self, destination: int, source: int = 0) -> tuple[int, ...]:
         """Interned destination-digit tuple (PE side first).
 
-        Message creation copies this into its mutable digit vector; the
+        A PNI issues its requests with this tuple, and the network
+        first offered one copies it into the mutable digit vector; the
         digits themselves are computed once per destination.  ``source``
         is part of the :class:`Topology` protocol but irrelevant here —
         destination-tag routes are source-independent in an Omega

@@ -79,7 +79,10 @@ def _machine(n_pes: int, kernel: str, **overrides) -> Ultracomputer:
 def _run_programs(n_pes: int, kernel: str, pattern: str, seed: int, **overrides):
     machine = _machine(n_pes, kernel, **overrides)
     machine.spawn_many(n_pes, PROGRAMS[pattern], ROUNDS, seed)
-    return machine.run().to_dict()
+    result = machine.run().to_dict()
+    # a kernel that ends its run early would leave traffic behind
+    assert machine.quiescent()
+    return result
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,6 +98,7 @@ def _run_cached(n_pes: int, kernel: str, pattern: str, seed: int):
     driver.spawn_many(n_pes, PROGRAMS[pattern], ROUNDS, seed)
     machine.attach_driver(driver)
     result = machine.run().to_dict()
+    assert machine.quiescent()
     # Cache-side outcomes are not part of RunResult; fold them in so the
     # comparison also pins hit counts and per-PE return values.
     result["_cache"] = {

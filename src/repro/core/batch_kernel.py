@@ -1,11 +1,11 @@
 """The batch kernel: struct-of-arrays message plane for 1024–4096 PEs.
 
 The paper's design point is a 4096-PE machine behind a 12-stage Omega
-network — roughly 25k switches, 100k queues.  The dense kernel ticks
-every one of them every cycle and the event kernel still pays per-object
-Python costs for each awake component; neither reaches that scale.  This
-kernel gets there by owning every message resident in the network in
-numpy arrays and moving a whole stage of them per vectorized step:
+network — roughly 25k switches, 100k queues.  The dense kernel visits
+only the awake ones, but still pays per-object Python costs for each of
+them and does not reach that scale.  This kernel gets there by owning
+every message resident in the network in numpy arrays and moving a
+whole stage of them per vectorized step:
 
 * **Message plane.**  Each network copy is a :class:`_MessagePlane`.
   Every (direction, stage) is a :class:`_Lane`: a ring of message ids
@@ -91,7 +91,7 @@ numpy arrays and moving a whole stage of them per vectorized step:
   batch per copy, as phase 3 does for the PNIs.  While fewer than
   ``vector_min`` MNIs hold work, both visit those MNIs one at a time.
 * **Object view, synced when read.**  The switch and MNI objects remain
-  the reference model for the dense and event kernels.  Under this
+  the reference model for the dense kernel.  Under this
   kernel the arrays are authoritative and :meth:`BatchKernel.sync`
   writes them back — queue contents, combined requests'
   ``op``/``combine_depth``, port state, wait buffers, switch counters
@@ -109,9 +109,12 @@ numpy arrays and moving a whole stage of them per vectorized step:
   :class:`~repro.core.machine.ProgramDriver`, as on every kernel: it
   visits only the PEs that act in a cycle and learns of replies from
   the set every PNI joins on delivery.
-* **Quiet-cycle fast-forward.**  Reused from the event kernel: when no
-  component can act now, jump to the earliest future event and apply the
-  skipped cycles' counters in closed form.
+* **Quiet-cycle fast-forward.**  ``run`` and ``run_cycles`` are the
+  dense kernel's: when no component can act now, jump to the earliest
+  future event and apply the skipped cycles' counters in closed form.
+  This kernel supplies only the hooks, read from the arrays: its
+  quiescence test, its event horizon (planes and memory side first, the
+  drivers' probes last) and its share of the skip.
 * **End-of-run check from the arrays.**  :meth:`BatchKernel.run` ends
   when the planes are empty, no MNI or PNI holds work and every driver
   is done, which is exactly ``machine.quiescent()`` (see
@@ -2372,7 +2375,7 @@ class BatchKernel(DenseKernel):
         self._step()
 
     # ------------------------------------------------------------------
-    # event horizon (the event kernel's logic over the active sets)
+    # run-loop hooks (the loop itself is DenseKernel's)
     # ------------------------------------------------------------------
     def _quiescent(self) -> bool:
         """``machine.quiescent()`` decided from the arrays: the planes
@@ -2400,77 +2403,24 @@ class BatchKernel(DenseKernel):
         return all(driver.done() for driver in self.machine.drivers)
 
     def _next_event_cycle(self) -> Optional[int]:
-        m = self.machine
-        cycle = m.cycle
+        """Dense's horizon over the arrays, cheapest probes first: the
+        planes, the memory side, the PNIs holding requests, and the
+        drivers last (the program driver's probe walks its blocked
+        PEs)."""
+        cycle = self.machine.cycle
         for state in self._states:
             if state.has_messages():
                 return cycle
         best = self._memory.next_event_cycle(cycle)
         if best == cycle:
             return cycle
-        pnis = m.pnis
-        for pe in self._pni_out:
-            c = pnis[pe].next_event_cycle(cycle)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if best is None or c < best:
-                    best = c
-        for driver in m.drivers:
-            probe = getattr(driver, "next_event_cycle", None)
-            # No wake contract: assumed active every cycle (keeps
-            # open-loop stochastic drivers bit-identical).
-            c = cycle if probe is None else probe(cycle)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if best is None or c < best:
-                    best = c
-        return best
+        best = self._pni_horizon(cycle, best)
+        if best == cycle:
+            return cycle
+        return self._driver_horizon(cycle, best)
 
-    def _fast_forward(self, target: int) -> None:
-        m = self.machine
-        delta = target - m.cycle
-        if delta <= 0:
-            return
+    def _skip(self, delta: int) -> None:
+        """The kernel's share of the skip: the memory side's busy counts
+        are closed-form in its clock, and the object view goes stale."""
         self._unsynced = True
-        self._memory.clock = target  # its busy counts are closed-form
-        for network in m._networks:
-            network.fast_forward(delta)
-        for driver in m.drivers:
-            forward = getattr(driver, "fast_forward", None)
-            if forward is not None:
-                forward(delta)
-        m.cycle = target
-
-    # ------------------------------------------------------------------
-    # runs
-    # ------------------------------------------------------------------
-    def run(self, max_cycles: int = 1_000_000) -> "RunResult":
-        m = self.machine
-        self._ensure_state()
-        while not self._quiescent():
-            if m.cycle >= max_cycles:
-                raise self._timeout(max_cycles)
-            nxt = self._next_event_cycle()
-            if nxt is None or nxt >= max_cycles:
-                # Dense would spin pure idle-counting cycles up to the
-                # deadline and raise; replicate that exactly.
-                self._fast_forward(max_cycles)
-                raise self._timeout(max_cycles)
-            self._fast_forward(nxt)
-            self._step()
-        return m.stats()
-
-    def run_cycles(self, n: int) -> "RunResult":
-        m = self.machine
-        self._ensure_state()
-        end = m.cycle + n
-        while m.cycle < end:
-            nxt = self._next_event_cycle()
-            if nxt is None or nxt >= end:
-                self._fast_forward(end)
-                break
-            self._fast_forward(nxt)
-            self._step()
-        return m.stats()
+        self._memory.clock = self.machine.cycle + delta

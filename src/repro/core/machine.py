@@ -25,7 +25,7 @@ from ..network.interfaces import MNI, PNI
 from ..network.message import Message
 from ..network.multistage import MultistageNetwork, NetworkConfig
 from ..network.topology import make_topology, topology_names, validate_topology_size
-from .memory_ops import Op
+from .memory_ops import PACKETS_WITH_DATA, Op
 from .paracomputer import Program, ProgramFactory
 from .results import PEResult, RunResult
 from .scheduler import kernel_names, make_kernel
@@ -78,13 +78,15 @@ class MachineConfig:
     #: ring-buffer capacity of the cycle-level event trace; 0 disables
     #: tracing.  Requires ``instrument=True``.
     trace_capacity: int = 0
-    #: simulation kernel: ``"dense"`` executes every cycle, visiting the
-    #: components that can act (the reference semantics); ``"event"``
-    #: also fast-forwards globally quiet cycles; ``"batch"`` keeps every
-    #: in-flight message in struct-of-arrays form and moves a whole
-    #: stage of them per vectorized step — the 1024–4096-PE scaling
-    #: kernel (the switch and MNI objects are written back when the
-    #: machine's public readers are used).
+    #: simulation kernel: ``"dense"`` executes every cycle in which
+    #: something can act, visiting the components that can act (the
+    #: reference semantics), and fast-forwards over globally quiet
+    #: cycles; ``"batch"`` keeps every in-flight message in
+    #: struct-of-arrays form and moves a whole stage of them per
+    #: vectorized step — the 1024–4096-PE scaling kernel (the switch
+    #: and MNI objects are written back when the machine's public
+    #: readers are used).  ``"event"`` is an alias of ``"dense"``, kept
+    #: only while the benchmark's kernel table reads it.
     #: All kernels produce bit-identical results; valid names come from
     #: the pluggable registry in :mod:`repro.core.scheduler`.
     kernel: str = "dense"
@@ -125,10 +127,15 @@ class MachineConfig:
                 f"mm_latency={self.mm_latency} is invalid; memory access "
                 "takes at least one network cycle"
             )
-        if self.queue_capacity_packets is not None and self.queue_capacity_packets < 1:
+        if (self.queue_capacity_packets is not None
+                and self.queue_capacity_packets < PACKETS_WITH_DATA):
+            # A data-carrying message (a store or F&A request, a load
+            # reply) could never enter such a queue, so the run wedges.
             raise ValueError(
                 f"queue_capacity_packets={self.queue_capacity_packets} is "
-                "invalid; use None for unbounded queues or a capacity >= 1"
+                "invalid; use None for unbounded queues or a capacity >= "
+                f"{PACKETS_WITH_DATA} (PACKETS_WITH_DATA, the packets of "
+                "a message that carries data)"
             )
         if self.wait_buffer_capacity is not None and self.wait_buffer_capacity < 0:
             raise ValueError(
@@ -223,8 +230,8 @@ class Driver(Protocol):
     replied set (every PNI joins it on delivery) instead of polling
     every PNI.
 
-    Drivers may additionally implement the wake contract the event and
-    batch kernels honour (see :mod:`repro.core.scheduler`):
+    Drivers may additionally implement the wake contract the kernels'
+    quiet-cycle fast-forward honours (see :mod:`repro.core.scheduler`):
     ``next_event_cycle(cycle)`` returning the earliest cycle at which
     ``tick`` would do anything beyond closed-form counter updates
     (``None`` when purely waiting on in-flight traffic), and
@@ -417,7 +424,7 @@ class ProgramDriver:
             for i in bucket:
                 pes[i].compute_remaining = due - clock + 1
 
-    # -- event-kernel wake contract (see repro.core.scheduler) -----------
+    # -- wake contract of the fast-forward (see repro.core.scheduler) ----
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle at which some PE does more than bump counters:
         now if a PE is fresh, has its reply, or can issue its op;
@@ -645,7 +652,7 @@ class Ultracomputer:
 
     # ------------------------------------------------------------------
     # cycle loop (delegated to the configured kernel; see
-    # repro.core.scheduler for the dense/event split)
+    # repro.core.scheduler for the dense/batch split)
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Execute one cycle under the configured kernel.

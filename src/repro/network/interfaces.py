@@ -264,7 +264,7 @@ class PNI:
         return self.total_round_trip / self.replies_received
 
     # ------------------------------------------------------------------
-    # wake contract (event and batch kernels)
+    # wake contract (the kernels' quiet-cycle fast-forward)
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle >= ``cycle`` at which :meth:`tick_outbound`
@@ -273,10 +273,6 @@ class PNI:
         if not self.outbound:
             return None
         return max(cycle, self._link_busy_until)
-
-    def is_idle(self) -> bool:
-        """True when no request is queued or in flight through this PNI."""
-        return not self.outbound and not self._outstanding_tags
 
 
 class MNI:
@@ -405,7 +401,7 @@ class MNI:
         return len(self._inbound) + (1 if self._in_service else 0) + len(self.outbound)
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel; the batch kernel keeps the MNIs in
+    # wake contract (dense kernel; the batch kernel keeps the MNIs in
     # arrays and computes the same horizon there)
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
@@ -427,6 +423,3 @@ class MNI:
         waiting for its latency to elapse)."""
         if self._in_service is not None:
             self.busy_cycles += delta
-
-    def is_idle(self) -> bool:
-        return self.pending == 0

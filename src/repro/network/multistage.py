@@ -267,19 +267,16 @@ class MultistageNetwork:
         self.cycle += 1
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel)
+    # wake contract (the dense kernel's quiet-cycle fast-forward)
     # ------------------------------------------------------------------
     def has_traffic(self) -> bool:
         """True when some switch holds a resident message."""
         return any(self._fwd_awake) or any(self._ret_awake)
 
-    def is_idle(self) -> bool:
-        return not self.has_traffic()
-
     def fast_forward(self, delta: int) -> None:
         """Advance the clock over quiet cycles.
 
-        Only called when :meth:`is_idle` holds: with no resident
+        Only called when :meth:`has_traffic` is false: with no resident
         messages nothing in a switch ticks, so the closed form of
         ``delta`` dense cycles is just the clock advance.
         """

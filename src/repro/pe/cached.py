@@ -277,7 +277,7 @@ class CachedProgramDriver:
         )
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel)
+    # wake contract (the kernels' quiet-cycle fast-forward)
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle at which :meth:`tick` does more than bump

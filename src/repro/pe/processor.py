@@ -167,7 +167,7 @@ class Processor:
         return self.halted and not self._lock_tags
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel)
+    # wake contract (the kernels' quiet-cycle fast-forward)
     # ------------------------------------------------------------------
     def _next_op(self, instr: isa.Instruction):
         """The memory op the current instruction would issue, if any."""
@@ -208,9 +208,6 @@ class Processor:
             return "issue_stall"
         return "active"
 
-    def is_idle(self) -> bool:
-        return self.poll() != "active"
-
     def fast_forward(self, delta: int) -> None:
         """Apply the counters ``delta`` skipped steps would have made."""
         state = self.poll()
@@ -238,7 +235,7 @@ class ProcessorDriver:
         return all(p.done() for p in self.processors)
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel)
+    # wake contract (the kernels' quiet-cycle fast-forward)
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Register-locking PEs have no multi-cycle local work: every

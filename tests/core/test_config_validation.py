@@ -3,7 +3,8 @@
 import pytest
 
 from repro import MachineConfig, Ultracomputer
-from repro.core.scheduler import kernel_names
+from repro.core.memory_ops import PACKETS_WITH_DATA
+from repro.core.scheduler import KERNELS, DenseKernel, kernel_names
 from repro.network.topology import topology_names
 
 
@@ -56,7 +57,9 @@ class TestTopology:
         MachineConfig(n_pes=9, topology="mesh").validate()
 
     def test_every_kernel_runs_every_topology(self):
+        # "event" stays registered, as an alias of dense (see scheduler)
         assert set(kernel_names()) == {"dense", "event", "batch"}
+        assert KERNELS["event"] is DenseKernel
         assert set(topology_names()) == {"omega", "hypercube", "mesh"}
         for kernel in kernel_names():
             for topology in topology_names():
@@ -76,6 +79,17 @@ class TestComponentBounds:
     def test_queue_capacity_rejects_zero(self):
         with pytest.raises(ValueError, match="queue_capacity_packets"):
             MachineConfig(n_pes=8, queue_capacity_packets=0).validate()
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_queue_capacity_below_a_data_message_rejected(self, capacity):
+        """No store/F&A request or load reply (PACKETS_WITH_DATA = 3
+        packets) could ever enter such a queue, so every run wedges."""
+        with pytest.raises(ValueError, match=r"capacity >= 3 \(PACKETS_WITH_DATA"):
+            MachineConfig(n_pes=8, queue_capacity_packets=capacity).validate()
+
+    def test_queue_capacity_of_one_data_message_accepted(self):
+        assert PACKETS_WITH_DATA == 3
+        MachineConfig(n_pes=8, queue_capacity_packets=3).validate()
 
     def test_wait_buffer_rejects_negative(self):
         with pytest.raises(ValueError, match="wait_buffer_capacity"):

@@ -254,6 +254,8 @@ def _machine(kernel, max_outstanding, seed, reference=False):
     return machine, reader
 
 
+# "event" is the alias of dense that stays registered for the
+# benchmark's kernel table (repro.core.scheduler)
 @pytest.mark.parametrize("kernel", ["dense", "event", "batch"])
 @pytest.mark.parametrize("max_outstanding", [None, 1])
 @pytest.mark.parametrize("seed", [0, 1])
@@ -279,8 +281,7 @@ def test_matches_the_eager_driver(kernel, max_outstanding, seed):
     # The workload covers what it is for.
     assert result["idle_cycles"] > 0
     assert result["cycles"] > 2 * STEPPED
-    if kernel != "dense":
-        assert len(reader.reads) < result["cycles"], "nothing fast-forwarded"
+    assert len(reader.reads) < result["cycles"], "nothing fast-forwarded"
     finished = [r["finished_cycle"] for r in result["per_pe"].values()]
     assert min(finished) < max(finished) // 2, "no PE finished early"
 

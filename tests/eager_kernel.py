@@ -2,10 +2,10 @@
 
 :class:`~repro.core.scheduler.DenseKernel` visits only the components
 that can act in a cycle (the awake switches of each stage, the PNIs and
-MNIs holding outbound traffic).  Before that, it ticked every component
-every cycle; that loop is kept here verbatim as :class:`EagerKernel`,
-the reference every kernel is checked against.  It is not registered
-with the machine: :func:`eager_kernel` registers it for the length of a
+MNIs holding outbound traffic) and fast-forwards over quiet cycles.
+Before that, it ticked every component every cycle; that loop is kept
+here verbatim as :class:`EagerKernel`, the reference every kernel is
+checked against.  It is not registered with the machine: :func:`eager_kernel` registers it for the length of a
 ``with`` block, so the registry the CLI and ``MachineConfig`` see stays
 ``batch``/``dense``/``event``.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.core.results import RunResult
 from repro.core.scheduler import KERNELS, DenseKernel, register_kernel
 from repro.network.multistage import MultistageNetwork
 
@@ -46,7 +47,9 @@ def step_return_every_switch(network: MultistageNetwork) -> None:
 
 
 class EagerKernel(DenseKernel):
-    """Tick every component every cycle, whatever it holds."""
+    """Tick every component every cycle, whatever it holds, and never
+    fast-forward: :meth:`run` and :meth:`run_cycles` execute every
+    cycle, so the kernels' quiet-cycle skip is checked against it too."""
 
     name = EAGER
 
@@ -68,6 +71,19 @@ class EagerKernel(DenseKernel):
         for network in m._networks:
             network.advance_cycle()
         m.cycle += 1
+
+    def run(self, max_cycles: int = 1_000_000) -> RunResult:
+        m = self.machine
+        while not m.quiescent():
+            if m.cycle >= max_cycles:
+                raise self._timeout(max_cycles)
+            self.step()
+        return m.stats()
+
+    def run_cycles(self, n: int) -> RunResult:
+        for _ in range(n):
+            self.step()
+        return self.machine.stats()
 
 
 @contextmanager

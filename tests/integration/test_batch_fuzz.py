@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 
+from eager_kernel import eager_kernel
 from hypothesis import HealthCheck, example, given, settings
 import hypothesis.strategies as st
 
@@ -184,6 +185,7 @@ def test_decombining_fan_out_fits_its_queue():
     of its MNI's outbound queue."""
     knobs = {"n_pes": 16, "k": 4, "queue_capacity_packets": 4,
              "instrument": False, "vectorized": False}
-    dense = _closed("dense", knobs, seed=1)
-    assert _closed("event", knobs, seed=1) == dense
-    assert _closed("batch", knobs, seed=1) == dense
+    with eager_kernel() as eager:
+        reference = _closed(eager, knobs, seed=1)
+    assert _closed("dense", knobs, seed=1) == reference
+    assert _closed("batch", knobs, seed=1) == reference

@@ -39,7 +39,7 @@ from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 TOPOLOGIES = ["omega", "hypercube", "mesh"]
 #: "batch-vector" is the batch kernel with every stage step, injection
 #: and combine forced through its vectorized path
-KERNELS = [EAGER, "dense", "event", "batch", "batch-vector"]
+KERNELS = [EAGER, "dense", "batch", "batch-vector"]
 
 
 @pytest.fixture(autouse=True, scope="module")

@@ -54,7 +54,7 @@ PROGRAMS = {"hotspot": hotspot_program, "uniform": uniform_program}
 
 #: kernels checked against the eager oracle; "batch-vector" is the
 #: batch kernel with every stage step forced through its vectorized path
-KERNELS = ["dense", "event", "batch", "batch-vector"]
+KERNELS = ["dense", "batch", "batch-vector"]
 
 
 @pytest.fixture(autouse=True, scope="module")

@@ -8,6 +8,7 @@ with what the flat trace says, under both kernels.
 import json
 
 import pytest
+from eager_kernel import eager_kernel
 
 from repro import FetchAdd, MachineConfig, Ultracomputer
 from repro.instrumentation import TraceEvent
@@ -107,6 +108,8 @@ class TestRunResultIntegration:
 
 
 class TestLatencyDifferential:
+    # "event" is the alias of dense that stays registered for the
+    # benchmark's kernel table (repro.core.scheduler)
     @pytest.mark.parametrize("kernel", ["dense", "event"])
     def test_p100_matches_flat_trace_max(self, kernel):
         result = _traced_run(kernel=kernel)
@@ -123,11 +126,14 @@ class TestLatencyDifferential:
         assert latency.quantile(1.0) == flat_max
 
     def test_kernels_export_identical_results(self):
+        """Dense (which fast-forwards quiet cycles) exports the eager
+        oracle's trace and latency summary."""
         dense = _traced_run(kernel="dense").to_dict()
-        event = _traced_run(kernel="event").to_dict()
-        assert dense["trace"] == event["trace"]
-        assert dense["latency"] == event["latency"]
-        assert dense == event
+        with eager_kernel() as eager:
+            reference = _traced_run(kernel=eager).to_dict()
+        assert dense["trace"] == reference["trace"]
+        assert dense["latency"] == reference["latency"]
+        assert dense == reference
 
     @pytest.mark.parametrize("kernel", ["dense", "event"])
     def test_trace_round_trips_through_json(self, kernel):

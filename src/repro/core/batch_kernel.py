@@ -101,7 +101,11 @@ whole stage of them per vectorized step:
   ``step()`` itself writes nothing back; the kernel reads the machine's
   private lists.  ``stats()`` writes nothing back either: it reads the
   combine and decombine totals as the switch counters plus the planes'
-  pending deltas.
+  pending deltas.  Uninstrumented, the switch objects are not even
+  built until that first read (:attr:`BatchKernel.view_on_read`): the
+  planes start from the config, the topology and the resolved wiring,
+  the first step zero-fills them, and the first write-back carries
+  every change since cycle 0 onto the fresh objects.
 * **Active-set endpoints.**  PNIs are visited only while they hold
   requests: ``PNI.issue`` adds its PE to a set the machine shares with
   the kernel, whatever driver issued, and phase 3 removes each PNI it
@@ -311,8 +315,8 @@ class _Grid:
         "kinds", "to", "port", "tot",
     )
 
-    def __init__(self, forward: bool, rows: list, wires: list) -> None:
-        stages, switches = len(rows), len(rows[0])
+    def __init__(self, forward: bool, switches: int, wires: list) -> None:
+        stages = len(wires)
         shape = (stages, wires[0].kinds.size)
         self.forward = forward
         for name in ("len", "used", "peak", "head", "ins", "combs", "base"):
@@ -326,8 +330,7 @@ class _Grid:
         self.to = np.stack([wire.to for wire in wires])
         self.port = np.stack([wire.port for wire in wires])
         self.tot = 0
-        self.lanes = [_Lane(self, s, row, wire)
-                      for s, (row, wire) in enumerate(zip(rows, wires))]
+        self.lanes = [_Lane(self, s, wire) for s, wire in enumerate(wires)]
 
     def residents(self, q: Any) -> tuple[Any, Any]:
         """Ring rows of the flat queues ``q`` (``stage * queues +
@@ -364,7 +367,9 @@ class _Lane:
 
     Queue ``f = switch * k + port`` (``k`` ports per switch) is the ToMM
     queue of that port for a forward lane and the ToPE queue for a
-    return lane; ``wire`` says where its output leads.  ``ring[f]``
+    return lane; ``wire`` says where its output leads.  ``switches``,
+    ``queues``, ``ports`` and ``hist`` are the stage's objects, looked up
+    by :meth:`bind` once the object view exists (None before).  ``ring[f]``
     holds its message ids, oldest at ``head[f]``; ``len``/``used``/
     ``busy``/``peak`` mirror the queue's length, used packets, output
     link ``busy_until`` and peak packets.  ``ins``/``combs``/
@@ -381,24 +386,29 @@ class _Lane:
         "base", "routed", "merged", "blocked", "wire",
     )
 
-    def __init__(self, grid: _Grid, stage: int, switches: list,
-                 wire: _Wiring) -> None:
+    def __init__(self, grid: _Grid, stage: int, wire: _Wiring) -> None:
         self.grid = grid
         self.stage = stage
         self.at = stage * grid.len.shape[1]  # flat index of queue 0
         self.forward = grid.forward
-        self.switches = switches
-        self.queues = [q for sw in switches
-                       for q in (sw.to_mm if grid.forward else sw.to_pe)]
-        self.ports = [p for sw in switches
-                      for p in (sw.mm_ports if grid.forward else sw.pe_ports)]
-        self.hist = self.queues[0]._occupancy_histogram
+        self.switches = self.queues = self.ports = self.hist = None
         for name in ("len", "used", "busy", "peak", "head", "ins", "combs",
                      "base", "routed", "merged", "blocked"):
             setattr(self, name, getattr(grid, name)[stage])
         self.ring = grid.ring[stage]
         self.slots = grid.slots
         self.wire = wire
+
+    def bind(self, switches: list) -> None:
+        """Look up the stage's switch objects, their queues and output
+        ports of this direction, and the queues' occupancy histogram."""
+        forward = self.forward
+        self.switches = switches
+        self.queues = [q for sw in switches
+                       for q in (sw.to_mm if forward else sw.to_pe)]
+        self.ports = [p for sw in switches
+                      for p in (sw.mm_ports if forward else sw.pe_ports)]
+        self.hist = self.queues[0]._occupancy_histogram
 
     def contents(self, queues: Any) -> tuple[Any, Any]:
         """Message ids of ``queues``, queue by queue and oldest first,
@@ -426,7 +436,11 @@ class _Lane:
 
 class _MessagePlane:
     """Every message resident in one network copy, in struct-of-arrays
-    form, moved a direction per pass (see the module docstring)."""
+    form, moved a direction per pass (see the module docstring).
+
+    It is built from the network's config, topology and resolved wiring
+    alone; the switch objects are looked up only to write them back or
+    read them in (:meth:`flush`, :meth:`resync`), once they exist."""
 
     #: a stage step, injection or memory-side phase with fewer heads
     #: (or MNIs) than this moves them one at a time, and a direction
@@ -463,8 +477,7 @@ class _MessagePlane:
             if id(targets) not in wires:
                 wires[id(targets)] = _Wiring(targets)
         self.fwd_grid, self.ret_grid = (
-            _Grid(forward, network.stages,
-                  [wires[id(targets)] for targets in lists])
+            _Grid(forward, self.S, [wires[id(targets)] for targets in lists])
             for forward, lists in ((True, network.forward_targets),
                                    (False, network.return_targets)))
         self.fwd = self.fwd_grid.lanes
@@ -473,9 +486,9 @@ class _MessagePlane:
         self.inject_points = points
         self.inject_sw = np.array([p[0] for p in points], dtype=np.int64)
         self.inject_port = np.array([p[1] for p in points], dtype=np.int64)
-        # Wait buffers, flat index ``stage * Q + switch * k + port``.
-        self.wbs = [wb for row in network.stages for sw in row
-                    for wb in sw.wait_buffers]
+        # The wait-buffer objects, flat index ``stage * Q + switch * k +
+        # port`` (the index of the wait arrays), once bound (:meth:`_view`).
+        self.wbs: Optional[list] = None
         # Whether a homogeneous pair of each vectorized kind may combine
         # (indexed [kind, R-old and R-new arrived on the same port]):
         # decombine_fits evaluated once per case.
@@ -699,45 +712,68 @@ class _MessagePlane:
             self.wb_peak[wb] = occupancy
         self.wb_ins[wb] = self.wb_ins.item(wb) + 1
         self.wb_dirty[wb] = True
-        hist = self.wbs[wb]._occupancy_histogram
-        if hist is not None:
-            hist.observe(occupancy)
+        if self._instr_on:
+            self.wbs[wb]._occupancy_histogram.observe(occupancy)
 
     # ------------------------------------------------------------------
     # object view
     # ------------------------------------------------------------------
+    def _view(self) -> bool:
+        """Bind the lanes and wait buffers to the switch objects, once
+        the network has built them; False while it has not."""
+        if self.wbs is None:
+            rows = self.network.stages
+            if not rows:
+                return False
+            for lane in self.fwd + self.ret:
+                lane.bind(rows[lane.stage])
+            self.wbs = [wb for row in rows for sw in row
+                        for wb in sw.wait_buffers]
+        return True
+
     def resync(self, memory_side: list["Message"]) -> list[int]:
         """Rebuild the whole plane from the switch objects and
         ``memory_side``, the messages of this copy the MNI objects hold;
-        returns the ids given to those, in order.
+        returns the ids given to those, in order.  A network whose
+        switches are not built yet is empty, and the plane starts from
+        zeros.
 
-        Used at construction (the objects may already hold traffic) and
-        by the round-trip tests, which compare a flushed plane against
-        one rebuilt from its own object view (see
-        :meth:`BatchKernel.resync`)."""
+        Used at construction (a reader may have built the objects and
+        offered traffic through them) and by the round-trip tests, which
+        compare a flushed plane against one rebuilt from its own object
+        view (see :meth:`BatchKernel.resync`)."""
         lanes = self.fwd + self.ret
-        lengths = [[len(q._slots) for q in lane.queues] for lane in lanes]
-        wbs = self.wbs
-        self.wb_occ = np.array([wb._occupancy for wb in wbs], dtype=np.int32)
-        self.wb_peak = np.array([wb.peak_occupancy for wb in wbs], dtype=np.int32)
-        self.wb_ins = np.zeros(len(wbs), dtype=np.int32)
-        self.wb_dirty = np.zeros(len(wbs), dtype=bool)
-        self._new_pool(max(1024, 2 * (sum(map(sum, lengths)) + len(memory_side)
+        view = self._view()
+        cells = self.D * self.Q
+        if view:
+            lengths = np.array([[len(q._slots) for q in lane.queues]
+                                for lane in lanes], dtype=np.int32)
+            wbs = self.wbs
+            self.wb_occ = np.array([wb._occupancy for wb in wbs], dtype=np.int32)
+            self.wb_peak = np.array([wb.peak_occupancy for wb in wbs],
+                                    dtype=np.int32)
+        else:
+            lengths = np.zeros((2 * self.D, self.Q), dtype=np.int32)
+            self.wb_occ = np.zeros(cells, dtype=np.int32)
+            self.wb_peak = np.zeros(cells, dtype=np.int32)
+        self.wb_ins = np.zeros(cells, dtype=np.int32)
+        self.wb_dirty = np.zeros(cells, dtype=bool)
+        self._new_pool(max(1024, 2 * (int(lengths.sum()) + len(memory_side)
                                       + int(self.wb_occ.sum()))))
         self._seq = 0
         by_tag: dict[int, int] = {}
         for grid, held in ((self.fwd_grid, lengths[:self.D]),
                            (self.ret_grid, lengths[self.D:])):
             grid.set_ring(np.zeros(
-                grid.len.shape + (max([grid.slots] + [max(h) for h in held]),),
+                grid.len.shape + (max(grid.slots, int(held.max())),),
                 dtype=np.int32))
             grid.len[:] = held
             grid.base[:] = held
-            grid.tot = sum(map(sum, held))
-            for arr in (grid.head, grid.ins, grid.combs, grid.routed,
-                        grid.merged, grid.blocked):
+            grid.tot = int(held.sum())
+            for arr in (grid.used, grid.peak, grid.busy, grid.head, grid.ins,
+                        grid.combs, grid.routed, grid.merged, grid.blocked):
                 arr[:] = 0
-        for lane in lanes:
+        for lane in lanes if view else ():
             lane.used[:] = [q.used_packets for q in lane.queues]
             lane.peak[:] = [q.peak_packets for q in lane.queues]
             lane.busy[:] = [p.busy_until for p in lane.ports]
@@ -755,7 +791,7 @@ class _MessagePlane:
             held_ids.append(i)
         found = []
         for wb_index in np.flatnonzero(self.wb_occ).tolist():
-            for stack in wbs[wb_index]._records.values():
+            for stack in self.wbs[wb_index]._records.values():
                 for record in stack:
                     i = self._admit(record.new_message)
                     by_tag[record.new_message.tag] = i
@@ -793,7 +829,11 @@ class _MessagePlane:
         """Write the plane back into the switch objects: contents,
         packet counts and statistics of every queue touched since the
         last flush, its output port, the wait buffers touched since then,
-        and the switch counters."""
+        and the switch counters.  A first flush writes every change
+        since cycle 0 (``base`` is zero and the deltas have accumulated
+        since), so switches built just before it end up as an eager
+        build would hold them."""
+        self._view()
         pairwise = self.pairwise
         obj = self.obj
         for lane in self.fwd + self.ret:
@@ -2241,6 +2281,8 @@ class BatchKernel(DenseKernel):
     """
 
     name = "batch"
+    #: uninstrumented, the switch objects are only the object view
+    view_on_read = True
 
     def __init__(self, machine: "Ultracomputer") -> None:
         super().__init__(machine)
@@ -2267,9 +2309,11 @@ class BatchKernel(DenseKernel):
     def resync(self) -> None:
         """Rebuild every plane and the memory side from the object view.
 
-        Used at construction (the objects may already hold traffic) and
-        by the round-trip tests, which compare the arrays of a flushed
-        kernel against those rebuilt from its own object view."""
+        Used at construction (a reader may have built the switch
+        objects and offered traffic through them; if none did, the
+        planes start from zeros) and by the round-trip tests, which
+        compare the arrays of a flushed kernel against those rebuilt
+        from its own object view."""
         held = self._memory.held()
         self._memory.resync([plane.resync(messages)
                              for plane, messages in zip(self._states, held)])
@@ -2286,8 +2330,8 @@ class BatchKernel(DenseKernel):
         self._unsynced = False
 
     def combine_totals(self) -> tuple[int, int]:
-        """The switch counters plus the planes' deltas not yet written
-        back."""
+        """The switch counters (0 while the switches are not built) plus
+        the planes' deltas not yet written back."""
         combines, decombines = super().combine_totals()
         for state in self._states:
             combines += int(state.fwd_grid.merged.sum())
@@ -2418,6 +2462,12 @@ class BatchKernel(DenseKernel):
         if best == cycle:
             return cycle
         return self._driver_horizon(cycle, best)
+
+    def _in_flight(self) -> int:
+        """Messages resident in the planes, counted without writing the
+        object view back (a timeout message should not build it)."""
+        return sum(state.fwd_grid.tot + state.ret_grid.tot
+                   for state in self._states)
 
     def _skip(self, delta: int) -> None:
         """The kernel's share of the skip: the memory side's busy counts

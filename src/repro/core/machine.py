@@ -28,7 +28,7 @@ from ..network.topology import make_topology, topology_names, validate_topology_
 from .memory_ops import PACKETS_WITH_DATA, Op
 from .paracomputer import Program, ProgramFactory
 from .results import PEResult, RunResult
-from .scheduler import kernel_names, make_kernel
+from .scheduler import KERNELS, kernel_names, make_kernel
 
 __all__ = [
     "Driver",
@@ -85,7 +85,8 @@ class MachineConfig:
     #: struct-of-arrays form and moves a whole stage of them per
     #: vectorized step — the 1024–4096-PE scaling kernel (the switch
     #: and MNI objects are written back when the machine's public
-    #: readers are used).  ``"event"`` is an alias of ``"dense"``, kept
+    #: readers are used, and uninstrumented the switches are built only
+    #: then).  ``"event"`` is an alias of ``"dense"``, kept
     #: only while the benchmark's kernel table reads it.
     #: All kernels produce bit-identical results; valid names come from
     #: the pluggable registry in :mod:`repro.core.scheduler`.
@@ -143,13 +144,16 @@ class MachineConfig:
                 "invalid; use None for unbounded wait buffers or a "
                 "capacity >= 0 (0 disables combining entirely)"
             )
-        if self.mni_inbound_capacity_packets is not None and (
-            self.mni_inbound_capacity_packets < 1
-        ):
+        if (self.mni_inbound_capacity_packets is not None
+                and self.mni_inbound_capacity_packets < PACKETS_WITH_DATA):
+            # A store or F&A request could never enter such a buffer, so
+            # the run wedges on the first one.
             raise ValueError(
                 f"mni_inbound_capacity_packets="
                 f"{self.mni_inbound_capacity_packets} is invalid; use None "
-                "for unbounded MNI buffers or a capacity >= 1"
+                "for unbounded MNI buffers or a capacity >= "
+                f"{PACKETS_WITH_DATA} (PACKETS_WITH_DATA, the packets of "
+                "a message that carries data)"
             )
         if self.max_outstanding is not None and self.max_outstanding < 1:
             raise ValueError(
@@ -478,12 +482,19 @@ class Ultracomputer:
         # combinatorics, and sharing it shares the interned route cache.
         self.topology = make_topology(config.topology, config.n_pes, config.k)
         # The kernels read the private lists; the public ``networks`` and
-        # ``mnis`` properties bring the object view up to date first.
+        # ``mnis`` properties bring the object view up to date first.  A
+        # kernel that keeps the network in arrays needs the switch
+        # objects only as that view, so unless the run is instrumented
+        # (its switches register their instruments when built) they are
+        # built on the first public read.
+        defer = not config.instrument and getattr(
+            KERNELS[config.kernel], "view_on_read", False)
         self._networks = [
             MultistageNetwork(
                 config.network_config(),
                 self.topology,
                 instrumentation=self.instrumentation,
+                defer_switches=defer,
             )
             for _ in range(config.copies)
         ]
@@ -548,10 +559,20 @@ class Ultracomputer:
     # ------------------------------------------------------------------
     # the object view (public readers sync it from the kernel first)
     # ------------------------------------------------------------------
+    def _sync_view(self) -> None:
+        """Bring the object view up to date with the kernel, building the
+        switch rows first if their build was deferred: the kernel's
+        first write-back carries every change since cycle 0, so fresh
+        switches end up as an eager build would hold them."""
+        if not self._networks[0].stages:
+            for network in self._networks:
+                network.build_switches()
+        self.kernel.sync()
+
     @property
     def networks(self) -> list[MultistageNetwork]:
         """Every network copy, up to date with the kernel."""
-        self.kernel.sync()
+        self._sync_view()
         return self._networks
 
     @property
@@ -562,7 +583,7 @@ class Ultracomputer:
     @property
     def mnis(self) -> list[MNI]:
         """The memory-network interfaces, up to date with the kernel."""
-        self.kernel.sync()
+        self._sync_view()
         return self._mnis
 
     def fail_network_copy(self, index: int) -> None:
@@ -665,7 +686,7 @@ class Ultracomputer:
 
     def quiescent(self) -> bool:
         """No traffic anywhere and every driver is done."""
-        self.kernel.sync()
+        self._sync_view()
         return (
             all(driver.done() for driver in self.drivers)
             and all(network.is_drained() for network in self._networks)

@@ -105,6 +105,12 @@ class Kernel(Protocol):
     """
 
     name: str
+    #: True when, uninstrumented, the kernel keeps the network state
+    #: outside the switch objects, so the machine builds the switch rows
+    #: only when a public reader first looks.  The machine reads it off
+    #: the registered factory before building its networks; a factory
+    #: without it gets them built eagerly.
+    view_on_read: bool
 
     def step(self) -> None:
         """Execute exactly one machine cycle."""
@@ -189,6 +195,8 @@ class DenseKernel:
     """
 
     name = "dense"
+    #: the dense kernel runs on the switch objects themselves
+    view_on_read = False
 
     def __init__(self, machine: "Ultracomputer") -> None:
         self.machine = machine
@@ -364,12 +372,14 @@ class DenseKernel:
 
     # ------------------------------------------------------------------
     def _timeout(self, max_cycles: int) -> RuntimeError:
-        m = self.machine
         return RuntimeError(
             f"machine did not quiesce within {max_cycles} cycles "
-            f"({sum(n.pending_messages() for n in m.networks)} "
-            "messages in flight)"
+            f"({self._in_flight()} messages in flight)"
         )
+
+    def _in_flight(self) -> int:
+        """Messages resident in the switch queues of every copy."""
+        return sum(n.pending_messages() for n in self.machine._networks)
 
 
 def make_kernel(name: str, machine: "Ultracomputer") -> "Kernel":

@@ -58,8 +58,55 @@ class NetworkConfig:
     pairwise_only: bool = True
 
 
+#: resolved wiring tables per (topology class, ports, switch arity);
+#: see :func:`resolved_wiring`
+_WIRING: dict[tuple, tuple[tuple, tuple]] = {}
+
+
+def resolved_wiring(topology: Topology) -> tuple[tuple, tuple]:
+    """The topology's wiring resolved once, as data, memoised per
+    (topology class, port count, switch arity) for the process: every
+    registered geometry is fixed by those three, and sweeps and
+    benchmarks rebuild the same size many times.
+
+    Returns ``(forward_targets, return_targets)``: entry ``[stage][q]``
+    is the target of output ``q = switch * switch_arity + port`` as
+    :meth:`~repro.network.topology.Topology.forward_target` and
+    ``return_target`` give it (stages wired alike share one row).  This
+    is a network's only wiring: the switch ticks deliver through it
+    (:meth:`MultistageNetwork._deliver_forward`/``_deliver_return``) and
+    the batch kernel's message plane builds its arrays from it.  The
+    tables are tuples of tuples, so the networks sharing them cannot
+    change them.
+    """
+    key = (type(topology), topology.n_ports, topology.switch_arity)
+    tables = _WIRING.get(key)
+    if tables is None:
+        arity = topology.switch_arity
+        queues = range(topology.switches_per_stage * arity)
+
+        def resolve(target_of: Callable[[int, int, int], Optional[tuple]]) -> tuple:
+            rows: list[tuple] = []
+            for stage in range(topology.stages):
+                row = tuple(target_of(stage, q // arity, q % arity) for q in queues)
+                rows.append(rows[-1] if rows and rows[-1] == row else row)
+            return tuple(rows)
+
+        tables = _WIRING[key] = (resolve(topology.forward_target),
+                                 resolve(topology.return_target))
+    return tables
+
+
 class MultistageNetwork:
-    """A topology's stage grid of combining switches, fully wired."""
+    """A topology's stage grid of combining switches, fully wired.
+
+    ``defer_switches=True`` leaves :attr:`stages` empty until
+    :meth:`build_switches` is called: a kernel that keeps the network
+    state in arrays (uninstrumented batch) needs the switch objects
+    only as a view, built when a public reader first looks.  The
+    wiring, the wake sets and the stage-delay counters exist either
+    way, and the combine totals of an unbuilt grid read 0.
+    """
 
     def __init__(
         self,
@@ -67,6 +114,7 @@ class MultistageNetwork:
         topology: Topology,
         *,
         instrumentation: Instrumentation = DISABLED,
+        defer_switches: bool = False,
     ) -> None:
         if topology.n_ports != config.n_ports:
             raise ValueError(
@@ -76,22 +124,11 @@ class MultistageNetwork:
         self.config = config
         self.topology = topology
         self.instrumentation = instrumentation
-        self.stages: list[list[Switch]] = [
-            [
-                Switch(
-                    topology.switch_arity,
-                    stage,
-                    index,
-                    queue_capacity_packets=config.queue_capacity_packets,
-                    wait_buffer_capacity=config.wait_buffer_capacity,
-                    combining=config.combining,
-                    pairwise_only=config.pairwise_only,
-                    instrumentation=instrumentation,
-                )
-                for index in range(topology.switches_per_stage)
-            ]
-            for stage in range(topology.stages)
-        ]
+        #: the switch rows, ``stages[stage][index]``; empty until
+        #: :meth:`build_switches` runs (see ``defer_switches``)
+        self.stages: list[list[Switch]] = []
+        if not defer_switches:
+            self.build_switches()
         self.mm_sink: Optional[Sink] = None
         self.pe_sink: Optional[Sink] = None
         self.cycle = 0
@@ -111,35 +148,29 @@ class MultistageNetwork:
         # request leaves the grid from is never counted.
         self.stage_delay_sum: list[int] = [0] * topology.stages
         self.stage_delay_count: list[int] = [0] * topology.stages
-        self._build_wiring()
+        self.forward_targets, self.return_targets = resolved_wiring(topology)
 
-    # ------------------------------------------------------------------
-    # static wiring
-    # ------------------------------------------------------------------
-    def _build_wiring(self) -> None:
-        """Resolve the topology's wiring once, as data.
-
-        ``forward_targets[stage][q]`` and ``return_targets[stage][q]``
-        hold the target of output ``q = switch * switch_arity + port``
-        as :meth:`~repro.network.topology.Topology.forward_target` and
-        ``return_target`` give it (stages wired alike share one list).
-        This is the network's only wiring: the switch ticks deliver
-        through it (:meth:`_deliver_forward`/:meth:`_deliver_return`)
-        and the batch kernel's message plane builds its arrays from it.
-        """
-        topo = self.topology
-        arity = topo.switch_arity
-        queues = range(topo.switches_per_stage * arity)
-
-        def resolve(target_of: Callable[[int, int, int], Optional[tuple]]) -> list:
-            rows: list[list] = []
-            for stage in range(topo.stages):
-                row = [target_of(stage, q // arity, q % arity) for q in queues]
-                rows.append(rows[-1] if rows and rows[-1] == row else row)
-            return rows
-
-        self.forward_targets = resolve(topo.forward_target)
-        self.return_targets = resolve(topo.return_target)
+    def build_switches(self) -> None:
+        """Build the switch rows (the constructor calls this unless told
+        to defer it)."""
+        config = self.config
+        topology = self.topology
+        self.stages = [
+            [
+                Switch(
+                    topology.switch_arity,
+                    stage,
+                    index,
+                    queue_capacity_packets=config.queue_capacity_packets,
+                    wait_buffer_capacity=config.wait_buffer_capacity,
+                    combining=config.combining,
+                    pairwise_only=config.pairwise_only,
+                    instrumentation=self.instrumentation,
+                )
+                for index in range(topology.switches_per_stage)
+            ]
+            for stage in range(topology.stages)
+        ]
 
     def _unused(self, stage: int, q: int) -> AssertionError:
         arity = self.topology.switch_arity

@@ -20,6 +20,7 @@ import random
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from helpers import assert_mirror_matches_rebuild
 
 import repro.core.batch_kernel as batch_kernel
 from repro.core.machine import MachineConfig, Ultracomputer
@@ -56,32 +57,6 @@ def _synced_kernel(machine):
     return machine.kernel
 
 
-def _assert_mirror_matches_rebuild(kernel) -> None:
-    """Every plane's and the memory side's arrays equal those
-    ``resync()`` rebuilds from the written-back objects."""
-    incremental = [state.export_state() for state in kernel._states]
-    memory = kernel._memory.export_state()
-    kernel.resync()
-    for state, before in zip(kernel._states, incremental):
-        rebuilt = state.export_state()
-        for field in ("fwd_len", "ret_len", "fwd_busy", "ret_busy"):
-            for stage, (inc, reb) in enumerate(
-                zip(before[field], rebuilt[field])
-            ):
-                assert (inc == reb).all(), (
-                    f"{field}[{stage}] diverged from the object state"
-                )
-        assert before["fwd_tot"] == rebuilt["fwd_tot"]
-        assert before["ret_tot"] == rebuilt["ret_tot"]
-        for field in ("wait_occupancy", "wait_peak"):
-            assert (before[field] == rebuilt[field]).all(), (
-                f"{field} diverged from the wait buffers"
-            )
-    rebuilt = kernel._memory.export_state()
-    for field, value in memory.items():
-        assert value == rebuilt[field], f"MNI {field} diverged from the MNIs"
-
-
 class TestStateRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -97,7 +72,7 @@ class TestStateRoundTrip:
         machine.spawn_many(n_pes, _program, 4, seed)
         for _ in range(cycles):
             machine.step()
-        _assert_mirror_matches_rebuild(_synced_kernel(machine))
+        assert_mirror_matches_rebuild(_synced_kernel(machine))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -118,7 +93,7 @@ class TestStateRoundTrip:
         machine.spawn_many(16, _program, 4, seed)
         for _ in range(80):
             machine.step()
-        _assert_mirror_matches_rebuild(_synced_kernel(machine))
+        assert_mirror_matches_rebuild(_synced_kernel(machine))
 
     def test_arrays_empty_after_quiescent_run(self):
         machine = Ultracomputer(MachineConfig(n_pes=16, kernel="batch"))
@@ -126,7 +101,7 @@ class TestStateRoundTrip:
         machine.run()
         for state in _mirror_states(machine):
             assert not state.has_messages()
-        _assert_mirror_matches_rebuild(_synced_kernel(machine))
+        assert_mirror_matches_rebuild(_synced_kernel(machine))
 
 
 class TestConstruction:
@@ -335,7 +310,7 @@ class TestWaitBufferRoundTrip:
                   for r in stack}
         assert len(stages) >= 4
         assert _object_view(batch) == _object_view(dense)
-        _assert_mirror_matches_rebuild(_synced_kernel(batch))  # resyncs
+        assert_mirror_matches_rebuild(_synced_kernel(batch))  # resyncs
         assert batch.run().to_dict() == dense.run().to_dict()
 
 

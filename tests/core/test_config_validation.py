@@ -3,7 +3,7 @@
 import pytest
 
 from repro import MachineConfig, Ultracomputer
-from repro.core.memory_ops import PACKETS_WITH_DATA
+from repro.core.memory_ops import PACKETS_WITH_DATA, FetchAdd
 from repro.core.scheduler import KERNELS, DenseKernel, kernel_names
 from repro.network.topology import topology_names
 
@@ -90,6 +90,36 @@ class TestComponentBounds:
     def test_queue_capacity_of_one_data_message_accepted(self):
         assert PACKETS_WITH_DATA == 3
         MachineConfig(n_pes=8, queue_capacity_packets=3).validate()
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_mni_capacity_below_a_data_message_rejected(self, capacity):
+        """The MNI refuses any request larger than its buffer, so no
+        store or F&A request (3 packets) could ever enter: the run
+        wedges on the first one."""
+        with pytest.raises(ValueError, match=(
+                r"mni_inbound_capacity_packets=.*capacity >= 3 "
+                r"\(PACKETS_WITH_DATA")):
+            MachineConfig(n_pes=8,
+                          mni_inbound_capacity_packets=capacity).validate()
+
+    @pytest.mark.parametrize("capacity", [PACKETS_WITH_DATA, None])
+    def test_mni_capacity_of_one_data_message_accepted(self, capacity):
+        MachineConfig(n_pes=8, mni_inbound_capacity_packets=capacity).validate()
+
+    @pytest.mark.parametrize("kernel", ["dense", "batch"])
+    def test_smallest_mni_capacity_drains(self, kernel):
+        """At the minimum, one F&A per PE on 16 PEs finishes."""
+        machine = Ultracomputer(MachineConfig(
+            n_pes=16, kernel=kernel,
+            mni_inbound_capacity_packets=PACKETS_WITH_DATA))
+
+        def program(pe_id):
+            return (yield FetchAdd(0, 1))
+
+        machine.spawn_many(16, program)
+        result = machine.run(4_000)
+        assert all(pe.finished for pe in result.per_pe.values())
+        assert machine.peek(0) == 16
 
     def test_wait_buffer_rejects_negative(self):
         with pytest.raises(ValueError, match="wait_buffer_capacity"):

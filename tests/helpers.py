@@ -105,3 +105,30 @@ def parse_prometheus(text):
                 )
         samples[(name, frozenset(labels.items()))] = _prom_value(value)
     return types, samples
+
+
+def assert_mirror_matches_rebuild(kernel) -> None:
+    """Every plane's and the memory side's arrays of a batch kernel whose
+    object view was just written back equal those ``resync()`` rebuilds
+    from that view."""
+    incremental = [state.export_state() for state in kernel._states]
+    memory = kernel._memory.export_state()
+    kernel.resync()
+    for state, before in zip(kernel._states, incremental):
+        rebuilt = state.export_state()
+        for field in ("fwd_len", "ret_len", "fwd_busy", "ret_busy"):
+            for stage, (inc, reb) in enumerate(
+                zip(before[field], rebuilt[field])
+            ):
+                assert (inc == reb).all(), (
+                    f"{field}[{stage}] diverged from the object state"
+                )
+        assert before["fwd_tot"] == rebuilt["fwd_tot"]
+        assert before["ret_tot"] == rebuilt["ret_tot"]
+        for field in ("wait_occupancy", "wait_peak"):
+            assert (before[field] == rebuilt[field]).all(), (
+                f"{field} diverged from the wait buffers"
+            )
+    rebuilt = kernel._memory.export_state()
+    for field, value in memory.items():
+        assert value == rebuilt[field], f"MNI {field} diverged from the MNIs"

@@ -30,7 +30,9 @@ whole stage of them per vectorized step:
   kind, next switch and port, endpoint line) come from the targets
   :class:`~repro.network.multistage.MultistageNetwork` resolved at
   build, and injections go through the topology's ``inject_point`` and
-  ``reply_entry``, so every registered fabric runs here.  A stage whose
+  ``reply_entry``, so every registered fabric runs here.  The tables
+  and the injection points are memoised per geometry, beside the
+  resolved wiring.  A stage whose
   queues both eject and hop (hypercube, mesh) sends its endpoint-bound
   heads and its hopping heads as two groups.
 * **One pass per direction.**  The transmit mask ``qlen != 0 & busy <=
@@ -90,22 +92,28 @@ whole stage of them per vectorized step:
   ascending-MM order; phase 5 offers every free-link head reply as one
   batch per copy, as phase 3 does for the PNIs.  While fewer than
   ``vector_min`` MNIs hold work, both visit those MNIs one at a time.
-* **Object view, synced when read.**  The switch and MNI objects remain
-  the reference model for the dense kernel.  Under this
-  kernel the arrays are authoritative and :meth:`BatchKernel.sync`
-  writes them back — queue contents, combined requests'
-  ``op``/``combine_depth``, port state, wait buffers, switch counters
-  and MNIs, for what was touched since the previous write only — when a
-  cycle has run since then and one of the machine's public readers
-  (``networks``, ``network``, ``mnis``, ``quiescent()``) looks.
-  ``step()`` itself writes nothing back; the kernel reads the machine's
-  private lists.  ``stats()`` writes nothing back either: it reads the
-  combine and decombine totals as the switch counters plus the planes'
-  pending deltas.  Uninstrumented, the switch objects are not even
-  built until that first read (:attr:`BatchKernel.view_on_read`): the
-  planes start from the config, the topology and the resolved wiring,
-  the first step zero-fills them, and the first write-back carries
-  every change since cycle 0 onto the fresh objects.
+* **A one-way object view, built when read.**  The switch and MNI
+  objects remain the reference model for the dense kernel.  Under this
+  kernel the arrays are authoritative and the objects are only a view
+  of them, written and never read back.  The kernel builds no switch:
+  the machine builds the rows on the first public read (``networks``,
+  ``network``, ``mnis``, ``quiescent()``), instrumented or not, since
+  the network registers the per-stage instruments itself and the
+  instrumented probes here use those handles.  The planes and the
+  memory side start empty at the first step, from the config, the
+  topology, the resolved wiring and the instruments.
+  :meth:`BatchKernel.sync` writes the arrays back — queue contents,
+  combined requests' ``op``/``combine_depth``, port state, wait
+  buffers, switch counters and MNIs, for what was touched since the
+  previous write only (the first write carries every change since
+  cycle 0 onto the fresh objects) — when a cycle has run since then
+  and a public reader looks.  ``step()`` itself writes nothing back;
+  the kernel reads the machine's private lists.  ``stats()`` writes
+  nothing back either: it reads the combine and decombine totals as
+  the switch counters plus the planes' pending deltas.  A message
+  offered through the view, to a switch or an MNI, would never reach
+  the arrays, so the next step refuses it (it marks the network's wake
+  sets or the machine's busy MNIs, which this kernel never fills).
 * **Active-set endpoints.**  PNIs are visited only while they hold
   requests: ``PNI.issue`` adds its PE to a set the machine shares with
   the kernel, whatever driver issued, and phase 3 removes each PNI it
@@ -143,6 +151,7 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from ..network.message import Message, packets_for
+from ..network.multistage import wiring_key
 from ..network.switch import decombine_fits
 from ..network.systolic_queue import _Slot
 from ..network.wait_buffer import WaitRecord
@@ -204,19 +213,12 @@ _POOL = (
 )
 
 
-def _cell_key(message: "Message") -> int:
-    """The key a message's cell is searched by: exact (``mm``, then a
-    32-bit ``offset``) when the offset fits, else a hash — equal cells
-    always share a key, and a collision only costs a closer look."""
-    offset = message.offset
-    if type(offset) is int and 0 <= offset < 1 << 32:
-        return message.mm << 32 | offset
-    return hash((message.mm, offset))
-
-
 def _request_fields(message: "Message") -> tuple[int, int, int]:
-    """``(key, kind, operand)`` of a request: its :func:`_cell_key`, and
-    its kind and operand for the vectorized combining path — kind 0
+    """``(key, kind, operand)`` of a request.  The key is what its cell
+    is searched by: exact (``mm``, then a 32-bit ``offset``) when the
+    offset fits, else a hash — equal cells always share a key, and a
+    collision only costs a closer look.  The kind and operand are for
+    the vectorized combining path — kind 0
     (per-message path only) unless it is a plain F&A, Load or Store
     whose operand and offset fit the arrays (so requests of one kind
     with equal keys address one cell)."""
@@ -275,6 +277,8 @@ class _Wiring:
     queue shares it, else None); ``to[f]`` is the next-stage switch of a
     hop or the endpoint line of an exit, and ``port[f]`` the hop's input
     port.  The ``*_l`` lists serve the one-message-at-a-time paths.
+    The tables are shared by every plane of one geometry
+    (:func:`_plane_wiring`), so their arrays are read-only.
     """
 
     __slots__ = ("kind", "kinds", "to", "port", "to_l", "port_l")
@@ -292,6 +296,39 @@ class _Wiring:
                        for t, kind in zip(targets, kinds)]
         self.to = np.array(self.to_l, dtype=np.int64)
         self.port = np.array(self.port_l, dtype=np.int64)
+        for table in (self.kinds, self.to, self.port):
+            table.setflags(write=False)
+
+
+#: per geometry (:func:`~repro.network.multistage.wiring_key`), the
+#: planes' wiring; see :func:`_plane_wiring`
+_PLANE_WIRING: dict[tuple, tuple] = {}
+
+
+def _plane_wiring(network: "MultistageNetwork") -> tuple:
+    """``(forward, return, inject_points, inject_sw, inject_port)`` of
+    the network's geometry, memoised for the process as its resolved
+    wiring is: each lane's :class:`_Wiring` by direction and stage
+    (stages wired alike share one), and each PE's stage-0 switch and
+    port as a list of pairs and as two read-only arrays."""
+    topo = network.topology
+    key = wiring_key(topo)
+    tables = _PLANE_WIRING.get(key)
+    if tables is None:
+        wires: dict[int, _Wiring] = {}
+        for targets in network.forward_targets + network.return_targets:
+            if id(targets) not in wires:
+                wires[id(targets)] = _Wiring(targets)
+        points = [topo.inject_point(pe) for pe in range(topo.n_ports)]
+        inject_sw, inject_port = (np.array(column, dtype=np.int64)
+                                  for column in zip(*points))
+        inject_sw.setflags(write=False)
+        inject_port.setflags(write=False)
+        tables = _PLANE_WIRING[key] = (
+            [wires[id(targets)] for targets in network.forward_targets],
+            [wires[id(targets)] for targets in network.return_targets],
+            points, inject_sw, inject_port)
+    return tables
 
 
 class _Grid:
@@ -368,8 +405,9 @@ class _Lane:
     Queue ``f = switch * k + port`` (``k`` ports per switch) is the ToMM
     queue of that port for a forward lane and the ToPE queue for a
     return lane; ``wire`` says where its output leads.  ``switches``,
-    ``queues``, ``ports`` and ``hist`` are the stage's objects, looked up
-    by :meth:`bind` once the object view exists (None before).  ``ring[f]``
+    ``queues`` and ``ports`` are the
+    stage's objects, looked up by :meth:`bind` once the object view
+    exists (None before), for the write-back only.  ``ring[f]``
     holds its message ids, oldest at ``head[f]``; ``len``/``used``/
     ``busy``/``peak`` mirror the queue's length, used packets, output
     link ``busy_until`` and peak packets.  ``ins``/``combs``/
@@ -381,7 +419,7 @@ class _Lane:
     """
 
     __slots__ = (
-        "grid", "stage", "at", "forward", "switches", "queues", "ports", "hist",
+        "grid", "stage", "at", "forward", "switches", "queues", "ports",
         "len", "used", "busy", "peak", "head", "ring", "slots", "ins", "combs",
         "base", "routed", "merged", "blocked", "wire",
     )
@@ -391,7 +429,7 @@ class _Lane:
         self.stage = stage
         self.at = stage * grid.len.shape[1]  # flat index of queue 0
         self.forward = grid.forward
-        self.switches = self.queues = self.ports = self.hist = None
+        self.switches = self.queues = self.ports = None
         for name in ("len", "used", "busy", "peak", "head", "ins", "combs",
                      "base", "routed", "merged", "blocked"):
             setattr(self, name, getattr(grid, name)[stage])
@@ -400,15 +438,14 @@ class _Lane:
         self.wire = wire
 
     def bind(self, switches: list) -> None:
-        """Look up the stage's switch objects, their queues and output
-        ports of this direction, and the queues' occupancy histogram."""
+        """Look up the stage's switch objects, and their queues and
+        output ports of this direction."""
         forward = self.forward
         self.switches = switches
         self.queues = [q for sw in switches
                        for q in (sw.to_mm if forward else sw.to_pe)]
         self.ports = [p for sw in switches
                       for p in (sw.mm_ports if forward else sw.pe_ports)]
-        self.hist = self.queues[0]._occupancy_histogram
 
     def contents(self, queues: Any) -> tuple[Any, Any]:
         """Message ids of ``queues``, queue by queue and oldest first,
@@ -438,9 +475,10 @@ class _MessagePlane:
     """Every message resident in one network copy, in struct-of-arrays
     form, moved a direction per pass (see the module docstring).
 
-    It is built from the network's config, topology and resolved wiring
-    alone; the switch objects are looked up only to write them back or
-    read them in (:meth:`flush`, :meth:`resync`), once they exist."""
+    It is built, empty, from the network's config, topology, resolved
+    wiring and per-stage instruments alone, when the machine first
+    steps; the switch objects are looked up only to write them back
+    (:meth:`flush`), once they exist."""
 
     #: a stage step, injection or memory-side phase with fewer heads
     #: (or MNIs) than this moves them one at a time, and a direction
@@ -454,7 +492,7 @@ class _MessagePlane:
         self.kernel = kernel
         self.copy = copy
         self.memory = kernel._memory
-        topo = self.topo = network.topology
+        topo = network.topology
         config = network.config
         k = self.k = topo.switch_arity
         self.D = topo.stages
@@ -470,24 +508,27 @@ class _MessagePlane:
         instr = network.instrumentation
         self._instr = instr
         self._instr_on = instr.enabled
+        #: per stage, the instruments the switches of the stage share
+        #: (None uninstrumented)
+        self.instruments = network.stage_instruments
         #: whether combining and decombining may take the vectorized path
         self.vector = self.combining and self.pairwise and not instr.enabled
-        wires: dict[int, _Wiring] = {}  # stages wired alike share a list
-        for targets in network.forward_targets + network.return_targets:
-            if id(targets) not in wires:
-                wires[id(targets)] = _Wiring(targets)
-        self.fwd_grid, self.ret_grid = (
-            _Grid(forward, self.S, [wires[id(targets)] for targets in lists])
-            for forward, lists in ((True, network.forward_targets),
-                                   (False, network.return_targets)))
+        (fwd_wires, ret_wires, self.inject_points, self.inject_sw,
+         self.inject_port) = _plane_wiring(network)
+        self.fwd_grid = _Grid(True, self.S, fwd_wires)
+        self.ret_grid = _Grid(False, self.S, ret_wires)
         self.fwd = self.fwd_grid.lanes
         self.ret = self.ret_grid.lanes
-        points = [topo.inject_point(pe) for pe in range(topo.n_ports)]
-        self.inject_points = points
-        self.inject_sw = np.array([p[0] for p in points], dtype=np.int64)
-        self.inject_port = np.array([p[1] for p in points], dtype=np.int64)
-        # The wait-buffer objects, flat index ``stage * Q + switch * k +
-        # port`` (the index of the wait arrays), once bound (:meth:`_view`).
+        # the wait buffers, flat index ``stage * Q + switch * k + port``
+        cells = self.D * self.Q
+        self.wb_occ = np.zeros(cells, dtype=np.int32)
+        self.wb_peak = np.zeros(cells, dtype=np.int32)
+        self.wb_ins = np.zeros(cells, dtype=np.int32)
+        self.wb_dirty = np.zeros(cells, dtype=bool)
+        self._new_pool(1024)
+        self._seq = 0
+        # The wait-buffer objects, by the same index, once bound
+        # (:meth:`_bind`).
         self.wbs: Optional[list] = None
         # Whether a homogeneous pair of each vectorized kind may combine
         # (indexed [kind, R-old and R-new arrived on the same port]):
@@ -526,9 +567,9 @@ class _MessagePlane:
             setattr(self, name, new)
         self._free.extend(range(2 * size - 1, size - 1, -1))
 
-    def _admit(self, message: "Message", combined: bool = False) -> int:
-        """Give ``message`` an id (its entry into the plane).  A free id
-        has no links and is neither stale nor lazy (see
+    def _admit(self, message: "Message") -> int:
+        """Give the request ``message`` an id (its entry into the plane).
+        A free id has no links and is neither stale nor lazy (see
         :meth:`_exit_replies`)."""
         if not self._free:
             self._grow_pool()
@@ -537,14 +578,10 @@ class _MessagePlane:
         self.pk[i] = message.packets
         self.dig[i] = message.digits
         self.tag[i] = message.tag
-        self.comb[i] = combined
-        if message.is_reply:
-            self.key[i] = _cell_key(message)
-            self._note_value(i, message.value)
-        else:
-            self.key[i], self.vk[i], self.opnd[i] = _request_fields(message)
-            self.depth[i] = message.combine_depth
-            self.enq[i] = message.enqueued_cycle
+        self.comb[i] = False
+        self.key[i], self.vk[i], self.opnd[i] = _request_fields(message)
+        self.depth[i] = message.combine_depth
+        self.enq[i] = message.enqueued_cycle
         return i
 
     def _admit_many(self, messages: list["Message"]) -> Any:
@@ -689,6 +726,7 @@ class _MessagePlane:
         self._sync(r)
         message = self.obj[r]
         message.digits = self.dig[r].tolist()
+        message.enqueued_cycle = self.enq.item(r)
         return WaitRecord(key_tag=self.w_tag.item(r), plan=self._plan(r),
                           new_message=message,
                           stage=self.w_at.item(r) // self.Q,
@@ -713,117 +751,20 @@ class _MessagePlane:
         self.wb_ins[wb] = self.wb_ins.item(wb) + 1
         self.wb_dirty[wb] = True
         if self._instr_on:
-            self.wbs[wb]._occupancy_histogram.observe(occupancy)
+            self.instruments[stage].wait_occupancy.observe(occupancy)
 
     # ------------------------------------------------------------------
     # object view
     # ------------------------------------------------------------------
-    def _view(self) -> bool:
-        """Bind the lanes and wait buffers to the switch objects, once
-        the network has built them; False while it has not."""
+    def _bind(self) -> None:
+        """Bind the lanes and wait buffers to the switch objects (the
+        machine builds them before the first write-back)."""
         if self.wbs is None:
             rows = self.network.stages
-            if not rows:
-                return False
             for lane in self.fwd + self.ret:
                 lane.bind(rows[lane.stage])
             self.wbs = [wb for row in rows for sw in row
                         for wb in sw.wait_buffers]
-        return True
-
-    def resync(self, memory_side: list["Message"]) -> list[int]:
-        """Rebuild the whole plane from the switch objects and
-        ``memory_side``, the messages of this copy the MNI objects hold;
-        returns the ids given to those, in order.  A network whose
-        switches are not built yet is empty, and the plane starts from
-        zeros.
-
-        Used at construction (a reader may have built the objects and
-        offered traffic through them) and by the round-trip tests, which
-        compare a flushed plane against one rebuilt from its own object
-        view (see :meth:`BatchKernel.resync`)."""
-        lanes = self.fwd + self.ret
-        view = self._view()
-        cells = self.D * self.Q
-        if view:
-            lengths = np.array([[len(q._slots) for q in lane.queues]
-                                for lane in lanes], dtype=np.int32)
-            wbs = self.wbs
-            self.wb_occ = np.array([wb._occupancy for wb in wbs], dtype=np.int32)
-            self.wb_peak = np.array([wb.peak_occupancy for wb in wbs],
-                                    dtype=np.int32)
-        else:
-            lengths = np.zeros((2 * self.D, self.Q), dtype=np.int32)
-            self.wb_occ = np.zeros(cells, dtype=np.int32)
-            self.wb_peak = np.zeros(cells, dtype=np.int32)
-        self.wb_ins = np.zeros(cells, dtype=np.int32)
-        self.wb_dirty = np.zeros(cells, dtype=bool)
-        self._new_pool(max(1024, 2 * (int(lengths.sum()) + len(memory_side)
-                                      + int(self.wb_occ.sum()))))
-        self._seq = 0
-        by_tag: dict[int, int] = {}
-        for grid, held in ((self.fwd_grid, lengths[:self.D]),
-                           (self.ret_grid, lengths[self.D:])):
-            grid.set_ring(np.zeros(
-                grid.len.shape + (max(grid.slots, int(held.max())),),
-                dtype=np.int32))
-            grid.len[:] = held
-            grid.base[:] = held
-            grid.tot = int(held.sum())
-            for arr in (grid.used, grid.peak, grid.busy, grid.head, grid.ins,
-                        grid.combs, grid.routed, grid.merged, grid.blocked):
-                arr[:] = 0
-        for lane in lanes if view else ():
-            lane.used[:] = [q.used_packets for q in lane.queues]
-            lane.peak[:] = [q.peak_packets for q in lane.queues]
-            lane.busy[:] = [p.busy_until for p in lane.ports]
-            for f in np.flatnonzero(lane.len).tolist():
-                for j, slot in enumerate(lane.queues[f]._slots):
-                    i = self._admit(slot.message, slot.already_combined)
-                    lane.ring[f, j] = i
-                    by_tag[slot.message.tag] = i
-        held_ids = []
-        for message in memory_side:
-            i = self._admit(message)
-            stage, sw_i, port = self.topo.reply_entry(message.mm, message.origin)
-            self.ent[i] = stage * self.Q + sw_i * self.k + port
-            by_tag[message.tag] = i
-            held_ids.append(i)
-        found = []
-        for wb_index in np.flatnonzero(self.wb_occ).tolist():
-            for stack in self.wbs[wb_index]._records.values():
-                for record in stack:
-                    i = self._admit(record.new_message)
-                    by_tag[record.new_message.tag] = i
-                    found.append((wb_index, record, i))
-        for wb_index, record, i in found:  # oldest first within a key
-            stage = record.stage
-            holder = by_tag[record.key_tag]
-            self.w_prev[i] = self.link.item(holder, stage)
-            self.link[holder, stage] = i
-            self.w_at[i] = wb_index
-            self.w_tag[i] = record.key_tag
-            self.w_made[i] = record.created_cycle
-            self.w_plan[i] = record.plan
-            self.w_kind[i] = 0
-            self.w_seq[i] = self._seq
-            self._seq += 1
-        return held_ids
-
-    def export_state(self) -> dict[str, Any]:
-        """Copy of the schedulable arrays (round-trip tests compare this
-        against the arrays rebuilt by :meth:`resync`)."""
-        shape = (self.S, self.k)
-        return {
-            "fwd_len": [lane.len.reshape(shape).copy() for lane in self.fwd],
-            "fwd_busy": [lane.busy.reshape(shape).copy() for lane in self.fwd],
-            "ret_len": [lane.len.reshape(shape).copy() for lane in self.ret],
-            "ret_busy": [lane.busy.reshape(shape).copy() for lane in self.ret],
-            "fwd_tot": self.fwd_grid.tot,
-            "ret_tot": self.ret_grid.tot,
-            "wait_occupancy": self.wb_occ.reshape(self.D, self.Q).copy(),
-            "wait_peak": self.wb_peak.reshape(self.D, self.Q).copy(),
-        }
 
     def flush(self) -> None:
         """Write the plane back into the switch objects: contents,
@@ -833,7 +774,7 @@ class _MessagePlane:
         since cycle 0 (``base`` is zero and the deltas have accumulated
         since), so switches built just before it end up as an eager
         build would hold them."""
-        self._view()
+        self._bind()
         pairwise = self.pairwise
         obj = self.obj
         for lane in self.fwd + self.ret:
@@ -846,7 +787,10 @@ class _MessagePlane:
             if touched.size:
                 ids, lengths = lane.contents(touched)
                 ids_l = ids.tolist()
-                combined_l = self.comb[ids].tolist()
+                # a return queue's slots are never combined (a decombined
+                # R-new may still carry the mark of its forward trip)
+                combined_l = (self.comb[ids].tolist() if lane.forward
+                              else [False] * len(ids_l))
                 if lane.forward:
                     for i in ids[self.stale[ids]].tolist():
                         self._sync(i)
@@ -1006,6 +950,12 @@ class _MessagePlane:
     # path (scalar reads go through ``item``, which skips numpy's scalar
     # boxing)
     # ------------------------------------------------------------------
+    def _queue_hist(self, lane: _Lane) -> Any:
+        """The occupancy histogram ``lane``'s queues share (instrumented
+        runs only)."""
+        instruments = self.instruments[lane.stage]
+        return instruments.queue_to_mm if lane.forward else instruments.queue_to_pe
+
     def _push(self, lane: _Lane, q: int, i: int, packets: int) -> None:
         n = lane.len.item(q)
         if n == lane.slots:
@@ -1018,8 +968,8 @@ class _MessagePlane:
             lane.peak[q] = used
         lane.ins[q] = lane.ins.item(q) + 1
         lane.grid.tot += 1
-        if lane.hist is not None:
-            lane.hist.observe(used)
+        if self._instr_on:
+            self._queue_hist(lane).observe(used)
 
     def _pop(self, lane: _Lane, f: int, packets: int, cycle: int) -> None:
         head = lane.head.item(f) + 1
@@ -1076,9 +1026,9 @@ class _MessagePlane:
         if stage:
             self.delay_sum[stage - 1] += cycle - self.enq.item(i)
             self.delay_count[stage - 1] += 1
+        self.enq[i] = cycle  # enqueued or absorbed
         if partner is None:
             self.comb[i] = False  # a new slot, not yet combined here
-            self.enq[i] = cycle
             self._push(lane, q, i, packets)
             if self._instr_on:
                 message = obj[i]
@@ -1104,7 +1054,7 @@ class _MessagePlane:
             lane.merged[sw_i] = lane.merged.item(sw_i) + 1
             if self._instr_on:
                 message = obj[i]
-                lane.switches[sw_i]._combine_counter.inc()
+                self.instruments[stage].combines.inc()
                 self._instr.record("combine", cycle, tag=message.tag,
                                    pe=message.origin, stage=stage,
                                    tag2=queued.tag)
@@ -1146,10 +1096,10 @@ class _MessagePlane:
                     return False
 
         if self._instr_on:
-            sw = lane.switches[sw_i]
-            sw._decombine_counter.inc(len(chain))
+            instruments = self.instruments[stage]
+            instruments.decombines.inc(len(chain))
             for r in reversed(chain):
-                sw._wait_residency.observe(cycle - self.w_made.item(r))
+                instruments.wait_residency.observe(cycle - self.w_made.item(r))
                 self._instr.record("decombine", cycle, tag=self.tag.item(r),
                                    pe=self.obj[r].origin, stage=stage,
                                    tag2=message.tag)
@@ -1532,7 +1482,7 @@ class _MessagePlane:
         (``tq``: flat indices into ``grid``) holds an uncombined request
         for the same cell, or an earlier offer of this step goes to the
         same queue with the same cell (``order`` sorts the offers stably
-        by target queue).  Cells are compared by key (:func:`_cell_key`).
+        by target queue).  Cells are compared by key (:func:`_request_fields`).
 
         With ``cycle`` the queues are taken before any pop of a one-pass
         step, and a head that is sure to leave first is no resident: one
@@ -1596,6 +1546,7 @@ class _MessagePlane:
             if stage:
                 self._count_delays(stage, h, cycle)
             self.dig[h, stage] = t_port[g]
+            self.enq[h] = cycle
             self.w_dat[h] = e[go]
             self.opnd[j] = total[go]
             self.depth[j] = np.maximum(self.depth[j], self.depth[h]) + 1
@@ -1638,7 +1589,7 @@ class _MessagePlane:
         slots = target.slots
         cap = self.cap
         accepted = np.ones(n, dtype=bool) if cap is None else np.zeros(n, dtype=bool)
-        post = np.zeros(n, dtype=np.int64) if target.hist is not None else None
+        post = np.zeros(n, dtype=np.int64) if self._instr_on else None
         for r in range(ranks):
             if ranks == 1:
                 sel, q, p = np.arange(n), tq, packets
@@ -1682,15 +1633,13 @@ class _MessagePlane:
         queue-occupancy observation and (forward) the enqueue event."""
         stage = target.stage
         record = self._instr.record
-        hist = target.hist
-        occupancy = post[taken].tolist() if post is not None else None
-        for n, i in enumerate(ids.tolist()):
+        hist = self._queue_hist(target)
+        for i, occupancy in zip(ids.tolist(), post[taken].tolist()):
             if target.forward:
                 message = self.obj[i]
                 record("enqueue", cycle, tag=message.tag, pe=message.origin,
                        stage=stage)
-            if hist is not None:
-                hist.observe(occupancy[n])
+            hist.observe(occupancy)
 
     # -- replies --------------------------------------------------------
     def _offer_replies(self, target: _Lane, ids: Any, t_sw: Any, t_port: Any,
@@ -1871,9 +1820,9 @@ class _MemorySide:
     ``serving`` holds the MNIs with a request assembling,
     queued or in service, and ``replying`` those with replies queued: a
     phase with fewer of them than :attr:`vector_min` visits them one at
-    a time, in ascending-MM order, instead of masking every MNI.  The
-    MNI objects are the object view, written back by :meth:`flush`;
-    :meth:`resync` rebuilds the arrays from them.
+    a time, in ascending-MM order, instead of masking every MNI.  It
+    starts empty when the machine first steps; the MNI objects are the
+    object view, written back by :meth:`flush`.
     """
 
     def __init__(self, kernel: "BatchKernel") -> None:
@@ -1889,24 +1838,9 @@ class _MemorySide:
         self._instr_on = instr.enabled
         self.latency = np.array([module.latency for module in self.modules],
                                 dtype=np.int64)
-
-    def resync(self, ids: list[list[int]]) -> None:
-        """Rebuild the arrays from the MNI objects; ``ids`` are the plane
-        ids of :meth:`held`'s messages, copy by copy."""
-        copies = self.copies
-        copy_by_tag = self.machine._copy_by_tag
-        left = [iter(copy_ids) for copy_ids in ids]
-
-        def ref(message: "Message") -> int:
-            copy = copy_by_tag[message.tag]
-            return next(left[copy]) * copies + copy
-
         n = len(self.mnis)
-        most = max([_RING_START] + [len(mni._inbound) for mni in self.mnis]
-                   + [len(mni.outbound) for mni in self.mnis])
-        slots = 1 << (most - 1).bit_length()
-        self.inbound = _Rings(n, 3, slots)
-        self.outbound = _Rings(n, 1, slots)
+        self.inbound = _Rings(n, 3)
+        self.outbound = _Rings(n, 1)
         self.used = np.zeros(n, dtype=np.int64)
         self.first = np.full(n, _NEVER, dtype=np.int64)
         self.svc = np.full(n, -1, dtype=np.int64)
@@ -1917,43 +1851,7 @@ class _MemorySide:
         self.dirty = np.zeros(n, dtype=bool)
         self.serving: set[int] = set()
         self.replying: set[int] = set()
-        cycle = self.clock = self.machine.cycle
-        for mm, mni in enumerate(self.mnis):
-            for message, ready in mni._inbound:
-                self.inbound.push_one(mm, ref(message), ready, message.packets)
-            if mni._inbound:
-                self.first[mm] = mni._inbound[0][1]
-            self.used[mm] = mni._inbound_packets
-            busy = mni.busy_cycles
-            if mni._in_service is not None:
-                message, done = mni._in_service
-                self.svc[mm] = ref(message)
-                self.done[mm] = done
-                busy += done - cycle
-                self.dirty[mm] = True
-            for message in mni.outbound:
-                self.outbound.push_one(mm, ref(message))
-            if mni._inbound or mni._in_service is not None:
-                self.serving.add(mm)
-            if mni.outbound:
-                self.replying.add(mm)
-            self.link[mm] = mni._link_busy_until
-            self.served[mm] = mni.requests_served
-            self.busy[mm] = busy
-
-    def held(self) -> list[list["Message"]]:
-        """The messages the MNI objects hold, per network copy, in the
-        order :meth:`resync` reads them."""
-        copy_by_tag = self.machine._copy_by_tag
-        held: list[list["Message"]] = [[] for _ in range(self.copies)]
-        for mni in self.mnis:
-            messages = [message for message, _ in mni._inbound]
-            if mni._in_service is not None:
-                messages.append(mni._in_service[0])
-            messages.extend(mni.outbound)
-            for message in messages:
-                held[copy_by_tag[message.tag]].append(message)
-        return held
+        self.clock = m.cycle
 
     def _objects(self, refs: Any, replies: bool) -> list["Message"]:
         """The Messages of ``refs``: requests with their op and digits
@@ -1972,8 +1870,12 @@ class _MemorySide:
             else:
                 for i in ids[plane.stale[ids]].tolist():
                     plane._sync(i)
-                for i, digits in zip(ids.tolist(), plane.dig[ids].tolist()):
-                    plane.obj[i].digits = digits
+                for i, digits, enqueued in zip(ids.tolist(),
+                                               plane.dig[ids].tolist(),
+                                               plane.enq[ids].tolist()):
+                    message = plane.obj[i]
+                    message.digits = digits
+                    message.enqueued_cycle = enqueued
             obj = plane.obj
             for x, i in zip(sel.tolist(), ids.tolist()):
                 found[x] = obj[i]
@@ -2017,35 +1919,6 @@ class _MemorySide:
             mni.requests_served = served
             mni.busy_cycles = busy
         self.dirty[touched] = svc >= 0
-
-    def export_state(self) -> dict[str, Any]:
-        """The arrays with each reference as (copy, tag), for the
-        round-trip tests."""
-        copies = self.copies
-
-        def tag(ref: int) -> tuple[int, int]:
-            return ref % copies, self.planes[ref % copies].tag.item(ref // copies)
-
-        every = np.arange(len(self.mnis))
-        (refs, ready, packets), live = self.inbound.window(every)
-        (out_refs,), out_live = self.outbound.window(every)
-        busy = self.busy - np.where(self.svc >= 0, self.done - self.clock, 0)
-        return {
-            "inbound": [[(tag(r), t, p) for r, t, p in zip(
-                refs[mm][live[mm]].tolist(), ready[mm][live[mm]].tolist(),
-                packets[mm][live[mm]].tolist())] for mm in every.tolist()],
-            "outbound": [[tag(r) for r in out_refs[mm][out_live[mm]].tolist()]
-                         for mm in every.tolist()],
-            "in_service": [None if r < 0 else (tag(r), d) for r, d in
-                           zip(self.svc.tolist(), self.done.tolist())],
-            "used": self.used.tolist(),
-            "first": self.first.tolist(),
-            "link": self.link.tolist(),
-            "served": self.served.tolist(),
-            "busy": busy.tolist(),
-            "serving": sorted(self.serving),
-            "replying": sorted(self.replying),
-        }
 
     # ------------------------------------------------------------------
     # phase 2: requests arrive (``MNI.offer_inbound``)
@@ -2281,11 +2154,11 @@ class BatchKernel(DenseKernel):
     """
 
     name = "batch"
-    #: uninstrumented, the switch objects are only the object view
-    view_on_read = True
 
     def __init__(self, machine: "Ultracomputer") -> None:
-        super().__init__(machine)
+        # No switch is built here: the switch objects are only the
+        # object view, which the machine builds on its first public read.
+        self.machine = machine
         self._built = False
         self._states: list[_MessagePlane] = []
         self._memory: Optional[_MemorySide] = None
@@ -2297,26 +2170,34 @@ class BatchKernel(DenseKernel):
 
     # ------------------------------------------------------------------
     def _ensure_state(self) -> None:
-        m = self.machine
+        """Build the planes and the memory side, empty, at the first
+        step (not at construction, which stays cheap); refuse a write
+        made through the object view since the last step."""
         if not self._built:
             self._memory = _MemorySide(self)
             self._states = [_MessagePlane(net, self, copy)
-                            for copy, net in enumerate(m._networks)]
+                            for copy, net in enumerate(self.machine._networks)]
             self._memory.planes = self._states
-            self.resync()
             self._built = True
+        self._refuse_view_writes()
 
-    def resync(self) -> None:
-        """Rebuild every plane and the memory side from the object view.
+    def _refuse_view_writes(self) -> None:
+        """Raise if a message was offered through the object view.
 
-        Used at construction (a reader may have built the switch
-        objects and offered traffic through them; if none did, the
-        planes start from zeros) and by the round-trip tests, which
-        compare the arrays of a flushed kernel against those rebuilt
-        from its own object view."""
-        held = self._memory.held()
-        self._memory.resync([plane.resync(messages)
-                             for plane, messages in zip(self._states, held)])
+        The view is written from the arrays and never read back, so
+        such a message would be lost.  An offer to a switch marks its
+        network's wake sets and an offer to an MNI the machine's busy
+        set; this kernel fills neither, and only a public reader, which
+        builds the switch rows, hands out the objects to offer to."""
+        m = self.machine
+        if m._networks[0].stages and (
+                m._mni_busy or any(n.has_traffic() for n in m._networks)):
+            raise RuntimeError(
+                "a message was offered through the object view "
+                "(machine.network, networks or mnis); under the batch "
+                "kernel that view is written from the kernel's arrays and "
+                "never read back: issue requests through the PNIs, or use "
+                "kernel='dense'")
 
     def sync(self) -> None:
         """Bring the object view up to date (queues, ports, switch and
@@ -2411,6 +2292,8 @@ class BatchKernel(DenseKernel):
         for network in m._networks:
             network.advance_cycle()
         m.cycle += 1
+        # a driver may have offered through the view in phase 6
+        self._refuse_view_writes()
 
     def step(self) -> None:
         """Execute one cycle.  The object view is written back when the

@@ -28,7 +28,7 @@ from ..network.topology import make_topology, topology_names, validate_topology_
 from .memory_ops import PACKETS_WITH_DATA, Op
 from .paracomputer import Program, ProgramFactory
 from .results import PEResult, RunResult
-from .scheduler import KERNELS, kernel_names, make_kernel
+from .scheduler import kernel_names, make_kernel
 
 __all__ = [
     "Driver",
@@ -84,9 +84,10 @@ class MachineConfig:
     #: cycles; ``"batch"`` keeps every in-flight message in
     #: struct-of-arrays form and moves a whole stage of them per
     #: vectorized step — the 1024–4096-PE scaling kernel (the switch
-    #: and MNI objects are written back when the machine's public
-    #: readers are used, and uninstrumented the switches are built only
-    #: then).  ``"event"`` is an alias of ``"dense"``, kept
+    #: and MNI objects are only a view of its arrays, written and never
+    #: read back: the machine builds the switches on the first public
+    #: read, the kernel writes its arrays to them when a public reader
+    #: looks, and an offer through the view raises).  ``"event"`` is an alias of ``"dense"``, kept
     #: only while the benchmark's kernel table reads it.
     #: All kernels produce bit-identical results; valid names come from
     #: the pluggable registry in :mod:`repro.core.scheduler`.
@@ -482,19 +483,16 @@ class Ultracomputer:
         # combinatorics, and sharing it shares the interned route cache.
         self.topology = make_topology(config.topology, config.n_pes, config.k)
         # The kernels read the private lists; the public ``networks`` and
-        # ``mnis`` properties bring the object view up to date first.  A
-        # kernel that keeps the network in arrays needs the switch
-        # objects only as that view, so unless the run is instrumented
-        # (its switches register their instruments when built) they are
-        # built on the first public read.
-        defer = not config.instrument and getattr(
-            KERNELS[config.kernel], "view_on_read", False)
+        # ``mnis`` properties bring the object view up to date first.
+        # The networks are built without their switch rows: the kernel
+        # that steps the switch objects builds them (dense), and under
+        # a kernel that keeps the network in arrays (batch) they are
+        # only that view, built on the first public read.
         self._networks = [
             MultistageNetwork(
                 config.network_config(),
                 self.topology,
                 instrumentation=self.instrumentation,
-                defer_switches=defer,
             )
             for _ in range(config.copies)
         ]
@@ -561,9 +559,9 @@ class Ultracomputer:
     # ------------------------------------------------------------------
     def _sync_view(self) -> None:
         """Bring the object view up to date with the kernel, building the
-        switch rows first if their build was deferred: the kernel's
-        first write-back carries every change since cycle 0, so fresh
-        switches end up as an eager build would hold them."""
+        switch rows first if no kernel has: the kernel's first
+        write-back carries every change since cycle 0, so fresh switches
+        end up as an eager build would hold them."""
         if not self._networks[0].stages:
             for network in self._networks:
                 network.build_switches()

@@ -27,12 +27,18 @@ are two kernels:
   most cycles of a closed-program run are quiet.  The every-component,
   every-cycle loop it replaced is kept as a test-only oracle
   (``tests/eager_kernel.py``) that every kernel is checked against.
+  This kernel (and so the oracle) steps the switch objects, so it
+  builds them when it is made.
 * :class:`~repro.core.batch_kernel.BatchKernel`
   (``MachineConfig(kernel="batch")``) keeps every in-flight message in
   numpy arrays and advances whole stages per vectorized step — the
   1024–4096-PE scaling kernel.  It shares dense's ``run`` and
   ``run_cycles``; only the hooks those call (one cycle, the quiescence
   test, the event horizon, the kernel's share of the skip) are its own.
+  It builds no switch object: those are only a one-way view of its
+  arrays, which the machine builds on its first public read and the
+  kernel writes when read (``sync``).  A message offered through that
+  view is refused at the next step.
 
 Every kernel runs every registered topology.  Kernels are *pluggable*:
 each registers a factory under its config name via
@@ -105,12 +111,6 @@ class Kernel(Protocol):
     """
 
     name: str
-    #: True when, uninstrumented, the kernel keeps the network state
-    #: outside the switch objects, so the machine builds the switch rows
-    #: only when a public reader first looks.  The machine reads it off
-    #: the registered factory before building its networks; a factory
-    #: without it gets them built eagerly.
-    view_on_read: bool
 
     def step(self) -> None:
         """Execute exactly one machine cycle."""
@@ -195,11 +195,12 @@ class DenseKernel:
     """
 
     name = "dense"
-    #: the dense kernel runs on the switch objects themselves
-    view_on_read = False
 
     def __init__(self, machine: "Ultracomputer") -> None:
         self.machine = machine
+        # this kernel steps the switch objects themselves
+        for network in machine._networks:
+            network.build_switches()
 
     def sync(self) -> None:
         """Nothing to do: this kernel runs on the objects themselves."""

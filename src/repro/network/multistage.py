@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional
 
 from ..instrumentation import DISABLED, Instrumentation
 from .message import Message
-from .switch import Switch
+from .switch import StageInstruments, Switch
 from .topology import Topology
 
 #: Endpoint sinks: called with (endpoint index, message); return True to
@@ -58,9 +58,16 @@ class NetworkConfig:
     pairwise_only: bool = True
 
 
-#: resolved wiring tables per (topology class, ports, switch arity);
-#: see :func:`resolved_wiring`
+#: resolved wiring tables per geometry (:func:`wiring_key`); see
+#: :func:`resolved_wiring`
 _WIRING: dict[tuple, tuple[tuple, tuple]] = {}
+
+
+def wiring_key(topology: Topology) -> tuple:
+    """``(topology class, port count, switch arity)``: every registered
+    geometry is fixed by those three, so data derived from the wiring
+    alone can be memoised by it."""
+    return (type(topology), topology.n_ports, topology.switch_arity)
 
 
 def resolved_wiring(topology: Topology) -> tuple[tuple, tuple]:
@@ -79,7 +86,7 @@ def resolved_wiring(topology: Topology) -> tuple[tuple, tuple]:
     tables are tuples of tuples, so the networks sharing them cannot
     change them.
     """
-    key = (type(topology), topology.n_ports, topology.switch_arity)
+    key = wiring_key(topology)
     tables = _WIRING.get(key)
     if tables is None:
         arity = topology.switch_arity
@@ -100,12 +107,13 @@ def resolved_wiring(topology: Topology) -> tuple[tuple, tuple]:
 class MultistageNetwork:
     """A topology's stage grid of combining switches, fully wired.
 
-    ``defer_switches=True`` leaves :attr:`stages` empty until
-    :meth:`build_switches` is called: a kernel that keeps the network
-    state in arrays (uninstrumented batch) needs the switch objects
-    only as a view, built when a public reader first looks.  The
-    wiring, the wake sets and the stage-delay counters exist either
-    way, and the combine totals of an unbuilt grid read 0.
+    The constructor builds the wiring, the wake sets, the stage-delay
+    counters and the per-stage instruments, but no switch:
+    :attr:`stages` stays empty until :meth:`build_switches` is called.
+    The kernel that steps the switch objects (dense) builds them when it
+    is made; under the batch kernel they are only a view of its arrays,
+    which the machine builds when a public reader first looks.  The
+    combine totals of an unbuilt grid read 0.
     """
 
     def __init__(
@@ -114,7 +122,6 @@ class MultistageNetwork:
         topology: Topology,
         *,
         instrumentation: Instrumentation = DISABLED,
-        defer_switches: bool = False,
     ) -> None:
         if topology.n_ports != config.n_ports:
             raise ValueError(
@@ -125,10 +132,16 @@ class MultistageNetwork:
         self.topology = topology
         self.instrumentation = instrumentation
         #: the switch rows, ``stages[stage][index]``; empty until
-        #: :meth:`build_switches` runs (see ``defer_switches``)
+        #: :meth:`build_switches` runs
         self.stages: list[list[Switch]] = []
-        if not defer_switches:
-            self.build_switches()
+        #: per stage, the instruments its switches share (None when the
+        #: run is uninstrumented), registered here, before any switch is
+        #: built: the metrics snapshot keeps registration order, so it
+        #: does not depend on when (or whether) the switches are built
+        self.stage_instruments: Optional[list[StageInstruments]] = (
+            [StageInstruments.register(instrumentation, stage)
+             for stage in range(topology.stages)]
+            if instrumentation.enabled else None)
         self.mm_sink: Optional[Sink] = None
         self.pe_sink: Optional[Sink] = None
         self.cycle = 0
@@ -151,8 +164,7 @@ class MultistageNetwork:
         self.forward_targets, self.return_targets = resolved_wiring(topology)
 
     def build_switches(self) -> None:
-        """Build the switch rows (the constructor calls this unless told
-        to defer it)."""
+        """Build the switch rows."""
         config = self.config
         topology = self.topology
         self.stages = [
@@ -166,10 +178,12 @@ class MultistageNetwork:
                     combining=config.combining,
                     pairwise_only=config.pairwise_only,
                     instrumentation=self.instrumentation,
+                    instruments=instruments,
                 )
                 for index in range(topology.switches_per_stage)
             ]
-            for stage in range(topology.stages)
+            for stage, instruments in enumerate(
+                self.stage_instruments or [None] * topology.stages)
         ]
 
     def _unused(self, stage: int, q: int) -> AssertionError:

@@ -34,7 +34,14 @@ from typing import Callable, Optional, Sequence
 
 from ..core.combining import Combined, ReplyMode
 from ..core.memory_ops import PACKETS_WITH_DATA, PACKETS_WITHOUT_DATA
-from ..instrumentation import DISABLED, Instrumentation, LATENCY_BUCKETS
+from ..instrumentation import (
+    DISABLED,
+    LATENCY_BUCKETS,
+    OCCUPANCY_BUCKETS,
+    Counter,
+    Histogram,
+    Instrumentation,
+)
 from .message import Message, packets_for
 from .systolic_queue import CombiningQueue
 from .wait_buffer import WaitBuffer, WaitRecord
@@ -73,6 +80,43 @@ def decombine_fits(
     for port, rule in replies:
         needed[port] = needed.get(port, 0) + packets_for(rule.mode is not ReplyMode.ACK)
     return max(needed.values()) <= capacity
+
+
+@dataclass(frozen=True)
+class StageInstruments:
+    """The instruments every switch of one stage shares (instruments
+    are keyed by stage, so every switch and every network copy on one
+    registry aggregates into them)."""
+
+    queue_to_mm: Histogram
+    wait_occupancy: Histogram
+    queue_to_pe: Histogram
+    combines: Counter
+    decombines: Counter
+    wait_residency: Histogram
+
+    @classmethod
+    def register(cls, instrumentation: Instrumentation,
+                 stage: int) -> "StageInstruments":
+        """Register (or look up) stage ``stage``'s instruments, in this
+        order (the metrics snapshot keeps registration order)."""
+        def occupancy(name: str, **labels: object) -> Histogram:
+            return instrumentation.histogram(
+                name, buckets=OCCUPANCY_BUCKETS, stage=stage, **labels)
+
+        return cls(
+            queue_to_mm=occupancy("network.queue_occupancy_packets",
+                                  direction="to_mm"),
+            wait_occupancy=occupancy("network.wait_occupancy"),
+            queue_to_pe=occupancy("network.queue_occupancy_packets",
+                                  direction="to_pe"),
+            combines=instrumentation.counter("network.combines", stage=stage),
+            decombines=instrumentation.counter("network.decombines",
+                                               stage=stage),
+            wait_residency=instrumentation.histogram(
+                "network.wait_residency_cycles", buckets=LATENCY_BUCKETS,
+                stage=stage),
+        )
 
 
 @dataclass(slots=True)
@@ -127,27 +171,32 @@ class Switch:
         combining: bool = True,
         pairwise_only: bool = True,
         instrumentation: Instrumentation = DISABLED,
+        instruments: Optional[StageInstruments] = None,
     ) -> None:
         self.k = k
         self.stage = stage
         self.index = index
         self.combining = combining
+        # Instrumentation: the stage's shared instruments (a network
+        # passes the ones it registered; a lone instrumented switch
+        # registers them itself), cached once; probes gate on _instr_on,
+        # which never flips after construction.
         enabled = instrumentation.enabled
+        if enabled and instruments is None:
+            instruments = StageInstruments.register(instrumentation, stage)
         self.to_mm = [
             CombiningQueue(
                 queue_capacity_packets,
                 combining=combining,
                 pairwise_only=pairwise_only,
-                instrumentation=instrumentation,
-                labels={"stage": stage, "direction": "to_mm"} if enabled else None,
+                occupancy_histogram=instruments and instruments.queue_to_mm,
             )
             for _ in range(k)
         ]
         self.wait_buffers = [
             WaitBuffer(
                 wait_buffer_capacity,
-                instrumentation=instrumentation,
-                labels={"stage": stage} if enabled else None,
+                occupancy_histogram=instruments and instruments.wait_occupancy,
             )
             for _ in range(k)
         ]
@@ -155,35 +204,18 @@ class Switch:
             CombiningQueue(
                 queue_capacity_packets,
                 combining=False,
-                instrumentation=instrumentation,
-                labels={"stage": stage, "direction": "to_pe"} if enabled else None,
+                occupancy_histogram=instruments and instruments.queue_to_pe,
             )
             for _ in range(k)
         ]
         self.mm_ports = [_Port() for _ in range(k)]
         self.pe_ports = [_Port() for _ in range(k)]
         self.stats = SwitchStats()
-        # instrumentation (handles cached once; probes gate on _instr_on,
-        # which never flips after construction).  Instruments are keyed
-        # by stage, not switch index, so every switch — and every network
-        # copy — sharing a registry aggregates into the same per-stage
-        # instruments.
         self._instr = instrumentation
         self._instr_on = enabled
-        if enabled:
-            self._combine_counter = instrumentation.counter(
-                "network.combines", stage=stage
-            )
-            self._decombine_counter = instrumentation.counter(
-                "network.decombines", stage=stage
-            )
-            self._wait_residency = instrumentation.histogram(
-                "network.wait_residency_cycles", buckets=LATENCY_BUCKETS, stage=stage
-            )
-        else:
-            self._combine_counter = None
-            self._decombine_counter = None
-            self._wait_residency = None
+        self._combine_counter = instruments and instruments.combines
+        self._decombine_counter = instruments and instruments.decombines
+        self._wait_residency = instruments and instruments.wait_residency
 
     # ------------------------------------------------------------------
     # forward path: requests PE side -> MM side

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Iterable, Optional, TypeVar
+from typing import Callable, Generic, Iterable, Optional, TypeVar
 
 from ..core.combining import Combined, try_combine
-from ..instrumentation import DISABLED, Instrumentation, OCCUPANCY_BUCKETS
+from ..instrumentation import Histogram
 from .message import Message
 
 
@@ -80,11 +80,11 @@ class CombiningQueue:
         When true (the paper's switch), a queued request that has already
         absorbed a partner cannot absorb another; when false the switch
         models unlimited in-switch combining (ablation).
-    instrumentation / labels:
-        When instrumentation is enabled *and* labels are supplied (the
-        owning switch passes its stage and direction), every successful
-        append observes the post-insert occupancy in a shared per-stage
-        ``network.queue_occupancy_packets`` histogram.
+    occupancy_histogram:
+        When given (an instrumented switch passes its stage's
+        ``network.queue_occupancy_packets`` histogram of the queue's
+        direction), every successful append observes the post-insert
+        occupancy in it.
 
     The queue is on the switch fast path, so besides the classic
     :meth:`insert` the search and the two commit actions are exposed
@@ -124,8 +124,7 @@ class CombiningQueue:
         *,
         combining: bool = True,
         pairwise_only: bool = True,
-        instrumentation: Instrumentation = DISABLED,
-        labels: Optional[dict[str, Any]] = None,
+        occupancy_histogram: Optional[Histogram] = None,
     ) -> None:
         self.capacity_packets = capacity_packets
         self.combining = combining
@@ -137,15 +136,7 @@ class CombiningQueue:
         self.total_inserted = 0
         self.total_combined = 0
         self.peak_packets = 0
-        # instrumentation (handle is None unless enabled and labelled)
-        if instrumentation.enabled and labels is not None:
-            self._occupancy_histogram = instrumentation.histogram(
-                "network.queue_occupancy_packets",
-                buckets=OCCUPANCY_BUCKETS,
-                **labels,
-            )
-        else:
-            self._occupancy_histogram = None
+        self._occupancy_histogram = occupancy_histogram
 
     def __len__(self) -> int:
         return len(self._slots)

@@ -17,10 +17,10 @@ information is the decombining recipe from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.combining import Combined
-from ..instrumentation import DISABLED, Instrumentation, OCCUPANCY_BUCKETS
+from ..instrumentation import Histogram
 from .message import Message
 
 
@@ -72,23 +72,17 @@ class WaitBuffer:
         self,
         capacity: Optional[int] = None,
         *,
-        instrumentation: Instrumentation = DISABLED,
-        labels: Optional[dict[str, Any]] = None,
+        occupancy_histogram: Optional[Histogram] = None,
     ) -> None:
         self.capacity = capacity
         self._records: dict[int, list[WaitRecord]] = {}
         self._occupancy = 0
         self.peak_occupancy = 0
         self.total_insertions = 0
-        # instrumentation: post-insert occupancy, shared per stage by the
-        # owning switches (residency is observed by the switch, which
-        # knows the decombine cycle).
-        if instrumentation.enabled and labels is not None:
-            self._occupancy_histogram = instrumentation.histogram(
-                "network.wait_occupancy", buckets=OCCUPANCY_BUCKETS, **labels
-            )
-        else:
-            self._occupancy_histogram = None
+        # instrumentation: post-insert occupancy, in the stage's
+        # histogram an instrumented switch passes (residency is observed
+        # by the switch, which knows the decombine cycle).
+        self._occupancy_histogram = occupancy_histogram
 
     def __len__(self) -> int:
         return self._occupancy

@@ -3,13 +3,13 @@
 The batch kernel keeps every message resident in a network copy in
 numpy arrays (its ``_MessagePlane``), the MNIs in arrays shared by the
 copies (its ``_MemorySide``), and writes the switch and MNI objects back
-when the machine's public readers look.  The correctness condition is a
-round-trip: after any number of executed cycles, the
-incrementally-maintained arrays must equal those rebuilt from scratch
-off the written-back objects (``BatchKernel.resync``).  Hypothesis
-drives machines through varied sizes, workloads, and seeds and checks
-the round-trip at an arbitrary cut point; the public readers are
-checked against the dense kernel's at every cut.
+when the machine's public readers look.  The correctness condition is
+that the written view is dense's: after any number of executed cycles,
+the objects the arrays were written to equal those a dense machine
+running the same workload holds.  Hypothesis drives machines through
+varied sizes, workloads, and seeds and compares the two at an arbitrary
+cut point; the public readers are checked against the dense kernel's at
+every cut.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import random
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
-from helpers import assert_mirror_matches_rebuild
+from helpers import mni_view, network_view, object_view
 
 import repro.core.batch_kernel as batch_kernel
 from repro.core.machine import MachineConfig, Ultracomputer
@@ -49,15 +49,22 @@ def _mirror_states(machine):
     return kernel._states
 
 
-def _synced_kernel(machine):
-    """The kernel, its object view written back through the machine's
-    public sync (reading ``networks``)."""
-    _mirror_states(machine)
-    machine.networks
-    return machine.kernel
+def _stepped_pair(config, cycles, *program):
+    """A dense and a batch machine of ``config`` running ``program`` on
+    every PE, each stepped ``cycles`` times."""
+    machines = []
+    for kernel in ("dense", "batch"):
+        machine = Ultracomputer(dataclasses.replace(config, kernel=kernel))
+        machine.spawn_many(config.n_pes, *program)
+        for _ in range(cycles):
+            machine.step()
+        machines.append(machine)
+    return machines
 
 
 class TestStateRoundTrip:
+    """The arrays, written to the object view, hold dense's state."""
+
     @settings(max_examples=40, deadline=None)
     @given(
         n_pes=st.sampled_from([4, 16]),
@@ -66,13 +73,9 @@ class TestStateRoundTrip:
         copies=st.sampled_from([1, 2]),
     )
     def test_arrays_match_objects_at_any_cut(self, n_pes, seed, cycles, copies):
-        machine = Ultracomputer(
-            MachineConfig(n_pes=n_pes, kernel="batch", copies=copies)
-        )
-        machine.spawn_many(n_pes, _program, 4, seed)
-        for _ in range(cycles):
-            machine.step()
-        assert_mirror_matches_rebuild(_synced_kernel(machine))
+        dense, batch = _stepped_pair(
+            MachineConfig(n_pes=n_pes, copies=copies), cycles, _program, 4, seed)
+        assert object_view(batch) == object_view(dense)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -82,26 +85,17 @@ class TestStateRoundTrip:
     def test_round_trip_with_finite_queues(self, seed, queue_capacity):
         """Back-pressure exercises the refusal paths (blocked offers must
         leave the arrays untouched, accepted ones must land exactly)."""
-        machine = Ultracomputer(
-            MachineConfig(
-                n_pes=16,
-                kernel="batch",
-                queue_capacity_packets=queue_capacity,
-                max_outstanding=2,
-            )
-        )
-        machine.spawn_many(16, _program, 4, seed)
-        for _ in range(80):
-            machine.step()
-        assert_mirror_matches_rebuild(_synced_kernel(machine))
+        dense, batch = _stepped_pair(
+            MachineConfig(n_pes=16, queue_capacity_packets=queue_capacity,
+                          max_outstanding=2), 80, _program, 4, seed)
+        assert object_view(batch) == object_view(dense)
 
     def test_arrays_empty_after_quiescent_run(self):
-        machine = Ultracomputer(MachineConfig(n_pes=16, kernel="batch"))
-        machine.spawn_many(16, _program, 4, 7)
-        machine.run()
-        for state in _mirror_states(machine):
+        dense, batch = _stepped_pair(MachineConfig(n_pes=16), 0, _program, 4, 7)
+        assert batch.run().to_dict() == dense.run().to_dict()
+        for state in _mirror_states(batch):
             assert not state.has_messages()
-        assert_mirror_matches_rebuild(_synced_kernel(machine))
+        assert object_view(batch) == object_view(dense)
 
 
 class TestConstruction:
@@ -174,59 +168,12 @@ class TestExactness:
         assert outcomes[1][1] == sum(sum(increments(pe)) for pe in range(64))
 
 
-def _object_view(machine):
-    """Every switch's wait buffers, queue contents and counters."""
-    return [_network_view(network) for network in machine.networks]
-
-
-def _network_view(network):
-    """One network copy's wait buffers, queue contents and counters."""
-    view = []
-    for row in network.stages:
-        for sw in row:
-            buffers = [
-                (list(wb._records), {
-                    tag: [(r.plan, r.new_message.tag, list(r.new_message.digits),
-                           r.new_message.op, r.new_message.combine_depth,
-                           r.stage, r.created_cycle) for r in stack]
-                    for tag, stack in wb._records.items()
-                }, wb.occupancy, wb.peak_occupancy, wb.total_insertions)
-                for wb in sw.wait_buffers
-            ]
-            to_mm = [[(slot.message.tag, slot.message.op,
-                       slot.message.combine_depth, slot.already_combined)
-                      for slot in q._slots] for q in sw.to_mm]
-            to_pe = [[(slot.message.tag, slot.message.value)
-                      for slot in q._slots] for q in sw.to_pe]
-            view.append((sw.stage, sw.index, buffers, to_mm, to_pe,
-                         dataclasses.astuple(sw.stats)))
-    return view
-
-
-def _message_view(message):
-    return (message.tag, message.op, list(message.digits), message.is_reply,
-            message.value, message.combine_depth, message.packets)
-
-
-def _mni_view(mnis):
-    """Every MNI's queued, in-service and outbound messages and counters."""
-    return [(
-        [(_message_view(m), ready) for m, ready in mni._inbound],
-        mni._inbound_packets,
-        None if mni._in_service is None
-        else (_message_view(mni._in_service[0]), mni._in_service[1]),
-        [_message_view(m) for m in mni.outbound],
-        mni._link_busy_until, mni.requests_served, mni.busy_cycles,
-        mni.module.accesses, mni.pending,
-    ) for mni in mnis]
-
-
 #: the machine's public readers of the object view, each read first
 #: after some step (the first read is the one that writes the view back)
 _READERS = {
-    "networks": _object_view,
-    "network": lambda machine: _network_view(machine.network),
-    "mnis": lambda machine: _mni_view(machine.mnis),
+    "networks": lambda machine: [network_view(n) for n in machine.networks],
+    "network": lambda machine: network_view(machine.network),
+    "mnis": lambda machine: mni_view(machine.mnis),
     "stats": lambda machine: machine.stats().to_dict(),
     "quiescent": lambda machine: machine.quiescent(),
 }
@@ -290,11 +237,11 @@ class TestPublicReaders:
 
 class TestWaitBufferRoundTrip:
     @pytest.mark.parametrize("cut", [17, 26])
-    def test_wait_buffers_match_dense_then_resync(self, cut):
+    def test_wait_buffers_match_dense_then_finish(self, cut):
         """A 256-PE barrier cut while wait records are outstanding at
         several stages (on the way out at 17, decombining at 26): the
-        flushed object view equals dense's, and a plane rebuilt from it
-        finishes identically."""
+        flushed object view equals dense's, and the run finishes
+        identically."""
         rng = random.Random(cut)
         increments = [[rng.randint(1, 7) for _ in range(2)] for _ in range(256)]
         machines = []
@@ -309,8 +256,7 @@ class TestWaitBufferRoundTrip:
                   for wb in sw.wait_buffers for stack in wb._records.values()
                   for r in stack}
         assert len(stages) >= 4
-        assert _object_view(batch) == _object_view(dense)
-        assert_mirror_matches_rebuild(_synced_kernel(batch))  # resyncs
+        assert object_view(batch) == object_view(dense)
         assert batch.run().to_dict() == dense.run().to_dict()
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import hypothesis.strategies as st
 
 from repro.core.memory_ops import (
@@ -107,28 +109,57 @@ def parse_prometheus(text):
     return types, samples
 
 
-def assert_mirror_matches_rebuild(kernel) -> None:
-    """Every plane's and the memory side's arrays of a batch kernel whose
-    object view was just written back equal those ``resync()`` rebuilds
-    from that view."""
-    incremental = [state.export_state() for state in kernel._states]
-    memory = kernel._memory.export_state()
-    kernel.resync()
-    for state, before in zip(kernel._states, incremental):
-        rebuilt = state.export_state()
-        for field in ("fwd_len", "ret_len", "fwd_busy", "ret_busy"):
-            for stage, (inc, reb) in enumerate(
-                zip(before[field], rebuilt[field])
-            ):
-                assert (inc == reb).all(), (
-                    f"{field}[{stage}] diverged from the object state"
-                )
-        assert before["fwd_tot"] == rebuilt["fwd_tot"]
-        assert before["ret_tot"] == rebuilt["ret_tot"]
-        for field in ("wait_occupancy", "wait_peak"):
-            assert (before[field] == rebuilt[field]).all(), (
-                f"{field} diverged from the wait buffers"
-            )
-    rebuilt = kernel._memory.export_state()
-    for field, value in memory.items():
-        assert value == rebuilt[field], f"MNI {field} diverged from the MNIs"
+def _message_view(message):
+    return (message.tag, message.op, list(message.digits), message.is_reply,
+            message.value, message.combine_depth, message.packets,
+            message.enqueued_cycle)
+
+
+def network_view(network):
+    """One network copy's view: every switch's queues (slots and
+    counters), output ports, wait buffers and counters, and the
+    stage-delay counters."""
+    switches = []
+    for row in network.stages:
+        for sw in row:
+            queues = [(
+                [(_message_view(s.message), s.already_combined)
+                 for s in q._slots],
+                q.used_packets, q.peak_packets, q.total_inserted,
+                q.total_combined,
+            ) for q in sw.to_mm + sw.to_pe]
+            ports = [(p.busy_until, p.messages_sent)
+                     for p in sw.mm_ports + sw.pe_ports]
+            waits = [(list(wb._records), {
+                tag: [(r.key_tag, r.plan, _message_view(r.new_message),
+                       r.stage, r.created_cycle) for r in stack]
+                for tag, stack in wb._records.items()
+            }, wb.occupancy, wb.peak_occupancy, wb.total_insertions)
+                for wb in sw.wait_buffers]
+            switches.append((sw.stage, sw.index, queues, ports, waits,
+                             dataclasses.astuple(sw.stats)))
+    return (switches, list(network.stage_delay_sum),
+            list(network.stage_delay_count))
+
+
+def mni_view(mnis):
+    """Every MNI's queued, in-service and outbound messages and
+    counters."""
+    return [(
+        [(_message_view(m), ready) for m, ready in mni._inbound],
+        mni._inbound_packets,
+        None if mni._in_service is None
+        else (_message_view(mni._in_service[0]), mni._in_service[1]),
+        [_message_view(m) for m in mni.outbound],
+        mni._link_busy_until, mni.requests_served, mni.busy_cycles,
+        mni.module.accesses, mni.pending,
+    ) for mni in mnis]
+
+
+def object_view(machine):
+    """Everything the machine's object view holds, read through its
+    public readers: every network copy's :func:`network_view`, then
+    the :func:`mni_view`.  Two machines in the same state read equal,
+    whatever kernel runs them."""
+    return ([network_view(network) for network in machine.networks],
+            mni_view(machine.mnis))

@@ -1,21 +1,23 @@
-"""The batch kernel's object view is built on demand.
+"""The batch kernel's object view is built on demand and never read back.
 
 Under the batch kernel the arrays are authoritative, and the switch,
-queue and wait-buffer objects are only a view of them.  An
-uninstrumented batch machine therefore builds its switch rows on the
+queue and wait-buffer objects are only a view of them.  A batch
+machine, instrumented or not, therefore builds its switch rows on the
 first public read (``networks``, ``network``, ``mnis``,
 ``quiescent()``), and the write-back that follows carries every change
 since cycle 0:
 
 * **Nothing is built unread.**  ``run``, ``run_cycles``, ``stats()``,
   ``to_dict()`` and a quiescence timeout construct no switch, queue or
-  wait-buffer object (counted by wrapping their constructors).
-* **A late first read is exact.**  The view a first read builds at an
-  arbitrary cycle equals dense's at that cycle, queue by queue, port by
-  port and record by record, on every fabric, and the arrays rebuilt
-  from it equal the kernel's.
-* **An early reader still counts.**  Traffic offered through
-  ``machine.network`` before the first step is read into the arrays.
+  wait-buffer object (counted by wrapping their constructors), and the
+  metrics snapshot keeps an eager build's order.
+* **Every read is exact.**  The view a first read builds at an
+  arbitrary cycle, and each later read's incremental write-back, equal
+  dense's at that cycle, queue by queue, port by port and record by
+  record, on every fabric, instrumented or not.
+* **The view is one-way.**  A message offered through the view (to a
+  switch or an MNI) would never reach the arrays, so the next step
+  refuses it, before the first step or mid-run; dense takes it.
 * **The wiring is resolved once per size.**  Machines of one topology,
   size and arity share immutable wiring tables.
 """
@@ -26,7 +28,7 @@ import dataclasses
 import random
 
 import pytest
-from helpers import assert_mirror_matches_rebuild
+from helpers import object_view
 
 import repro.network.multistage as multistage
 from repro.core.machine import MachineConfig, Ultracomputer
@@ -112,10 +114,30 @@ class TestNothingBuiltUnread:
         assert machine.quiescent()
         assert built["Switch"] == 8 * 128
 
-    def test_instrumented_batch_builds_eagerly(self, built):
-        """Its switches register their instruments when built."""
-        Ultracomputer(MachineConfig(n_pes=16, kernel="batch", instrument=True))
-        assert built["Switch"] == 32
+    def test_instrumented_batch_defers_too(self, built):
+        """The network registers the per-stage instruments, so an
+        instrumented run builds nothing either, and its metrics (in
+        snapshot order) and trace equal dense's."""
+        rng = random.Random(7)
+        increments = [[rng.randint(1, 7) for _ in range(3)] for _ in range(64)]
+        results, orders = [], []
+        for kernel in ("batch", "dense"):
+            machine = Ultracomputer(MachineConfig(
+                n_pes=64, kernel=kernel, instrument=True, trace_capacity=1 << 12))
+            for pe in range(64):
+                machine.spawn(barrier, increments[pe], 5)
+            results.append(machine.run().to_dict())
+            orders.append([(s.name, s.labels) for s in
+                           machine.instrumentation.snapshot().samples])
+            if kernel == "batch":
+                assert not any(built.values()), built
+                machine.network
+                assert built["Switch"] == 6 * 32
+                assert [(s.name, s.labels) for s in machine.instrumentation
+                        .snapshot().samples] == orders[0]
+        assert results[0] == results[1]
+        assert orders[0] == orders[1]
+        assert results[0]["combines"] > 0
 
 
 class TestTimeout:
@@ -135,44 +157,6 @@ class TestTimeout:
         assert "messages in flight" in messages["batch"]
         assert not messages["batch"].endswith("(0 messages in flight)")
         assert not any(built.values()), built
-
-
-def full_view(machine):
-    """Every switch's queues (slots and counters), output ports, wait
-    buffers and counters, and the stage-delay counters, per copy."""
-    copies = []
-    for network in machine.networks:
-        switches = []
-        for row in network.stages:
-            for sw in row:
-                queues = [(
-                    [(s.message.tag, s.message.op, list(s.message.digits),
-                      s.message.combine_depth, s.already_combined,
-                      s.message.enqueued_cycle) for s in q._slots],
-                    q.used_packets, q.peak_packets, q.total_inserted,
-                    q.total_combined,
-                ) for q in sw.to_mm]
-                queues += [(
-                    [(s.message.tag, s.message.op, list(s.message.digits),
-                      s.message.value, s.message.packets) for s in q._slots],
-                    q.used_packets, q.peak_packets, q.total_inserted,
-                    q.total_combined,
-                ) for q in sw.to_pe]
-                ports = [(p.busy_until, p.messages_sent)
-                         for p in sw.mm_ports + sw.pe_ports]
-                waits = [({
-                    tag: [(r.key_tag, r.plan, r.new_message.tag,
-                           list(r.new_message.digits), r.new_message.op,
-                           r.new_message.combine_depth, r.stage,
-                           r.created_cycle) for r in stack]
-                    for tag, stack in wb._records.items()
-                }, wb.occupancy, wb.peak_occupancy, wb.total_insertions)
-                    for wb in sw.wait_buffers]
-                switches.append((sw.stage, sw.index, queues, ports, waits,
-                                 dataclasses.astuple(sw.stats)))
-        copies.append((switches, list(network.stage_delay_sum),
-                       list(network.stage_delay_count)))
-    return copies
 
 
 FABRICS = [("omega", 2), ("omega", 4), ("hypercube", 2), ("mesh", 2)]
@@ -195,11 +179,9 @@ class TestLateFirstRead:
         dense, batch = machines
         grid = dense.topology.stages * dense.topology.switches_per_stage
         assert built["Switch"] == 2 * grid  # dense's two copies
-        view = full_view(batch)
-        assert view == full_view(dense)
-        assert_mirror_matches_rebuild(batch.kernel)
+        assert object_view(batch) == object_view(dense)
         assert batch.run().to_dict() == dense.run().to_dict()
-        assert full_view(batch) == full_view(dense)
+        assert object_view(batch) == object_view(dense)
 
     def test_a_cut_holds_records_and_traffic(self):
         """The cuts above meet the state a view carries: queued
@@ -212,29 +194,120 @@ class TestLateFirstRead:
         assert network.pending_wait_records() > 0
 
 
-class TestEarlyReader:
-    def test_traffic_offered_before_the_first_step_is_read(self):
-        """A request offered through ``machine.network`` before any step
-        reaches the arrays, and the run ends as dense's does."""
-        results = []
+class TestReadsInTurn:
+    @pytest.mark.parametrize("topology, k", FABRICS,
+                             ids=[f"{t}-k{k}" for t, k in FABRICS])
+    @pytest.mark.parametrize("capacity", [None, 4])
+    @pytest.mark.parametrize("instrument", [False, True],
+                             ids=["plain", "instrumented"])
+    def test_each_read_equals_dense(self, topology, k, capacity, instrument):
+        """One batch machine read at cycles 7, 19 and 33 in turn: the
+        first read builds the view, the later ones write back only what
+        changed since, and each equals dense's view at that cycle."""
+        machines = []
         for kernel in ("dense", "batch"):
-            machine = Ultracomputer(MachineConfig(n_pes=16, kernel=kernel))
-            machine.spawn_many(15, mixed, 3, 1)
-            # PE 15 runs no program: its request goes in by hand, as
-            # the PNI's phase 3 would have offered it
-            pni = machine.pnis[15]
-            pni.issue(FetchAdd(0, 100), 0)
-            message = pni.outbound.popleft()
-            machine._pni_ready.discard(15)
-            machine._copy_by_tag[message.tag] = 0
-            assert machine.network.offer_request(15, message)
-            if kernel == "batch":
-                machine.kernel._ensure_state()
-                assert machine.kernel._states[0].fwd_grid.tot == 1
-            results.append((machine.run().to_dict(), machine.peek(0)))
-        assert results[0] == results[1]
-        assert results[1][1] >= 100
-        assert results[1][0]["replies_received"] == 15 * 3 + 1
+            machine = Ultracomputer(MachineConfig(
+                n_pes=64, k=k, topology=topology, kernel=kernel,
+                queue_capacity_packets=capacity, copies=2,
+                instrument=instrument,
+                trace_capacity=1 << 12 if instrument else 0))
+            machine.spawn_many(64, mixed, 5, 9)
+            machines.append(machine)
+        dense, batch = machines
+        for cut in (7, 19, 33):
+            for machine in machines:
+                machine.run_cycles(cut - machine.cycle)
+            assert object_view(batch) == object_view(dense), f"cycle {cut}"
+        assert batch.run().to_dict() == dense.run().to_dict()
+        assert object_view(batch) == object_view(dense)
+
+
+def hot_spot(pe_id, rounds):
+    for _ in range(rounds):
+        yield 1 + pe_id % 3
+        yield FetchAdd(0, 1)
+
+
+def hand_issued(machine, pe=15):
+    """A ``FetchAdd(0, 100)`` issued at PE ``pe``'s PNI and taken back
+    off its queue, as phase 3 would take it, to be offered by hand
+    (on copy 0)."""
+    pni = machine.pnis[pe]
+    pni.issue(FetchAdd(0, 100), machine.cycle)
+    message = pni.outbound.popleft()
+    machine._pni_ready.discard(pe)
+    machine._copy_by_tag[message.tag] = 0
+    return message
+
+
+def offer_to_network(machine):
+    assert machine.network.offer_request(15, hand_issued(machine))
+
+
+def offer_to_mni(machine):
+    """(Its digits are not the switches' amalgam, so its reply could not
+    find its way back: only the refusal is checked with it.)"""
+    message = hand_issued(machine)
+    assert machine.mnis[message.mm].offer_inbound(message, machine.cycle)
+
+
+OFFERS = [offer_to_network, offer_to_mni]
+
+
+class TestViewWrites:
+    """15 PEs add 1 to cell 0 three times each, and a ``FetchAdd(0,
+    100)`` is offered by hand through the object view."""
+
+    def machine(self, kernel):
+        machine = Ultracomputer(MachineConfig(n_pes=16, kernel=kernel))
+        machine.spawn_many(15, hot_spot, 3)
+        return machine
+
+    @pytest.mark.parametrize("after", [0, 5])
+    def test_dense_takes_the_offer(self, after):
+        machine = self.machine("dense")
+        machine.run_cycles(after)
+        offer_to_network(machine)
+        result = machine.run()
+        assert machine.peek(0) == 15 * 3 + 100
+        assert result.replies_received == 15 * 3 + 1
+
+    @pytest.mark.parametrize("offer", OFFERS, ids=["network", "mni"])
+    def test_batch_refuses_before_step(self, offer):
+        machine = self.machine("batch")
+        offer(machine)
+        with pytest.raises(RuntimeError, match="offered through the object view"):
+            machine.step()
+        with pytest.raises(RuntimeError, match="offered through the object view"):
+            machine.run()
+
+    @pytest.mark.parametrize("offer", OFFERS, ids=["network", "mni"])
+    def test_batch_refuses_mid_run(self, offer):
+        """Before the refusal the run dropped the request silently and
+        ended with cell 0 at 45."""
+        machine = self.machine("batch")
+        machine.run_cycles(5)
+        offer(machine)
+        with pytest.raises(RuntimeError, match="offered through the object view"):
+            machine.run()
+
+    def test_batch_refuses_a_driver_mid_cycle(self):
+        """A driver offering in phase 6 is refused in that very step."""
+        machine = self.machine("batch")
+
+        class Offerer:
+            def tick(self, cycle):
+                if cycle == 3:
+                    offer_to_network(machine)
+
+            def done(self):
+                return True
+
+        machine.attach_driver(Offerer())
+        machine.run_cycles(3)
+        with pytest.raises(RuntimeError, match="offered through the object view"):
+            machine.step()
+        assert machine.cycle == 4
 
 
 class TestWiringMemo:
@@ -243,6 +316,23 @@ class TestWiringMemo:
         b = Ultracomputer(MachineConfig(n_pes=64, kernel="dense"))
         assert a._networks[0].forward_targets is b._networks[0].forward_targets
         assert a._networks[0].return_targets is b._networks[0].return_targets
+
+    def test_planes_of_one_size_share_their_tables(self):
+        """The batch planes' lane tables and injection points are
+        memoised beside the wiring, read-only."""
+        planes = []
+        for n_pes in (64, 64, 256):
+            machine = Ultracomputer(MachineConfig(n_pes=n_pes, kernel="batch"))
+            machine.step()
+            planes.append(machine.kernel._states[0])
+        a, b, other = planes
+        assert a.fwd[0].wire is b.fwd[0].wire
+        assert a.ret[-1].wire is b.ret[-1].wire
+        assert a.inject_sw is b.inject_sw and a.inject_port is b.inject_port
+        assert a.fwd[0].wire is not other.fwd[0].wire
+        for table in (a.fwd[0].wire.to, a.ret[0].wire.kinds, a.inject_sw):
+            with pytest.raises(ValueError):
+                table[0] = 1
 
     @pytest.mark.parametrize("other", [
         dict(n_pes=256), dict(n_pes=64, k=4), dict(n_pes=64, topology="hypercube"),

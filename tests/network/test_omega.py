@@ -11,7 +11,9 @@ from repro.network.topology import OmegaTopology
 def omega(**config) -> MultistageNetwork:
     """The combining Omega network: the switch grid on the Omega wiring."""
     config = NetworkConfig(**config)
-    return MultistageNetwork(config, OmegaTopology(config.n_ports, config.k))
+    network = MultistageNetwork(config, OmegaTopology(config.n_ports, config.k))
+    network.build_switches()
+    return network
 
 
 class Harness:

@@ -36,6 +36,7 @@ def _closures_made(name: str, n_ports: int) -> int:
     gc.collect()
     before = _closures()
     network = MultistageNetwork(NetworkConfig(n_ports=n_ports), topology)
+    network.build_switches()
     gc.collect()
     made = _closures() - before
     assert network.forward_targets and network.return_targets

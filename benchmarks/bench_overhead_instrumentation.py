@@ -17,6 +17,12 @@ and timeline runs are timed as interleaved pairs, each run normalised
 by a calibration loop timed just before it, and the gate reads the
 median pair ratio: a swing in the host's speed then moves one pair,
 not the verdict.
+
+``test_instrumented_batch_overhead`` holds instrumented batch runs to
+the plain run's path: at 1024 PEs, on uniform traffic and on barrier
+rounds, the median of interleaved calibration-normalised pairs must
+stay within 1.2x of a plain run with metrics and 1.5x with a full
+trace (the per-message path instrumented runs once took cost 2.3-4.9x).
 """
 
 from __future__ import annotations
@@ -197,6 +203,108 @@ def test_observability_probe_overhead(report):
         f"{plain * 1e3:.2f} ms), more than the 5% budget; a gauge probe is "
         "likely doing work inside the cycle loop"
     )
+
+
+#: the instrumented batch gate's machine size and uniform row: rate,
+#: offered cycles (then a drain), and the barrier row's rounds and gap
+BATCH_PES = 1024
+BATCH_RATE = 0.05
+BATCH_OFFERED = 200
+BATCH_ROUNDS = 6
+BATCH_GAP = 100
+#: barrier runs timed per sample (one takes about 60 ms)
+BATCH_BARRIER_RUNS = 3
+#: interleaved (plain, instrumented) pairs per row and mode
+BATCH_PAIRS = 11
+#: the gate: median normalised ratio to plain, per instrumented mode
+BATCH_LIMITS = {"metrics": 1.2, "trace": 1.5}
+#: a full trace of either row, with no event dropped
+BATCH_TRACE_CAPACITY = 1 << 20
+
+
+def _batch_machine(mode: str) -> Ultracomputer:
+    return Ultracomputer(MachineConfig(
+        n_pes=BATCH_PES, kernel="batch", instrument=mode != "plain",
+        trace_capacity=BATCH_TRACE_CAPACITY if mode == "trace" else 0))
+
+
+def _batch_uniform(mode: str) -> tuple[float, Ultracomputer]:
+    """Seconds of uniform open-loop traffic, offered then drained."""
+    from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
+
+    machine = _batch_machine(mode)
+    driver = SyntheticTrafficDriver(
+        machine, TrafficSpec(rate=BATCH_RATE, pattern="uniform", seed=5))
+    machine.attach_driver(driver)
+    start = time.perf_counter()
+    machine.run_cycles(BATCH_OFFERED)
+    driver.drain(BATCH_OFFERED * 4)
+    return time.perf_counter() - start, machine
+
+
+def _barrier(pe_id, increments, gap):
+    for increment in increments:
+        yield gap
+        yield FetchAdd(0, increment)
+
+
+def _batch_barrier(mode: str) -> tuple[float, Ultracomputer]:
+    """Seconds of fetch-and-add barrier rounds on one cell, summed over
+    :data:`BATCH_BARRIER_RUNS` machines."""
+    import random
+
+    seconds = 0.0
+    for _ in range(BATCH_BARRIER_RUNS):
+        machine = _batch_machine(mode)
+        rng = random.Random(1)
+        for pe in range(BATCH_PES):
+            machine.spawn(_barrier,
+                          [rng.randint(1, 7) for _ in range(BATCH_ROUNDS)],
+                          BATCH_GAP)
+        start = time.perf_counter()
+        machine.run()
+        seconds += time.perf_counter() - start
+    return seconds, machine
+
+
+def test_instrumented_batch_overhead(report):
+    """An instrumented batch run takes the plain run's vectorized path:
+    at 1024 PEs, metrics cost at most 1.2x and a full trace at most 1.5x
+    a plain run, median of interleaved pairs, on uniform traffic and on
+    barrier rounds."""
+    rows = {"uniform": _batch_uniform, "barrier": _batch_barrier}
+    lines = [banner(f"instrumented batch overhead ({BATCH_PES} PEs, median "
+                    f"of {BATCH_PAIRS} normalised pairs)")]
+    lines.append(f"{'row':>8} {'mode':>8} {'plain s':>8} {'instr s':>8} "
+                 f"{'ratio':>6} {'pairs':>12} {'limit':>6}")
+    failed = []
+    for row, timed in rows.items():
+        timed("plain")  # warm the row's memos before timing
+        for mode, limit in BATCH_LIMITS.items():
+            plains, instrumented, ratios = [], [], []
+            for pair in range(BATCH_PAIRS):
+                order = ("plain", mode)[:: 1 if pair % 2 == 0 else -1]
+                normalised = {}
+                for run in order:
+                    ops_per_sec = calibrate(OBS_CALIBRATION_OPS)
+                    seconds, machine = timed(run)
+                    (plains if run == "plain" else instrumented).append(seconds)
+                    normalised[run] = seconds * ops_per_sec
+                    if run == "trace":
+                        assert machine.stats().trace_dropped == 0
+                ratios.append(normalised[mode] / normalised["plain"])
+            ratio = statistics.median(ratios)
+            lines.append(
+                f"{row:>8} {mode:>8} {statistics.median(plains):>8.3f} "
+                f"{statistics.median(instrumented):>8.3f} {ratio:>6.2f} "
+                f"{min(ratios):>5.2f}-{max(ratios):<6.2f} {limit:>6.1f}")
+            if ratio > limit:
+                failed.append(f"{row} {mode} {ratio:.2f}x > {limit}x")
+    report("\n".join(lines))
+    assert not failed, (
+        "instrumented batch runs are slower than their budget against plain "
+        f"runs ({'; '.join(failed)}); a probe is likely choosing a slower "
+        "path instead of recording beside the plain one")
 
 
 def test_disabled_machine_allocates_no_instruments(report):

@@ -51,9 +51,9 @@ whole stage of them per vectorized step:
   capacity — so a pass is taken only where the stage-ordered walk would
   append every offer, and a push lands at ``head + len + rank``, the
   same slot whether or not its queue popped first.  Exits go to their
-  endpoints stage by stage in the dense order.  Any other step, and
-  every step of an instrumented run, walks the stages in the dense
-  order: a stage's heads are gathered and offered, and offers to one
+  endpoints stage by stage in the dense order.  Any other step walks
+  the stages in the dense order: a stage's heads are gathered and
+  offered, and offers to one
   target queue are settled in row-major (switch, port) order — the
   dense kernel's nested sweep — so who wins the last slot of a filling
   queue is preserved bit for bit.  Phase 3 offers every ready PNI head
@@ -73,10 +73,10 @@ whole stage of them per vectorized step:
   acknowledgement) for R-new, all or nothing against the target
   switch's ToPE capacity — and R-new's reply ``Message`` is built only
   when it exits to its PNI.  This covers the paper's pairwise switch
-  (``pairwise_only``) without instrumentation and with operands and
-  values that stay exact in int64 (:data:`_EXACT`).  Mixed kinds, other
-  phis, instrumented runs, the unlimited-combining ablation and stage
-  steps with few senders take the per-message path: the same
+  (``pairwise_only``) with operands and values that stay exact in
+  int64 (:data:`_EXACT`).  Mixed kinds, other phis, the
+  unlimited-combining ablation and stage steps with few senders take
+  the per-message path: the same
   ``try_combine`` plans, ``ReplyRule.materialize`` and
   ``Message.make_reply`` the switches use, against the same record
   store.  ``decombine_fits`` is the combine-refusal rule on both paths.
@@ -92,6 +92,11 @@ whole stage of them per vectorized step:
   ascending-MM order; phase 5 offers every free-link head reply as one
   batch per copy, as phase 3 does for the PNIs.  While fewer than
   ``vector_min`` MNIs hold work, both visit those MNIs one at a time.
+* **Instrumented runs on the same path.**  Each instrumentation test
+  here guards a probe.  The trace is the one record whose order
+  matters: each event an offer makes is held (``CycleTrace.hold``)
+  under its offer's place in dense's visit order — the sending queue,
+  the PE or the MM — until the stage step or phase ends.
 * **A one-way object view, built when read.**  The switch and MNI
   objects remain the reference model for the dense kernel.  Under this
   kernel the arrays are authoritative and the objects are only a view
@@ -210,6 +215,9 @@ _POOL = (
     ("ent", np.int32, 0),
     # a request's latest forward enqueue cycle (``Message.enqueued_cycle``)
     ("enq", np.int32, 0),
+    # kept only with a trace: a request's origin PE, and the order key
+    # its latest offer's events are held under (``CycleTrace.hold``)
+    ("org", np.int64, 0), ("okey", np.int64, 0),
 )
 
 
@@ -324,10 +332,12 @@ def _plane_wiring(network: "MultistageNetwork") -> tuple:
                                   for column in zip(*points))
         inject_sw.setflags(write=False)
         inject_port.setflags(write=False)
+        returns = [wires[id(targets)] for targets in network.return_targets]
+        assert not any(_END in w.kinds and _HOP in w.kinds for w in returns), (
+            "a return lane both exits and hops (the trace order: _move)")
         tables = _PLANE_WIRING[key] = (
             [wires[id(targets)] for targets in network.forward_targets],
-            [wires[id(targets)] for targets in network.return_targets],
-            points, inject_sw, inject_port)
+            returns, points, inject_sw, inject_port)
     return tables
 
 
@@ -415,13 +425,14 @@ class _Lane:
     (``merged`` counts a forward lane's combines and a return lane's
     decombines) and ``base`` is each queue's length at the last flush,
     so ``base + ins - len`` messages were sent since; a queue changed
-    since the last flush is one that inserted, combined or sent.
+    since the last flush is one that inserted, combined or sent.  The
+    queues share the occupancy histogram ``hist`` (None uninstrumented).
     """
 
     __slots__ = (
         "grid", "stage", "at", "forward", "switches", "queues", "ports",
         "len", "used", "busy", "peak", "head", "ring", "slots", "ins", "combs",
-        "base", "routed", "merged", "blocked", "wire",
+        "base", "routed", "merged", "blocked", "wire", "hist",
     )
 
     def __init__(self, grid: _Grid, stage: int, wire: _Wiring) -> None:
@@ -436,6 +447,7 @@ class _Lane:
         self.ring = grid.ring[stage]
         self.slots = grid.slots
         self.wire = wire
+        self.hist = None
 
     def bind(self, switches: list) -> None:
         """Look up the stage's switch objects, and their queues and
@@ -469,6 +481,8 @@ class _Lane:
         self.peak[q] = np.maximum(self.peak[q], used)
         self.ins[q] += 1
         self.grid.tot += q.size
+        if self.hist is not None:
+            self.hist.observe_many(used)
 
 
 class _MessagePlane:
@@ -505,20 +519,22 @@ class _MessagePlane:
         # the network's stage-delay counters, kept current by every offer
         self.delay_sum = network.stage_delay_sum
         self.delay_count = network.stage_delay_count
-        instr = network.instrumentation
-        self._instr = instr
-        self._instr_on = instr.enabled
         #: per stage, the instruments the switches of the stage share
         #: (None uninstrumented)
         self.instruments = network.stage_instruments
+        #: the trace (None when none is kept)
+        self._trace = kernel._trace
         #: whether combining and decombining may take the vectorized path
-        self.vector = self.combining and self.pairwise and not instr.enabled
+        self.vector = self.combining and self.pairwise
         (fwd_wires, ret_wires, self.inject_points, self.inject_sw,
          self.inject_port) = _plane_wiring(network)
         self.fwd_grid = _Grid(True, self.S, fwd_wires)
         self.ret_grid = _Grid(False, self.S, ret_wires)
         self.fwd = self.fwd_grid.lanes
         self.ret = self.ret_grid.lanes
+        for lane in self.fwd + self.ret if self.instruments is not None else ():
+            shared = self.instruments[lane.stage]
+            lane.hist = shared.queue_to_mm if lane.forward else shared.queue_to_pe
         # the wait buffers, flat index ``stage * Q + switch * k + port``
         cells = self.D * self.Q
         self.wb_occ = np.zeros(cells, dtype=np.int32)
@@ -750,7 +766,7 @@ class _MessagePlane:
             self.wb_peak[wb] = occupancy
         self.wb_ins[wb] = self.wb_ins.item(wb) + 1
         self.wb_dirty[wb] = True
-        if self._instr_on:
+        if self.instruments is not None:
             self.instruments[stage].wait_occupancy.observe(occupancy)
 
     # ------------------------------------------------------------------
@@ -902,6 +918,8 @@ class _MessagePlane:
     def inject_request(self, pe: int, message: "Message", cycle: int) -> bool:
         sw_i, in_port = self.inject_points[pe]
         i = self._admit(message)
+        if self._trace is not None:
+            self.org[i] = self.okey[i] = pe
         if self._offer_forward(self.fwd[0], sw_i, in_port, message.digits[0],
                                i, cycle):
             return True
@@ -917,8 +935,10 @@ class _MessagePlane:
                     for pe, message in zip(pes, messages)]
         ids = self._admit_many(messages)
         line = np.array(pes, dtype=np.int64)
+        if self._trace is not None:
+            self.org[ids] = self.okey[ids] = line
         accepted = np.zeros(len(pes), dtype=bool)
-        accepted[self._offer_requests(self.fwd[0], ids, self.inject_sw[line],
+        accepted[self._offer(self.fwd[0], ids, self.inject_sw[line],
                                       self.inject_port[line], cycle)] = True
         for i in ids[~accepted].tolist():
             self._release(i)
@@ -941,7 +961,7 @@ class _MessagePlane:
         accepted = np.zeros(ids.size, dtype=bool)
         for s in np.unique(stage).tolist():
             sel = np.flatnonzero(stage == s)
-            accepted[sel[self._offer_replies(self.ret[s], ids[sel], sw[sel],
+            accepted[sel[self._offer(self.ret[s], ids[sel], sw[sel],
                                              port[sel], cycle)]] = True
         return accepted
 
@@ -950,12 +970,6 @@ class _MessagePlane:
     # path (scalar reads go through ``item``, which skips numpy's scalar
     # boxing)
     # ------------------------------------------------------------------
-    def _queue_hist(self, lane: _Lane) -> Any:
-        """The occupancy histogram ``lane``'s queues share (instrumented
-        runs only)."""
-        instruments = self.instruments[lane.stage]
-        return instruments.queue_to_mm if lane.forward else instruments.queue_to_pe
-
     def _push(self, lane: _Lane, q: int, i: int, packets: int) -> None:
         n = lane.len.item(q)
         if n == lane.slots:
@@ -968,8 +982,8 @@ class _MessagePlane:
             lane.peak[q] = used
         lane.ins[q] = lane.ins.item(q) + 1
         lane.grid.tot += 1
-        if self._instr_on:
-            self._queue_hist(lane).observe(used)
+        if lane.hist is not None:
+            lane.hist.observe(used)
 
     def _pop(self, lane: _Lane, f: int, packets: int, cycle: int) -> None:
         head = lane.head.item(f) + 1
@@ -1030,10 +1044,9 @@ class _MessagePlane:
         if partner is None:
             self.comb[i] = False  # a new slot, not yet combined here
             self._push(lane, q, i, packets)
-            if self._instr_on:
-                message = obj[i]
-                self._instr.record("enqueue", cycle, tag=message.tag,
-                                   pe=message.origin, stage=stage)
+            if self._trace is not None:
+                self._trace.hold((self.okey.item(i),), "enqueue", cycle,
+                                 (self.tag.item(i),), (self.org.item(i),), stage)
         else:
             j, plan = partner
             queued = obj[j]
@@ -1052,12 +1065,12 @@ class _MessagePlane:
             lane.combs[q] = lane.combs.item(q) + 1
             self._insert_record(i, j, stage, wb, cycle, plan)
             lane.merged[sw_i] = lane.merged.item(sw_i) + 1
-            if self._instr_on:
-                message = obj[i]
+            if self.instruments is not None:
                 self.instruments[stage].combines.inc()
-                self._instr.record("combine", cycle, tag=message.tag,
-                                   pe=message.origin, stage=stage,
-                                   tag2=queued.tag)
+            if self._trace is not None:
+                self._trace.hold((self.okey.item(i),), "combine", cycle,
+                                 (self.tag.item(i),), (self.org.item(i),), stage,
+                                 (queued.tag,))
         lane.routed[sw_i] = lane.routed.item(sw_i) + 1
         return True
 
@@ -1095,14 +1108,15 @@ class _MessagePlane:
                 if lane.used.item(sw_i * k + port) + packets > self.cap:
                     return False
 
-        if self._instr_on:
+        if self.instruments is not None:
             instruments = self.instruments[stage]
             instruments.decombines.inc(len(chain))
-            for r in reversed(chain):
+            for r in chain:
                 instruments.wait_residency.observe(cycle - self.w_made.item(r))
-                self._instr.record("decombine", cycle, tag=self.tag.item(r),
-                                   pe=self.obj[r].origin, stage=stage,
-                                   tag2=message.tag)
+        if self._trace is not None:  # oldest record first, as a switch's
+            old, n = chain[::-1], len(chain)
+            self._trace.hold([self.okey.item(i)] * n, "decombine", cycle,
+                             self.tag[old], self.org[old], stage, [message.tag] * n)
         self.link[i, stage] = -1
         message.set_value(value)
         self.pk[i] = message.packets
@@ -1129,20 +1143,11 @@ class _MessagePlane:
     # one hop per resident message: a direction in one pass, or a
     # stage at a time
     # ------------------------------------------------------------------
-    def step_forward(self, cycle: int) -> None:
-        """Move requests one hop toward memory (dense phase 2), memory
-        side first so each message advances at most one stage."""
-        self._step(self.fwd_grid, cycle)
-
-    def step_return(self, cycle: int) -> None:
-        """Move replies one hop toward the PEs (dense phase 4)."""
-        self._step(self.ret_grid, cycle)
-
     def _step(self, grid: _Grid, cycle: int) -> None:
-        """Send the head of every transmitting queue of a direction:
-        all stages in one pass when no offer can combine, decombine or
-        be refused (:meth:`_one_pass`), else a stage at a time
-        (:meth:`_staged`).
+        """Send the head of every transmitting queue of a direction
+        (dense phase 2 or 4), each message at most one stage: all stages
+        in one pass when no offer can combine, decombine or be refused
+        (:meth:`_one_pass`), else a stage at a time (:meth:`_staged`).
 
         One mask serves the whole direction: a stage's queues change
         during a step only through its own pops and through pushes from
@@ -1151,8 +1156,7 @@ class _MessagePlane:
         if not grid.tot:
             return
         src = np.flatnonzero((grid.len != 0) & (grid.busy <= cycle))
-        if (src.size < self.vector_min or self._instr_on
-                or not self._one_pass(grid, src, cycle)):
+        if src.size < self.vector_min or not self._one_pass(grid, src, cycle):
             self._staged(grid, src, cycle)
 
     def _staged(self, grid: _Grid, src: Any, cycle: int) -> None:
@@ -1165,6 +1169,8 @@ class _MessagePlane:
             nxt = stage + 1 if forward else stage - 1
             self._move(lanes[stage], lanes[nxt] if 0 <= nxt < self.D else None,
                        queues, cycle)
+            if self._trace is not None:
+                self._trace.release()
 
     def _by_stage(self, src: Any, forward: bool) -> Any:
         """``(stage, queues)`` for each stage of the flat queues ``src``
@@ -1222,11 +1228,12 @@ class _MessagePlane:
                     return False
             elif self.combining and (self.link.reshape(-1)[at_digit] >= 0).any():
                 return False
-            if self.cap is not None:
-                total = np.cumsum(packets[order])
-                offered = total - (total - packets[order])[np.arange(n) - rank]
-                if (used[grouped] + offered > self.cap).any():
-                    return False
+            # each offer's packets plus those of the offers ranked
+            # before it to its queue
+            total = np.cumsum(packets[order])
+            offered = total - (total - packets[order])[np.arange(n) - rank]
+            if self.cap is not None and (used[grouped] + offered > self.cap).any():
+                return False
         if n < src.size:
             assert not (kinds == _UNUSED).any(), "routed out an unused port"
             for s, queues in self._by_stage(src[~hopping], forward):
@@ -1242,6 +1249,12 @@ class _MessagePlane:
         length[hops] -= 1
         used[hops] -= packets
         grid.busy.reshape(-1)[hops] = cycle + packets
+        if self.instruments is not None:
+            # each push's occupancy after it, by receiving stage
+            after, at = used[grouped] + offered, to[order]
+            cut, counts = _run_bounds(_runs(at))  # the pushes' stages ascend
+            for s, c, m in zip(at[cut].tolist(), cut.tolist(), counts.tolist()):
+                grid.lanes[s].hist.observe_many(after[c:c + m])
         # the receiving side: push in rank order
         grid.ring.reshape(-1)[grouped * slots + slot] = ids[order]
         firsts, counts = _run_bounds(rank == 0)
@@ -1263,15 +1276,24 @@ class _MessagePlane:
                 self.delay_sum[s] += total
                 self.delay_count[s] += count
             self.enq[ids] = cycle
+            if self._trace is not None:  # (a return hop records nothing)
+                # sorted into the staged order (downstream stages first)
+                o = np.argsort(-stage, kind="stable")
+                self._trace.hold(range(n), "enqueue", cycle, self.tag[ids[o]],
+                                 self.org[ids[o]], to[o])
+                self._trace.release()
         return True
 
     def _move(self, lane: _Lane, target: Optional[_Lane], src: Any,
               cycle: int) -> None:
         """Send the heads of ``src``: endpoint-bound ones leave the
-        network, the rest hop into ``target``.  The two groups do not
-        interact (distinct receivers, and an endpoint delivery records
-        no trace event), so taking them apart keeps the row-major
-        outcome."""
+        network, the rest hop into ``target``.  The two groups have
+        distinct receivers, and taking them apart keeps the row-major
+        trace too: a request's exit to its MNI records no trace event
+        (only the MNI's order-free occupancy histogram), and a return
+        lane never both exits and hops (:func:`_plane_wiring`), so a
+        reply's exit, whose ``PNI.deliver`` records ``reply``, never
+        meets a hop's ``decombine`` in one stage step."""
         wire = lane.wire
         if wire.kind == _HOP:
             self._hop(lane, target, src, cycle)
@@ -1378,21 +1400,20 @@ class _MessagePlane:
     def _hop(self, lane: _Lane, target: _Lane, src: Any, cycle: int) -> None:
         """Move the heads of the sending queues ``src`` of ``lane``
         into ``target``."""
+        if self._trace is not None:
+            self.okey[lane.ring[src, lane.head[src]]] = src
         if src.size < self.vector_min:
             self._serial(lane, target, src.tolist(), cycle)
             return
         ids = lane.ring[src, lane.head[src]]
-        t_sw, t_port = lane.wire.to[src], lane.wire.port[src]
-        if lane.forward:
-            # read first: a later offer may combine into an earlier head
-            packets = self.pk[ids]
-            taken = self._offer_requests(target, ids, t_sw, t_port, cycle)
-        else:
-            taken = self._offer_replies(target, ids, t_sw, t_port, cycle)
-            # a decombined reply pops with its rewritten packet count, as
-            # a switch's queue does
-            packets = self.pk[ids]
-        self._pop_many(lane, src, packets, taken, cycle)
+        # a request pops with its packets as sent (read first: a later
+        # offer may combine into an earlier head), a decombined reply
+        # with its rewritten count, as a switch's queue does
+        sent = self.pk[ids] if lane.forward else None
+        taken = self._offer(target, ids, lane.wire.to[src], lane.wire.port[src],
+                            cycle)
+        self._pop_many(lane, src, self.pk[ids] if sent is None else sent, taken,
+                       cycle)
 
     def _ranks(self, group: Any) -> tuple[Any, Any, int]:
         """A stable sort of ``group``, each entry's position among the
@@ -1437,37 +1458,45 @@ class _MessagePlane:
                                        out[which].tolist()):
             accepted[x] = offer(target, sw_i, port, o, i, cycle)
 
-    # -- requests -------------------------------------------------------
-    def _offer_requests(self, target: _Lane, ids: Any, t_sw: Any, t_port: Any,
-                        cycle: int) -> Any:
-        """Offer requests ``ids`` (in row-major order) to ``target``,
+    def _offer(self, target: _Lane, ids: Any, t_sw: Any, t_port: Any,
+               cycle: int) -> Any:
+        """Offer messages ``ids`` (in row-major order) to ``target``,
         arriving at switches ``t_sw`` on ports ``t_port``; returns the
         indices of those taken.
 
         Offers interact only through their target queue (its slots and
-        wait buffer), so taking them in rank order within queues is the
+        wait buffer), and a reply that decombines through every ToPE
+        queue of its switch, so taking them in rank order within target
+        queues (within switches, once a reply may decombine) is the
         row-major outcome: each rank settles completely, vectorized,
-        before the next meets its heads as residents."""
-        out = self.dig[ids, target.stage]
+        before the next meets its heads as residents.  A request that
+        may combine (:meth:`_flagged`) goes to :meth:`_combine`, a
+        reply with a wait record to :meth:`_decombine`, and what those
+        leave to the per-message path."""
+        stage = target.stage
+        out = self.dig[ids, stage]
         tq = t_sw * self.k + out
-        order, rank, ranks = self._ranks(tq)
-        flagged = self._flagged(target.grid, ids, target.at + tq, order)
-        if flagged is None:
+        if target.forward:
+            order, rank, ranks = self._ranks(tq)
+            special = self._flagged(target.grid, ids, target.at + tq, order)
+        else:
+            records = self.link[ids, stage]
+            special = records >= 0
+            if not special.any():
+                special = None
+            _, rank, ranks = self._ranks(tq if special is None else t_sw)
+        if special is None:
             return self._append(target, ids, tq, t_sw, t_port, cycle, rank, ranks)
-        n = ids.size
-        accepted = np.zeros(n, dtype=bool)
-        if self._instr_on:
-            # The trace records every offer in offer order.
-            self._one_by_one(target, ids, t_sw, t_port, out, np.arange(n),
-                             accepted, cycle)
-            return np.flatnonzero(accepted)
+        accepted = np.zeros(ids.size, dtype=bool)
         for r in range(ranks):
             phase = rank == r
-            plain = phase & ~flagged
-            pick = np.flatnonzero(phase & flagged)
+            plain = phase & ~special
+            pick = np.flatnonzero(phase & special)
             if pick.size and self.vector:
-                pick = self._combine(target, ids, tq, t_sw, t_port, pick,
-                                     plain, accepted, cycle)
+                pick = (self._combine(target, ids, tq, t_sw, t_port, pick, plain,
+                                      accepted, cycle) if target.forward else
+                        self._decombine(target, ids, records, tq, t_sw, t_port,
+                                        pick, accepted, cycle))
             sel = np.flatnonzero(plain)
             if sel.size:
                 accepted[sel[self._append(target, ids[sel], tq[sel], t_sw[sel],
@@ -1570,6 +1599,13 @@ class _MessagePlane:
             np.add.at(target.merged, t_sw[g], 1)
             np.add.at(target.routed, t_sw[g], 1)
             accepted[g] = True
+            if self.instruments is not None:
+                instruments = self.instruments[stage]
+                instruments.combines.inc(g.size)
+                instruments.wait_occupancy.observe_many(occupancy)
+            if self._trace is not None:
+                self._trace.hold(self.okey[h], "combine", cycle, self.tag[h],
+                                 self.org[h], stage, self.tag[j])
         return pick[found & ~same]
 
     def _append(self, target: _Lane, ids: Any, tq: Any, t_sw: Any, t_port: Any,
@@ -1589,7 +1625,6 @@ class _MessagePlane:
         slots = target.slots
         cap = self.cap
         accepted = np.ones(n, dtype=bool) if cap is None else np.zeros(n, dtype=bool)
-        post = np.zeros(n, dtype=np.int64) if self._instr_on else None
         for r in range(ranks):
             if ranks == 1:
                 sel, q, p = np.arange(n), tq, packets
@@ -1607,8 +1642,8 @@ class _MessagePlane:
             target.len[q] = held + 1
             target.used[q] = used
             target.ins[q] += 1
-            if post is not None:
-                post[sel] = used
+            if target.hist is not None:
+                target.hist.observe_many(used)
         taken = np.flatnonzero(accepted)
         if taken.size:
             q = tq[taken]
@@ -1623,63 +1658,14 @@ class _MessagePlane:
                 self.dig[moved, stage] = t_port[taken]
                 self.comb[moved] = False  # new slots, not yet combined
                 self.enq[moved] = cycle
-            if self._instr_on:
-                self._record_appends(target, ids[taken], post, taken, cycle)
+                if self._trace is not None:
+                    self._trace.hold(self.okey[moved], "enqueue", cycle,
+                                     self.tag[moved], self.org[moved], stage)
         return taken
 
-    def _record_appends(self, target: _Lane, ids: Any, post: Any, taken: Any,
-                        cycle: int) -> None:
-        """Instrumentation of vectorized appends, in offer order: the
-        queue-occupancy observation and (forward) the enqueue event."""
-        stage = target.stage
-        record = self._instr.record
-        hist = self._queue_hist(target)
-        for i, occupancy in zip(ids.tolist(), post[taken].tolist()):
-            if target.forward:
-                message = self.obj[i]
-                record("enqueue", cycle, tag=message.tag, pe=message.origin,
-                       stage=stage)
-            hist.observe(occupancy)
-
-    # -- replies --------------------------------------------------------
-    def _offer_replies(self, target: _Lane, ids: Any, t_sw: Any, t_port: Any,
-                       cycle: int) -> Any:
-        """Offer replies ``ids`` (in row-major order) to ``target``;
-        returns the indices of those taken.  A decombining fan-out reaches every
-        port of its switch, so once one is present the offers are taken
-        in rank order within target switches."""
-        stage = target.stage
-        out = self.dig[ids, stage]
-        tq = t_sw * self.k + out
-        records = self.link[ids, stage]
-        hits = records >= 0
-        if not hits.any():
-            _, rank, ranks = self._ranks(tq)
-            return self._append(target, ids, tq, t_sw, t_port, cycle, rank, ranks)
-        n = ids.size
-        accepted = np.zeros(n, dtype=bool)
-        if self._instr_on:
-            self._one_by_one(target, ids, t_sw, t_port, out, np.arange(n),
-                             accepted, cycle)
-            return np.flatnonzero(accepted)
-        _, rank, ranks = self._ranks(t_sw)
-        for r in range(ranks):
-            phase = rank == r
-            plain = np.flatnonzero(phase & ~hits)
-            if plain.size:
-                accepted[plain[self._append(target, ids[plain], tq[plain],
-                                            t_sw[plain], t_port[plain],
-                                            cycle)]] = True
-            pick = np.flatnonzero(phase & hits)
-            if pick.size and self.vector:
-                pick = self._decombine(target, ids, records, tq, t_sw, t_port,
-                                       pick, accepted)
-            self._one_by_one(target, ids, t_sw, t_port, out, pick, accepted,
-                             cycle)
-        return np.flatnonzero(accepted)
-
     def _decombine(self, target: _Lane, ids: Any, records: Any, tq: Any,
-                   t_sw: Any, t_port: Any, pick: Any, accepted: Any) -> Any:
+                   t_sw: Any, t_port: Any, pick: Any, accepted: Any,
+                   cycle: int) -> Any:
         """Vectorized decombining of the replies ``pick`` (one rank, so
         distinct target switches), each with one vectorized record: R-old
         keeps Y and R-new's id leaves as the reply Y+e (F&A), Y (Load)
@@ -1727,6 +1713,13 @@ class _MessagePlane:
         target.merged[t_sw[pick]] += 1
         target.routed[t_sw[pick]] += 2
         accepted[pick] = True
+        if self.instruments is not None:
+            instruments = self.instruments[stage]
+            instruments.decombines.inc(pick.size)
+            instruments.wait_residency.observe_many(cycle - self.w_made[r])
+        if self._trace is not None:
+            self._trace.hold(self.okey[h], "decombine", cycle, self.tag[r],
+                             self.org[r], stage, self.tag[h])
         return serial
 
 #: a ready or done cycle that never comes (an empty ring's head)
@@ -1833,9 +1826,8 @@ class _MemorySide:
         self.copies = len(m._networks)
         self.planes: list[_MessagePlane] = []
         self.cap = m.config.mni_inbound_capacity_packets
-        instr = m.instrumentation
-        self._instr = instr
-        self._instr_on = instr.enabled
+        self._instr_on = m.instrumentation.enabled
+        self._trace = kernel._trace
         self.latency = np.array([module.latency for module in self.modules],
                                 dtype=np.int64)
         n = len(self.mnis)
@@ -2005,8 +1997,8 @@ class _MemorySide:
         module = self.modules[mm]
         effect = module.apply(op)
         module.accesses += 1
-        if self._instr_on:
-            self._instr.record("mm_serve", cycle, tag=message.tag, mm=mm)
+        if self._trace is not None:
+            self._trace.record("mm_serve", cycle, tag=message.tag, mm=mm)
         return effect.result if op.expects_value else None
 
     def _complete_one(self, mm: int, cycle: int) -> None:
@@ -2022,24 +2014,21 @@ class _MemorySide:
         self.replying.add(mm)
 
     def _complete(self, mms: Any, cycle: int) -> None:
-        """:meth:`_complete_one` for every MNI in ``mms`` (ascending).
-        An instrumented run takes them one at a time, so the trace
-        records them in MM order across the copies."""
-        if self._instr_on:
-            for mm in mms.tolist():
-                self._complete_one(mm, cycle)
-            return
+        """:meth:`_complete_one` for every MNI in ``mms`` (ascending):
+        the accesses in MM order across the copies (as the trace records
+        them), then each copy's replies as one batch."""
         refs = self.svc[mms]
-        copies = self.copies
-        for copy, plane in enumerate(self.planes):
-            sel_mms, ids = mms, refs
-            if copies > 1:
-                sel = refs % copies == copy
-                sel_mms, ids = mms[sel], refs[sel] // copies
-                if not ids.size:
-                    continue
-            plane._turn(ids, [self._apply(mm, plane, i, cycle) for mm, i
-                              in zip(sel_mms.tolist(), ids.tolist())])
+        copies, planes = self.copies, self.planes
+        values = [self._apply(mm, planes[ref % copies], ref // copies, cycle)
+                  for mm, ref in zip(mms.tolist(), refs.tolist())]
+        if copies == 1:
+            planes[0]._turn(refs, values)
+        else:
+            for copy, plane in enumerate(planes):
+                sel = np.flatnonzero(refs % copies == copy)
+                if sel.size:
+                    plane._turn(refs[sel] // copies,
+                                [values[x] for x in sel.tolist()])
         self.outbound.push(mms, refs)
         self.served[mms] += 1
         self.svc[mms] = -1
@@ -2082,22 +2071,23 @@ class _MemorySide:
     def reply(self, cycle: int) -> None:
         """Offer the head reply of every MNI whose link is free, in
         ascending-MM order: one batch per network copy (offers to
-        different copies do not interact), or one reply at a time when
-        few MNIs hold replies or in an instrumented run, whose trace
-        interleaves the copies."""
+        different copies do not interact; their trace rows are keyed by
+        MM), or one reply at a time when few MNIs hold replies."""
         replying = self.replying
         if not replying:
             return
         out = self.outbound
         copies = self.copies
         planes = self.planes
-        if len(replying) < self.vector_min or self._instr_on:
+        if len(replying) < self.vector_min:
             link = self.link
             for mm in sorted(replying):
                 if link.item(mm) > cycle:
                     continue
                 ref = out.cols[0].item(mm, out.head.item(mm))
                 plane, i = planes[ref % copies], ref // copies
+                if self._trace is not None:
+                    plane.okey[i] = mm
                 if plane.inject_reply(i, cycle):
                     out.pop_one(mm)
                     # a reply decombined at its entry leaves with its
@@ -2120,6 +2110,8 @@ class _MemorySide:
                 if not sel.size:
                     continue
                 ids = refs[sel] // copies
+            if self._trace is not None:
+                plane.okey[ids] = mms[sel]
             taken[sel] = plane.inject_replies(ids, cycle)
             packets[sel] = plane.pk[ids]
         if taken.any():
@@ -2160,6 +2152,10 @@ class BatchKernel(DenseKernel):
         # object view, which the machine builds on its first public read.
         self.machine = machine
         self._built = False
+        #: the trace, which holds events back until a stage step or phase
+        #: ends (None when none is kept)
+        instr = machine.instrumentation
+        self._trace = instr.trace if instr.enabled else None
         self._states: list[_MessagePlane] = []
         self._memory: Optional[_MemorySide] = None
         # PNIs with queued requests: the machine's set, which every PNI
@@ -2234,13 +2230,11 @@ class BatchKernel(DenseKernel):
         heads whose links are free are collected in ascending-PE order,
         offered, and the accepted ones committed.  Each network copy
         takes its heads as one batched offer (offers to different copies
-        do not interact); an instrumented run's trace interleaves the
-        copies, so there each head is offered on its own, in PE order."""
+        do not interact; their trace rows are keyed by PE)."""
         m = self.machine
         pnis = m.pnis
         copy_by_tag = m._copy_by_tag
-        instr = self._states[0]._instr_on
-        offers: dict[int, tuple[int, list[int], list["Message"]]] = {}
+        offers: dict[int, tuple[list[int], list["Message"]]] = {}
         for pe in sorted(self._pni_out):
             pni = pnis[pe]
             if cycle >= pni._link_busy_until:
@@ -2249,13 +2243,12 @@ class BatchKernel(DenseKernel):
                 if index is None:
                     m._copy_for_request(head)
                     index = copy_by_tag[head.tag]
-                key = pe if instr else index
-                group = offers.get(key)
+                group = offers.get(index)
                 if group is None:
-                    group = offers[key] = (index, [], [])
-                group[1].append(pe)
-                group[2].append(head)
-        for index, pes, heads in offers.values():
+                    group = offers[index] = ([], [])
+                group[0].append(pe)
+                group[1].append(head)
+        for index, (pes, heads) in offers.items():
             taken = self._states[index].inject_requests(pes, heads, cycle)
             for pe, head, ok in zip(pes, heads, taken):
                 if ok:
@@ -2276,15 +2269,20 @@ class BatchKernel(DenseKernel):
         self._memory.serve(cycle)
         # 2. requests move one hop toward memory.
         for state in self._states:
-            state.step_forward(cycle)
+            state._step(state.fwd_grid, cycle)
         # 3. PNIs inject queued requests into stage 0.
+        trace = self._trace
         if self._pni_out:
             self._inject_heads(cycle)
+            if trace is not None:
+                trace.release()
         # 4. replies move one hop toward the PEs.
         for state in self._states:
-            state.step_return(cycle)
+            state._step(state.ret_grid, cycle)
         # 5. MNIs inject queued replies where their requests left.
         self._memory.reply(cycle)
+        if trace is not None:
+            trace.release()
         # 6. drivers consume replies and issue new work.
         for driver in m.drivers:
             driver.tick(cycle)

@@ -373,10 +373,23 @@ class DenseKernel:
 
     # ------------------------------------------------------------------
     def _timeout(self, max_cycles: int) -> RuntimeError:
-        return RuntimeError(
-            f"machine did not quiesce within {max_cycles} cycles "
-            f"({self._in_flight()} messages in flight)"
-        )
+        """The error of a run that did not quiesce.  It names the oldest
+        outstanding request (ties broken by tag), read from the PNIs,
+        so no kernel writes its object view back to find it; the op is
+        named by kind and cell, which every kernel's view agrees on
+        (a combine may rewrite an operand it has not written back)."""
+        text = (f"machine did not quiesce within {max_cycles} cycles "
+                f"({self._in_flight()} messages in flight)")
+        oldest = min((request for pni in self.machine.pnis
+                      for request in pni._outstanding_tags.values()),
+                     key=lambda request: (request.issued_cycle, request.tag),
+                     default=None)
+        if oldest is not None:
+            text += (f"; oldest outstanding request: PE {oldest.origin}, "
+                     f"tag {oldest.tag}, {type(oldest.op).__name__} of MM "
+                     f"{oldest.mm} offset {oldest.offset}, issued at cycle "
+                     f"{oldest.issued_cycle}")
+        return RuntimeError(text)
 
     def _in_flight(self) -> int:
         """Messages resident in the switch queues of every copy."""

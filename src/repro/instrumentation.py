@@ -3,8 +3,9 @@
 The paper's entire evaluation (Tables 1-3, Figure 7) is built from
 counters the hardware never exposed — combining rates, queue
 occupancies, transit times.  This module is the one place those numbers
-are defined: a zero-dependency metrics registry (counters, gauges,
-fixed-bucket latency histograms) plus an optional cycle-level event
+are defined: a small metrics registry (counters, gauges,
+fixed-bucket latency histograms, which also take numpy arrays of
+observations in bulk) plus an optional cycle-level event
 trace, both owned by an :class:`Instrumentation` facade that every
 simulated component receives.
 
@@ -55,10 +56,15 @@ combine/decombine trees and the Perfetto exporter draws flow edges.
 
 from __future__ import annotations
 
+import gc
+import itertools
+import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence, Union
+from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 Number = Union[int, float]
 LabelItems = tuple[tuple[str, Any], ...]
@@ -163,6 +169,10 @@ def _interpolated_quantile(
     return float(max_value)
 
 
+#: bucket bounds as arrays, for :meth:`Histogram.observe_many`
+_EDGES: dict[tuple, Any] = {}
+
+
 class Histogram:
     """A fixed-bucket histogram of observed values.
 
@@ -172,7 +182,8 @@ class Histogram:
     exact even though quantiles are bucket-resolution estimates.
     """
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "total", "max_value")
+    __slots__ = ("name", "labels", "bounds", "_counts", "_count", "_total",
+                 "_max", "_pending")
 
     def __init__(
         self,
@@ -187,17 +198,69 @@ class Histogram:
         self.name = name
         self.labels = labels
         self.bounds = tuple(bounds)
-        self.bucket_counts = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.total: Number = 0
-        self.max_value: Number = 0
+        self._counts = [0] * (len(bounds) + 1)
+        self._count = 0
+        self._total: Number = 0
+        self._max: Number = 0
+        self._pending: list[Any] = []  # arrays observe_many took
 
     def observe(self, value: Number) -> None:
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-        if value > self.max_value:
-            self.max_value = value
+        self._counts[bisect_left(self.bounds, value)] += 1
+        self._count += 1
+        self._total += value
+        if value > self._max:
+            self._max = value
+
+    def observe_many(self, values: Any) -> None:
+        """:meth:`observe` each of the integer ``values`` (a numpy array
+        the caller hands over), bit for bit.  The order of observations
+        never shows, so the arrays wait and are bucketed together when
+        the histogram is read (or many have gathered):
+        ``searchsorted(side="left")`` buckets as ``bisect_left`` does,
+        and the integer sum and max are exact."""
+        self._pending.append(values)
+        if len(self._pending) >= 1024:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Observe the arrays :meth:`observe_many` took."""
+        if not self._pending:
+            return
+        values = np.concatenate(self._pending)
+        self._pending = []
+        if not values.size:
+            return
+        edges = _EDGES.get(self.bounds)
+        if edges is None:
+            edges = _EDGES[self.bounds] = np.array(self.bounds)
+        counts = np.bincount(edges.searchsorted(values, side="left"),
+                             minlength=len(self._counts))
+        self._counts = [a + b for a, b in zip(self._counts, counts.tolist())]
+        self._count += values.size
+        self._total += int(values.sum())
+        top = int(values.max())
+        if top > self._max:
+            self._max = top
+
+    @property
+    def bucket_counts(self) -> list[int]:
+        self._fold()
+        return self._counts
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> Number:
+        self._fold()
+        return self._total
+
+    @property
+    def max_value(self) -> Number:
+        self._fold()
+        return self._max
 
     @property
     def mean(self) -> float:
@@ -504,13 +567,14 @@ class MetricsSnapshot:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One cycle-stamped event in the life of a memory reference.
 
     ``tag`` is the request this event belongs to; ``tag2`` (combining
     events only) is the other request of the pair — the surviving R-old
-    on a ``combine``, the returning reply on a ``decombine``.
+    on a ``combine``, the returning reply on a ``decombine``.  An
+    immutable tuple: a full trace makes one per event, and a tuple is
+    several times cheaper to build than a frozen dataclass.
     """
 
     kind: str  # "issue" | "enqueue" | "combine" | "mm_serve" | "decombine" | "reply"
@@ -531,12 +595,34 @@ class TraceEvent:
         return out
 
 
+def _column(values: Any) -> Any:
+    """A list (or a repeated value) of a column :meth:`CycleTrace.hold`
+    takes: a numpy array's values, or ``values`` itself."""
+    return values.tolist() if hasattr(values, "tolist") else values
+
+
+#: fields of a :class:`TraceEvent`, as :class:`CycleTrace` logs them
+_FIELDS = len(TraceEvent._fields)
+
+
 class CycleTrace:
     """Ring-buffered event log with a configurable capacity.
 
     When the buffer is full the oldest events are discarded;
     :attr:`dropped` counts how many, so a truncated trace is visible
     rather than silently read as complete.
+
+    Recording appends an event's fields to a flat log, and the
+    :class:`TraceEvent` objects of the newest ``capacity`` events are
+    built when the trace is read: a full trace of a large machine makes
+    hundreds of thousands of events, and as surviving objects they
+    would set off the garbage collector through the run.
+
+    A producer that makes its events in another order than the one it
+    models holds them back (:meth:`hold`), each under its place in that
+    order, and :meth:`release` records them sorted by it.  The ring
+    keeps the newest events, so sorting before recording also drops
+    what the modelled order would drop.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -544,29 +630,90 @@ class CycleTrace:
             raise ValueError("trace capacity must be at least 1 event")
         self.capacity = capacity
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
+        self._log: list[Any] = []  # recorded since the last read, flat
         self.total_recorded = 0
+        self._held_keys: list[int] = []
+        self._held: list[tuple] = []  # columns of each hold
 
-    def record(self, kind: str, cycle: int, **fields: Any) -> None:
-        self._events.append(TraceEvent(kind, cycle, **fields))
+    def record(self, kind: str, cycle: int, tag: Optional[int] = None,
+               pe: Optional[int] = None, stage: Optional[int] = None,
+               mm: Optional[int] = None, value: Optional[int] = None,
+               tag2: Optional[int] = None) -> None:
+        self._log += (kind, cycle, tag, pe, stage, mm, value, tag2)
         self.total_recorded += 1
+        if len(self._log) > 2 * _FIELDS * self.capacity:
+            del self._log[:-_FIELDS * self.capacity]
+
+    def hold(self, keys: Any, kind: str, cycle: int, tags: Any, pes: Any,
+             stage: Any, tag2s: Any = None) -> None:
+        """Hold back one ``kind`` event per order key, its fields given
+        as columns (lists or numpy arrays): ``stage`` is a column or one
+        stage for every event, and ``tag2s`` a column or None."""
+        n, nones = len(keys), [None] * len(keys)
+        self._held_keys.extend(_column(keys))
+        self._held.append((
+            [kind] * n, [cycle] * n, _column(tags), _column(pes),
+            [stage] * n if isinstance(stage, int) else _column(stage),
+            nones, nones, nones if tag2s is None else _column(tag2s)))
+
+    def release(self) -> None:
+        """Record the held events, stably sorted by key (events held
+        under one key keep the order they were held in)."""
+        keys, log = self._held_keys, self._log
+        if not keys:
+            return
+        if any(map(operator.gt, keys, keys[1:])):
+            rows = list(itertools.chain.from_iterable(
+                zip(*columns) for columns in self._held))
+            log.extend(itertools.chain.from_iterable(
+                rows[x] for x in sorted(range(len(keys)), key=keys.__getitem__)))
+        else:
+            for columns in self._held:  # interleaved column by column
+                start = len(log)
+                log.extend(columns[5] * _FIELDS)
+                for field, column in enumerate(columns):
+                    log[start + field::_FIELDS] = column
+        self.total_recorded += len(keys)
+        self._held_keys, self._held = [], []
+        if len(self._log) > 2 * _FIELDS * self.capacity:
+            del self._log[:-_FIELDS * self.capacity]
+
+    def _built(self) -> deque[TraceEvent]:
+        """The kept events, the newest ones built from the log first."""
+        log = self._log
+        if log:
+            fields = iter(log[-_FIELDS * self.capacity:])
+            # The events hold only ints, strings and None, so no garbage
+            # collection while they are built could free anything: the
+            # collector waits instead of running once per 700 of them.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                self._events.extend(map(tuple.__new__, itertools.repeat(TraceEvent),
+                                        zip(*[fields] * _FIELDS)))
+            finally:
+                if collecting:
+                    gc.enable()
+            log.clear()
+        return self._events
 
     @property
     def dropped(self) -> int:
-        return self.total_recorded - len(self._events)
+        return self.total_recorded - len(self._built())
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._built())
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return iter(self._built())
 
     def events(self, kind: Optional[str] = None) -> list[TraceEvent]:
         if kind is None:
-            return list(self._events)
-        return [e for e in self._events if e.kind == kind]
+            return list(self._built())
+        return [e for e in self._built() if e.kind == kind]
 
     def to_dicts(self) -> list[dict[str, Any]]:
-        return [e.to_dict() for e in self._events]
+        return [e.to_dict() for e in self._built()]
 
 
 # ----------------------------------------------------------------------
@@ -604,10 +751,13 @@ class Instrumentation:
     ) -> Histogram:
         return self.registry.histogram(name, buckets=buckets, **labels)
 
-    def record(self, kind: str, cycle: int, **fields: Any) -> None:
+    def record(self, kind: str, cycle: int, tag: Optional[int] = None,
+               pe: Optional[int] = None, stage: Optional[int] = None,
+               mm: Optional[int] = None, value: Optional[int] = None,
+               tag2: Optional[int] = None) -> None:
         """Append a trace event (no-op when tracing is off)."""
         if self.trace is not None:
-            self.trace.record(kind, cycle, **fields)
+            self.trace.record(kind, cycle, tag, pe, stage, mm, value, tag2)
 
     def snapshot(self) -> MetricsSnapshot:
         return self.registry.snapshot()

@@ -118,7 +118,7 @@ class PNI:
         "requests_issued",
         "replies_received",
         "total_round_trip",
-        "_instr",
+        "_trace",
         "_instr_on",
         "_issue_counter",
         "_rtt_histogram",
@@ -152,8 +152,9 @@ class PNI:
         self.requests_issued = 0
         self.replies_received = 0
         self.total_round_trip = 0
-        # instrumentation (handles cached once; probes gate on _instr_on)
-        self._instr = instrumentation
+        # instrumentation (handles cached once; probes gate on _instr_on,
+        # the trace's on whether one is kept)
+        self._trace = instrumentation.trace if instrumentation.enabled else None
         self._instr_on = instrumentation.enabled
         if instrumentation.enabled:
             self._issue_counter = instrumentation.counter("machine.requests_issued")
@@ -213,7 +214,8 @@ class PNI:
         self.requests_issued += 1
         if self._instr_on:
             self._issue_counter.inc()
-            self._instr.record("issue", cycle, tag=tag, pe=self.pe_id, mm=module)
+            if self._trace is not None:
+                self._trace.record("issue", cycle, tag=tag, pe=self.pe_id, mm=module)
         return tag
 
     def outstanding(self) -> int:
@@ -251,7 +253,9 @@ class PNI:
         self.total_round_trip += cycle - issued
         if self._instr_on:
             self._rtt_histogram.observe(cycle - issued)
-            self._instr.record("reply", cycle, tag=tag, pe=self.pe_id, value=value)
+            if self._trace is not None:
+                self._trace.record("reply", cycle, tag=tag, pe=self.pe_id,
+                                   value=value)
         return True
 
     def pop_reply(self) -> Optional[ReplyRecord]:
@@ -300,7 +304,7 @@ class MNI:
         "_link_busy_until",
         "requests_served",
         "busy_cycles",
-        "_instr",
+        "_trace",
         "_instr_on",
         "_inbound_histogram",
     )
@@ -324,8 +328,9 @@ class MNI:
         # statistics
         self.requests_served = 0
         self.busy_cycles = 0
-        # instrumentation (handles cached once; probes gate on _instr_on)
-        self._instr = instrumentation
+        # instrumentation (handles cached once; probes gate on _instr_on,
+        # the trace's on whether one is kept)
+        self._trace = instrumentation.trace if instrumentation.enabled else None
         self._instr_on = instrumentation.enabled
         if instrumentation.enabled:
             self._inbound_histogram = instrumentation.histogram(
@@ -370,8 +375,8 @@ class MNI:
                 self.module.accesses += 1
                 self.requests_served += 1
                 self._in_service = None
-                if self._instr_on:
-                    self._instr.record(
+                if self._trace is not None:
+                    self._trace.record(
                         "mm_serve", cycle, tag=message.tag, mm=self.module.index
                     )
 

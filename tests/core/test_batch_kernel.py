@@ -271,13 +271,12 @@ def _mixed_barrier(pe_id, rounds):
 
 class TestCombiningPaths:
     @pytest.mark.parametrize("knobs, program", [
-        ({"instrument": True, "trace_capacity": 1 << 12}, _barrier),
         ({"pairwise_only": False}, _barrier),
         ({}, _mixed_barrier),
-    ], ids=["instrumented", "unlimited", "mixed-kinds"])
+    ], ids=["unlimited", "mixed-kinds"])
     def test_other_combining_uses_try_combine(self, monkeypatch, knobs, program):
-        """Only uninstrumented pairwise combining of one kind runs on
-        arrays; the rest keeps the one combining algebra."""
+        """Only pairwise combining of one kind runs on arrays; the rest
+        keeps the one combining algebra."""
         machine = _forced_vector(Ultracomputer(
             MachineConfig(n_pes=64, kernel="batch", **knobs)))
         calls = []
@@ -292,3 +291,31 @@ class TestCombiningPaths:
         machine.spawn_many(64, program, *args)
         assert machine.run().combines > 0
         assert calls
+
+
+    def test_instrumented_barrier_combines_on_arrays(self, monkeypatch):
+        """An instrumented run takes the plain run's path: a pairwise
+        F&A barrier with every step vectorized makes no ``try_combine``
+        call, and its result, metrics and trace included, equals
+        dense's."""
+        calls = []
+        real = batch_kernel.try_combine
+
+        def counted(old, new):
+            calls.append(1)
+            return real(old, new)
+
+        results = []
+        for kernel in ("batch", "dense"):
+            machine = Ultracomputer(MachineConfig(
+                n_pes=64, kernel=kernel, instrument=True,
+                trace_capacity=1 << 12))
+            if kernel == "batch":
+                _forced_vector(machine)  # the planes' set-up calls it
+                monkeypatch.setattr(batch_kernel, "try_combine", counted)
+            machine.spawn_many(64, _barrier, [1, 2, 3], 4)
+            results.append(machine.run().to_dict())
+        assert results[0]["combines"] > 0
+        assert results[0]["trace"]
+        assert calls == []
+        assert results[0] == results[1]

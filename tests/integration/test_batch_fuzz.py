@@ -7,7 +7,8 @@ hypercube or mesh), switch arity, network copies, finite switch queues,
 finite wait buffers, combining on/off, pairwise-only combining, MNI
 back-pressure, memory latency, address hashing and the PNI window — and
 checks that ``RunResult.to_dict()``, including the
-instrumentation snapshot and the cycle trace, is bit-identical to the
+instrumentation snapshot and the cycle trace (from a ring small enough
+to drop events, or one that keeps them all), is bit-identical to the
 dense kernel's.  Two workload kinds run on each draw: closed programs
 mixing fetch-and-add, load and store on a few shared cells (combining
 and decombining of every pairing) or in lockstep on one or two cells
@@ -20,9 +21,9 @@ is read).
 Machines this small send only a few messages per stage and cycle, which
 the kernel moves one at a time; each draw also picks whether to force
 every stage step through the vectorized path instead, so both paths
-meet every knob.  Uninstrumented draws compare the result without the
-metrics and trace, which lets the kernel mix vectorized and
-per-message offers within a stage step.
+meet every knob.  Instrumented or not, the kernel mixes vectorized and
+per-message offers within a stage step; the instrumented draws compare
+the metrics and the trace too.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ def configs(draw) -> dict:
         "translation": draw(st.sampled_from(["interleaved", "hashed"])),
         "max_outstanding": draw(st.sampled_from([None, 2])),
         "instrument": draw(st.booleans()),
+        # a trace ring that overflows, or one that keeps every event
+        "trace_capacity": draw(st.sampled_from([64, 1 << 13])),
         "vectorized": draw(st.booleans()),
     }
 
@@ -69,9 +72,10 @@ def _machine(kernel: str, knobs: dict) -> Ultracomputer:
     knobs = dict(knobs)
     instrument = knobs.pop("instrument")
     vectorized = knobs.pop("vectorized")
+    capacity = knobs.pop("trace_capacity", 1 << 13)
     machine = Ultracomputer(
         MachineConfig(kernel=kernel, instrument=instrument,
-                      trace_capacity=(1 << 13) if instrument else 0, **knobs)
+                      trace_capacity=capacity if instrument else 0, **knobs)
     )
     if kernel == "batch" and vectorized:
         machine.kernel._ensure_state()

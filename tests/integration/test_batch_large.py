@@ -134,6 +134,28 @@ class TestUniformTrafficParity:
         assert calls == {("_step", None): 124, ("_one_pass", True): 81,
                          ("_staged", None): 6, ("_hop", None): 7}
 
+    def test_instrumented_drain_moves_in_one_pass(self, monkeypatch):
+        """Pinned: an instrumented drain with a full trace takes the
+        plain drain's path, the same 81 one-pass direction steps of 124
+        (an instrumented run once walked the stages at every step), and
+        equals dense's bit for bit."""
+        plane = batch_kernel._MessagePlane
+        one_pass = plane._one_pass
+        calls = collections.Counter()
+
+        def spy(self, *args):
+            out = one_pass(self, *args)
+            calls[out] += 1
+            return out
+
+        monkeypatch.setattr(plane, "_one_pass", spy)
+        knobs = {"instrument": True, "trace_capacity": 1 << 17}
+        batch = uniform_drained(N_PES, "batch", **knobs)
+        monkeypatch.undo()
+        assert calls == {True: 81}
+        assert batch["trace"] and not batch["trace_dropped"]
+        assert batch == uniform_drained(N_PES, "dense", **knobs)
+
     def test_stats_writes_nothing_back(self, monkeypatch):
         """``stats()`` totals the combines and decombines from the
         switch counters and the planes' pending deltas: an open-loop

@@ -154,7 +154,9 @@ class TestOpenLoopTraffic:
     @pytest.mark.parametrize("pattern", ["uniform", "hotspot"])
     def test_run_cycles_identical(self, kernel, pattern, copies):
         """With two copies this pins the instrumented phase-3 order:
-        heads offered one at a time in PE order, across copies."""
+        each copy takes its heads in one call, a copy at a time, and
+        their trace events are held until the phase ends, then recorded
+        in PE order across the copies."""
         results = []
         for name in (EAGER, kernel):
             machine = _machine(16, name, copies=copies)
@@ -164,6 +166,32 @@ class TestOpenLoopTraffic:
                 )
             )
             results.append(machine.run_cycles(400).to_dict())
+        assert results[0] == results[1]
+
+
+class TestTraceOverflow:
+    """A trace ring too small for the run keeps the newest events and
+    counts the rest as dropped.  The batch kernel appends each step's
+    events in dense's order, so the kept suffix and the drop count are
+    the oracle's, whether its offers go one at a time or, forced, all
+    on the vectorized path."""
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("kernel", ["dense", "batch", "batch-vector"])
+    def test_kept_suffix_and_dropped_identical(self, kernel, copies):
+        results = []
+        for name in (EAGER, kernel):
+            machine = Ultracomputer(MachineConfig(
+                n_pes=64, kernel=name.removesuffix("-vector"), copies=copies,
+                instrument=True, trace_capacity=500))
+            if name == "batch-vector":
+                machine.kernel._ensure_state()
+                for plane in machine.kernel._states:
+                    plane.vector_min = 1
+            machine.spawn_many(64, hotspot_program, ROUNDS, 3)
+            results.append(machine.run().to_dict())
+        assert results[0]["trace_dropped"] > 0
+        assert len(results[0]["trace"]) == 500
         assert results[0] == results[1]
 
 
@@ -184,6 +212,26 @@ class TestTimeoutParity:
             counters.append((machine.cycle, machine.stats().to_dict()))
         assert messages[0] == messages[1] == messages[2]
         assert counters[0] == counters[1] == counters[2]
+
+    def test_timeout_names_the_oldest_outstanding_request(self):
+        """A wedge-shaped timeout (requests still outstanding) names the
+        oldest of them: PE, tag, op and issue cycle, the same under
+        every kernel."""
+        messages = []
+        for kernel in (EAGER, "dense", "batch"):
+            machine = _machine(16, kernel, copies=2)
+            machine.spawn_many(16, hotspot_program, ROUNDS, 4)
+            with pytest.raises(RuntimeError) as excinfo:
+                machine.run(max_cycles=30)
+            messages.append(str(excinfo.value))
+            outstanding = [(request.issued_cycle, request.tag, request.origin)
+                           for pni in machine.pnis
+                           for request in pni._outstanding_tags.values()]
+        issued, tag, pe = min(outstanding)
+        assert messages[0] == messages[1] == messages[2]
+        assert messages[0].endswith(
+            f"; oldest outstanding request: PE {pe}, tag {tag}, FetchAdd of "
+            f"MM 0 offset 0, issued at cycle {issued}")
 
 
 def _count_steps(machine: Ultracomputer) -> list[int]:

@@ -1,6 +1,6 @@
 """The batch plane's one-pass direction step, hazard by hazard.
 
-Uninstrumented, the batch kernel moves every sending head of a
+The batch kernel, instrumented or not, moves every sending head of a
 direction in one vectorized pass over all stages, unless an offer of
 the step could combine, decombine or be refused; such a step walks the
 stages in the dense order instead (``_MessagePlane._staged``).  Each

@@ -14,18 +14,22 @@ whole stage of them per vectorized step:
   key of its ``(mm, offset)`` cell, its amalgam digits and its latest
   forward enqueue cycle, from which every accepted forward offer (append
   or combine, vectorized or not) adds the sending stage's delay to the
-  network's stage-delay counters.  ``Message``
-  objects are made only where a PNI issues a request and on the
-  per-message combining path; a reply reaches its PNI as a tag and a
-  value.
-* **The PE boundary without per-request lists.**  A PNI issues a
-  request with its topology's interned route tuple, and the plane
-  copies no digit list: a batch of requests admitted at stage 0 writes
-  the tuples' digits straight into its digit array and streams the
-  other fields in, making no row per request.  On the way out, each
-  reply of an exit batch goes through ``PNI.deliver``, the delivery
-  rule's one definition, and the exits release their ids and forget
-  the tags' network copies without a Python statement per id.
+  network's stage-delay counters.  A ``Message``
+  object is built only for the per-message combining path, the object
+  view's write-back or a reply value not exact in int64; a reply
+  reaches its PNI as a tag and a value.
+* **Rows at the PE boundary.**  A PNI records each request as a row of
+  plain values (``interfaces.Request``: tag, PE, module, offset, the op
+  as issued, issue cycle), and the plane admits a batch of those rows
+  by columns, keeping each id's row beside its arrays: the route digits
+  come from the topology's interned tuples (or, on a fabric whose
+  routes depend on the destination alone, from a per-geometry table),
+  and no Message or physical op is made.  :meth:`_MessagePlane._request`
+  builds an id's Message from its row and columns when one is needed.
+  On the way out an exit batch is one application of the delivery rule
+  (``interfaces.deliver_replies``), which completes the PNIs' rows and
+  builds no record, and the exits release their ids without a Python
+  statement per id.
 * **Wiring from the topology.**  Each lane's per-queue tables (target
   kind, next switch and port, endpoint line) come from the targets
   :class:`~repro.network.multistage.MultistageNetwork` resolved at
@@ -88,9 +92,11 @@ whole stage of them per vectorized step:
   request keeps its plane id at the memory side and turns into its
   reply in place, so its wait-record links stay on the id.  Phase 1
   finds the modules that complete or start a service by array masks
-  and calls ``MemoryModule.apply`` only for the completions, in
-  ascending-MM order; phase 5 offers every free-link head reply as one
-  batch per copy, as phase 3 does for the PNIs.  While fewer than
+  and applies the completions in ascending-MM order: a Load, Store or
+  F&A of a vectorized kind straight to its module's storage from the
+  columns, any other through ``MemoryModule.apply``; phase 5 offers
+  every free-link head reply as one batch per copy, as phase 3 does for
+  the PNIs.  While fewer than
   ``vector_min`` MNIs hold work, both visit those MNIs one at a time.
 * **Instrumented runs on the same path.**  Each instrumentation test
   here guards a probe.  The trace is the one record whose order
@@ -120,8 +126,8 @@ whole stage of them per vectorized step:
   the arrays, so the next step refuses it (it marks the network's wake
   sets or the machine's busy MNIs, which this kernel never fills).
 * **Active-set endpoints.**  PNIs are visited only while they hold
-  requests: ``PNI.issue`` adds its PE to a set the machine shares with
-  the kernel, whatever driver issued, and phase 3 removes each PNI it
+  requests: an issue adds its PE to a set the machine shares with the
+  kernel, whatever driver issued, and phase 3 removes each PNI it
   drains.  The PEs are the machine's one
   :class:`~repro.core.machine.ProgramDriver`, as on every kernel: it
   visits only the PEs that act in a cycle and learns of replies from
@@ -155,6 +161,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
+from ..network.interfaces import Request, deliver_replies, physical_op
 from ..network.message import Message, packets_for
 from ..network.multistage import wiring_key
 from ..network.switch import decombine_fits
@@ -190,6 +197,9 @@ _FA, _LOAD, _STORE = 1, 2, 3
 #: the one addition a combine (e + f) or a decombine (Y + e) makes
 _EXACT = 1 << 62
 
+#: the offset bits of an exact cell key (:func:`_request_fields`)
+_OFFSET = (1 << 32) - 1
+
 #: per-id arrays of a plane's message pool: (name, dtype, fill)
 _POOL = (
     ("pk", np.int64, 0), ("key", np.int64, 0), ("comb", bool, 0),
@@ -221,20 +231,19 @@ _POOL = (
 )
 
 
-def _request_fields(message: "Message") -> tuple[int, int, int]:
-    """``(key, kind, operand)`` of a request.  The key is what its cell
-    is searched by: exact (``mm``, then a 32-bit ``offset``) when the
-    offset fits, else a hash — equal cells always share a key, and a
-    collision only costs a closer look.  The kind and operand are for
-    the vectorized combining path — kind 0
-    (per-message path only) unless it is a plain F&A, Load or Store
-    whose operand and offset fit the arrays (so requests of one kind
-    with equal keys address one cell)."""
-    offset = message.offset
+def _request_fields(mm: int, offset: int, op: Any) -> tuple[int, int, int]:
+    """``(key, kind, operand)`` of a request for cell (``mm``,
+    ``offset``).  The key is what its cell is searched by: exact
+    (``mm``, then a 32-bit ``offset``) when the offset fits, else a
+    hash — equal cells always share a key, and a collision only costs a
+    closer look.  The kind and operand are for the vectorized paths
+    (combining, decombining, the memory access) — kind 0 (per-message
+    path only) unless it is a plain F&A, Load or Store whose operand
+    and offset fit the arrays (so requests of one kind with equal keys
+    address one cell, and ``key & _OFFSET`` is the offset)."""
     if type(offset) is not int or not 0 <= offset < 1 << 32:
-        return hash((message.mm, offset)), 0, 0
-    key = message.mm << 32 | offset
-    op = message.op
+        return hash((mm, offset)), 0, 0
+    key = mm << 32 | offset
     cls = type(op)
     if cls is FetchAdd:
         kind, operand = _FA, op.increment
@@ -314,11 +323,14 @@ _PLANE_WIRING: dict[tuple, tuple] = {}
 
 
 def _plane_wiring(network: "MultistageNetwork") -> tuple:
-    """``(forward, return, inject_points, inject_sw, inject_port)`` of
-    the network's geometry, memoised for the process as its resolved
-    wiring is: each lane's :class:`_Wiring` by direction and stage
-    (stages wired alike share one), and each PE's stage-0 switch and
-    port as a list of pairs and as two read-only arrays."""
+    """``(forward, return, inject_points, inject_sw, inject_port,
+    routes)`` of the network's geometry, memoised for the process as its
+    resolved wiring is: each lane's :class:`_Wiring` by direction and
+    stage (stages wired alike share one), each PE's stage-0 switch and
+    port as a list of pairs and as two read-only arrays, and, on a
+    fabric whose routes depend on the destination alone
+    (``routes_by_destination``), each destination's route digits as a
+    read-only row (else None)."""
     topo = network.topology
     key = wiring_key(topo)
     tables = _PLANE_WIRING.get(key)
@@ -335,9 +347,14 @@ def _plane_wiring(network: "MultistageNetwork") -> tuple:
         returns = [wires[id(targets)] for targets in network.return_targets]
         assert not any(_END in w.kinds and _HOP in w.kinds for w in returns), (
             "a return lane both exits and hops (the trace order: _move)")
+        routes = None
+        if getattr(topo, "routes_by_destination", False):
+            routes = np.array([topo.route_tuple(mm) for mm in range(topo.n_ports)],
+                              dtype=np.int32)
+            routes.setflags(write=False)
         tables = _PLANE_WIRING[key] = (
             [wires[id(targets)] for targets in network.forward_targets],
-            returns, points, inject_sw, inject_port)
+            returns, points, inject_sw, inject_port, routes)
     return tables
 
 
@@ -527,7 +544,9 @@ class _MessagePlane:
         #: whether combining and decombining may take the vectorized path
         self.vector = self.combining and self.pairwise
         (fwd_wires, ret_wires, self.inject_points, self.inject_sw,
-         self.inject_port) = _plane_wiring(network)
+         self.inject_port, self.routes) = _plane_wiring(network)
+        #: a request's interned route tuple, by (destination, source)
+        self.route = topo.route_tuple
         self.fwd_grid = _Grid(True, self.S, fwd_wires)
         self.ret_grid = _Grid(False, self.S, ret_wires)
         self.fwd = self.fwd_grid.lanes
@@ -561,6 +580,9 @@ class _MessagePlane:
     # message ids
     # ------------------------------------------------------------------
     def _new_pool(self, size: int) -> None:
+        #: per id, the request's row (``interfaces.Request``) as its PNI
+        #: issued it, and its Message once one is built (None until then)
+        self.rows: list[Optional["Request"]] = [None] * size
         self.obj: list[Optional["Message"]] = [None] * size
         self.w_plan: list[Optional[Combined]] = [None] * size
         for name, dtype, fill in _POOL:
@@ -573,6 +595,7 @@ class _MessagePlane:
 
     def _grow_pool(self) -> None:
         size = len(self.obj)
+        self.rows.extend([None] * size)
         self.obj.extend([None] * size)
         self.w_plan.extend([None] * size)
         for name, dtype, fill in _POOL + (("dig", np.int32, 0),
@@ -583,53 +606,53 @@ class _MessagePlane:
             setattr(self, name, new)
         self._free.extend(range(2 * size - 1, size - 1, -1))
 
-    def _admit(self, message: "Message") -> int:
-        """Give the request ``message`` an id (its entry into the plane).
-        A free id has no links and is neither stale nor lazy (see
-        :meth:`_exit_replies`)."""
+    def _admit(self, row: "Request") -> int:
+        """Give the request ``row`` an id (its entry into the plane),
+        building no Message.  A free id has no links and is neither
+        stale nor lazy (see :meth:`_exit_replies`)."""
         if not self._free:
             self._grow_pool()
         i = self._free.pop()
-        self.obj[i] = message
-        self.pk[i] = message.packets
-        self.dig[i] = message.digits
-        self.tag[i] = message.tag
+        tag, pe, mm, offset, op, _ = row
+        self.rows[i] = row
+        self.pk[i] = op.request_packets
+        self.dig[i] = self.route(mm, pe)
+        self.tag[i] = tag
         self.comb[i] = False
-        self.key[i], self.vk[i], self.opnd[i] = _request_fields(message)
-        self.depth[i] = message.combine_depth
-        self.enq[i] = message.enqueued_cycle
+        self.key[i], self.vk[i], self.opnd[i] = _request_fields(mm, offset, op)
+        self.depth[i] = 0
         return i
 
-    def _admit_many(self, messages: list["Message"]) -> Any:
+    def _admit_many(self, rows: list["Request"]) -> Any:
         """:meth:`_admit` for a batch of requests, one array write per
-        field.  Their digits are read from the interned route tuples
-        they were issued with; no digit list is made.  The fields are
-        streamed into their arrays, so no tracked object per request
-        outlives its own conversion (a batch of thousands of live row
-        tuples would set off young collections, and those promote the
-        requests in flight toward full ones)."""
-        n = len(messages)
+        field.  Their digits are read from the topology's interned route
+        tuples; no digit list is made.  The fields are streamed into
+        their arrays, so no tracked object per request outlives its own
+        conversion (a batch of thousands of live tuples would set off
+        young collections, and those promote the requests in flight
+        toward full ones)."""
+        n = len(rows)
         while len(self._free) < n:
             self._grow_pool()
         ids_l = self._free[-n:]
         del self._free[-n:]
-        obj = self.obj
-        for i, message in zip(ids_l, messages):
-            obj[i] = message
+        _consume(map(self.rows.__setitem__, ids_l, rows))
+        tags, pes, mms, offsets, ops, _ = zip(*rows)
         ids = np.array(ids_l, dtype=np.int64)
-        self.pk[ids] = [m.packets for m in messages]
-        self.tag[ids] = [m.tag for m in messages]
-        self.depth[ids] = [m.combine_depth for m in messages]
+        self.pk[ids] = [op.request_packets for op in ops]
+        self.tag[ids] = tags
+        self.depth[ids] = 0
         fields = np.fromiter(
-            itertools.chain.from_iterable(map(_request_fields, messages)),
+            itertools.chain.from_iterable(map(_request_fields, mms, offsets, ops)),
             dtype=np.int64, count=3 * n).reshape(n, 3)
         self.key[ids], self.vk[ids], self.opnd[ids] = fields.T
-        self.dig[ids] = [m.digits for m in messages]
+        self.dig[ids] = (list(map(self.route, mms, pes)) if self.routes is None
+                         else self.routes[list(mms)])
         self.comb[ids] = False
         return ids
 
     def _release(self, i: int) -> None:
-        self.obj[i] = None
+        self.rows[i] = self.obj[i] = None
         self._free.append(i)
 
     def _note_value(self, i: int, value: Optional[int]) -> None:
@@ -641,31 +664,56 @@ class _MessagePlane:
         else:
             self.vst[i] = 2
 
-    def _sync(self, i: int) -> None:
-        """Write a vectorized combine's op and depth back to the Message."""
-        if self.stale.item(i):
-            message = self.obj[i]
+    def _request(self, i: int) -> "Message":
+        """The request Message of id ``i``, its op, digits and enqueue
+        cycle written back; built from its row and columns now if it has
+        none.  A request of a vectorized kind takes its op from its
+        kind and operand, which a combine may have rewritten; any other
+        has the op its PE issued, at its offset (until a per-message
+        combine builds its Message and rewrites that).  A built Message
+        that a vectorized combine left ``stale`` gets the combined op
+        and depth written back."""
+        message = self.obj[i]
+        if message is None:
+            tag, pe, mm, offset, op, cycle = self.rows[i]
+            kind = self.vk.item(i)
+            message = self.obj[i] = Message(
+                op=_op_of(kind, offset, self.opnd.item(i)) if kind
+                else physical_op(op, offset),
+                mm=mm, offset=offset, origin=pe, tag=tag, digits=(),
+                combine_depth=self.depth.item(i), issued_cycle=cycle)
+        elif self.stale.item(i):
             message.replace_op(_op_of(self.vk.item(i), message.op.address,
                                       self.opnd.item(i)))
             message.combine_depth = self.depth.item(i)
-            self.stale[i] = False
-
-    def _request(self, i: int) -> "Message":
-        """The request Message of id ``i``, its op and digits written
-        back."""
-        self._sync(i)
-        message = self.obj[i]
+        self.stale[i] = False
         message.digits = self.dig[i].tolist()
+        message.enqueued_cycle = self.enq.item(i)
         return message
 
-    def _reply(self, i: int) -> "Message":
-        """The reply Message of id ``i``, built now if it is lazy."""
+    def _value(self, i: int) -> Optional[int]:
+        """The value reply ``i`` carries."""
+        status = self.vst.item(i)
+        return (self.val.item(i) if status == 1 else None if status == 0
+                else self.obj[i].value)
+
+    def _set_value(self, i: int, value: Optional[int]) -> None:
+        """Rewrite the value reply ``i`` carries (decombining), building
+        its Message only if the value is not exact in int64."""
         if self.lazy.item(i):
+            self._note_value(i, value)
+            self.pk[i] = packets_for(value is not None)
+            if self.vst.item(i) != 2:
+                return
             self._build_replies(np.array([i]))
-        return self.obj[i]
+        message = self.obj[i]
+        message.set_value(value)
+        self.pk[i] = message.packets
+        self._note_value(i, value)
 
     def _turn_one(self, i: int, value: Optional[int]) -> None:
-        """:meth:`_turn` for one request."""
+        """:meth:`_turn` for one request (also a partner's reply that a
+        per-message decombine makes of R-new's id)."""
         self._note_value(i, value)
         self.pk[i] = PACKETS_WITHOUT_DATA if value is None else PACKETS_WITH_DATA
         self.comb[i] = False
@@ -695,9 +743,10 @@ class _MessagePlane:
 
     def _build_replies(self, ids: Any) -> None:
         """Build the reply Messages of the lazy ids ``ids``: what
-        ``make_reply`` makes of R-new's request (still in ``obj``, frozen
-        at its combine) with the decombined value."""
-        obj = self.obj
+        ``make_reply`` makes of the request (its Message if one was
+        built, frozen at its combine, else its row and columns) with the
+        decombined value."""
+        obj, rows = self.obj, self.rows
         values = np.where(self.vst[ids] == 1, self.val[ids], 0).tolist()
         for i, value, exact, stale, kind, operand, depth, digits in zip(
             ids.tolist(), values, (self.vst[ids] == 1).tolist(),
@@ -706,13 +755,21 @@ class _MessagePlane:
             self.dig[ids].tolist(),
         ):
             request = obj[i]
-            op = request.op
+            if request is None:
+                tag, pe, mm, offset, op, cycle = rows[i]
+                op = (_op_of(kind, offset, operand) if kind
+                      else physical_op(op, offset))
+            else:
+                tag, pe, mm, offset, op, cycle = (
+                    request.tag, request.origin, request.mm, request.offset,
+                    request.op, request.issued_cycle)
+                if stale:
+                    op = _op_of(kind, op.address, operand)
             obj[i] = Message(
-                op=_op_of(kind, op.address, operand) if stale else op,
-                mm=request.mm, offset=request.offset, origin=request.origin,
-                tag=request.tag, digits=digits, is_reply=True,
+                op=op, mm=mm, offset=offset, origin=pe, tag=tag,
+                digits=digits, is_reply=True,
                 value=value if exact else None, combine_depth=depth,
-                issued_cycle=request.issued_cycle,
+                issued_cycle=cycle,
             )
         self.lazy[ids] = False
         self.stale[ids] = False
@@ -730,21 +787,19 @@ class _MessagePlane:
         return chain
 
     def _plan(self, r: int) -> Combined:
+        """The combine plan of record ``r`` (a vectorized record's R-new
+        has the record's kind, and its op is frozen at the combine)."""
         kind = self.w_kind.item(r)
         if not kind:
             return self.w_plan[r]
-        self._sync(r)
-        new = self.obj[r].op
-        return try_combine(_op_of(kind, new.address, self.w_dat.item(r)), new)
+        offset = self.rows[r].offset
+        return try_combine(_op_of(kind, offset, self.w_dat.item(r)),
+                           _op_of(kind, offset, self.opnd.item(r)))
 
     def _wait_record(self, r: int) -> WaitRecord:
         """The object view of record ``r``."""
-        self._sync(r)
-        message = self.obj[r]
-        message.digits = self.dig[r].tolist()
-        message.enqueued_cycle = self.enq.item(r)
         return WaitRecord(key_tag=self.w_tag.item(r), plan=self._plan(r),
-                          new_message=message,
+                          new_message=self._request(r),
                           stage=self.w_at.item(r) // self.Q,
                           created_cycle=self.w_made.item(r))
 
@@ -808,13 +863,7 @@ class _MessagePlane:
                 combined_l = (self.comb[ids].tolist() if lane.forward
                               else [False] * len(ids_l))
                 if lane.forward:
-                    for i in ids[self.stale[ids]].tolist():
-                        self._sync(i)
-                    for i, digits, enqueued in zip(ids_l, self.dig[ids].tolist(),
-                                                   self.enq[ids].tolist()):
-                        m = obj[i]
-                        m.digits = digits
-                        m.enqueued_cycle = enqueued
+                    _consume(map(self._request, ids_l))
                 else:
                     lazy = ids[self.lazy[ids]]
                     if lazy.size:
@@ -915,25 +964,27 @@ class _MessagePlane:
     # ------------------------------------------------------------------
     # injections (PNI -> stage 0, MNI -> the reply-entry stage)
     # ------------------------------------------------------------------
-    def inject_request(self, pe: int, message: "Message", cycle: int) -> bool:
+    def inject_request(self, pe: int, row: "Request", cycle: int) -> bool:
         sw_i, in_port = self.inject_points[pe]
-        i = self._admit(message)
+        i = self._admit(row)
         if self._trace is not None:
             self.org[i] = self.okey[i] = pe
-        if self._offer_forward(self.fwd[0], sw_i, in_port, message.digits[0],
+        if self._offer_forward(self.fwd[0], sw_i, in_port, self.dig.item(i, 0),
                                i, cycle):
             return True
         self._release(i)
         return False
 
-    def inject_requests(self, pes: list[int], messages: list["Message"],
+    def inject_requests(self, pes: list[int], rows: list["Request"],
                         cycle: int) -> list[bool]:
-        """Offer the head request of each PE in ``pes`` (ascending) to
-        stage 0, as one batch unless there are only a few."""
+        """Offer the head request of each PE in ``pes`` (ascending), as
+        the rows its PNI issued, to stage 0: as one batch unless there
+        are only a few.  A refused request keeps no id (it is admitted
+        again when offered again)."""
         if len(pes) < self.vector_min:
-            return [self.inject_request(pe, message, cycle)
-                    for pe, message in zip(pes, messages)]
-        ids = self._admit_many(messages)
+            return [self.inject_request(pe, row, cycle)
+                    for pe, row in zip(pes, rows)]
+        ids = self._admit_many(rows)
         line = np.array(pes, dtype=np.int64)
         if self._trace is not None:
             self.org[ids] = self.okey[ids] = line
@@ -1007,23 +1058,22 @@ class _MessagePlane:
         q = sw_i * self.k + out
         stage = lane.stage
         wb = stage * self.Q + q
-        obj = self.obj
+        obj, rows = self.obj, self.rows
         partner = None
         held = lane.len.item(q)
         if self.combining and held and (
                 self.wcap is None or self.wb_occ.item(wb) < self.wcap):
-            self._sync(i)
-            message = obj[i]
-            mm, offset, key = message.mm, message.offset, self.key.item(i)
-            row = lane.ring[q].tolist()
+            key = self.key.item(i)
+            cell = rows[i][2:4]
+            ring = lane.ring[q].tolist()
             head = lane.head.item(q)
-            for j in (row[head:] + row[:head])[:held]:
+            for j in (ring[head:] + ring[:head])[:held]:
                 if self.key.item(j) != key or (self.pairwise and self.comb.item(j)):
                     continue
-                queued = obj[j]
-                if queued.offset != offset or queued.mm != mm:
+                if rows[j][2:4] != cell:
                     continue
-                self._sync(j)
+                # a same-cell pair: only now are Messages needed
+                queued, message = self._request(j), self._request(i)
                 plan = try_combine(queued.op, message.op)
                 if plan is not None:
                     if decombine_fits(self.cap, stage, self.dig.item(j, stage),
@@ -1055,7 +1105,8 @@ class _MessagePlane:
             depth = max(self.depth.item(j), self.depth.item(i)) + 1
             queued.combine_depth = depth
             self.depth[j] = depth
-            _, self.vk[j], self.opnd[j] = _request_fields(queued)
+            _, self.vk[j], self.opnd[j] = _request_fields(
+                queued.mm, queued.offset, queued.op)
             self.comb[j] = True
             self.pk[j] = queued.packets
             used = lane.used.item(q) + queued.packets - before
@@ -1090,9 +1141,8 @@ class _MessagePlane:
             lane.routed[sw_i] = lane.routed.item(sw_i) + 1
             return True
 
-        message = self._reply(i)
         chain = self._chain(i, stage)  # most recent first
-        value = message.value
+        value = self._value(i)
         partners: list[tuple[int, Optional[int]]] = []
         for r in chain:
             plan = self._plan(r)
@@ -1116,22 +1166,17 @@ class _MessagePlane:
         if self._trace is not None:  # oldest record first, as a switch's
             old, n = chain[::-1], len(chain)
             self._trace.hold([self.okey.item(i)] * n, "decombine", cycle,
-                             self.tag[old], self.org[old], stage, [message.tag] * n)
+                             self.tag[old], self.org[old], stage,
+                             [self.tag.item(i)] * n)
         self.link[i, stage] = -1
-        message.set_value(value)
-        self.pk[i] = message.packets
-        self._note_value(i, value)
+        self._set_value(i, value)
         for r, new_value in partners:
-            self._sync(r)
-            request = self.obj[r]
-            request.digits = self.dig[r].tolist()
-            reply = self.obj[r] = request.make_reply(new_value)
-            self.pk[r] = reply.packets
-            self._note_value(r, new_value)
+            self._turn_one(r, new_value)
             self.w_at[r] = -1
             self.w_plan[r] = None
-            self._push(lane, sw_i * k + self.dig.item(r, stage), r, reply.packets)
-        self._push(lane, sw_i * k + out, i, message.packets)
+            self._push(lane, sw_i * k + self.dig.item(r, stage), r,
+                       self.pk.item(r))
+        self._push(lane, sw_i * k + out, i, self.pk.item(i))
         wb = stage * self.Q + sw_i * k + mm_port
         self.wb_occ[wb] = self.wb_occ.item(wb) - len(chain)
         self.wb_dirty[wb] = True
@@ -1348,6 +1393,7 @@ class _MessagePlane:
                  status.tolist(), ids_l)])
         self.lazy[ids] = self.stale[ids] = False
         _consume(map(obj.__setitem__, ids_l, itertools.repeat(None)))
+        _consume(map(self.rows.__setitem__, ids_l, itertools.repeat(None)))
         self._free.extend(ids_l)
         self._pop_many(lane, src, self.pk[ids], np.arange(src.size), cycle)
 
@@ -1859,18 +1905,11 @@ class _MemorySide:
                 lazy = ids[plane.lazy[ids]]
                 if lazy.size:
                     plane._build_replies(lazy)
+                get = plane.obj.__getitem__
             else:
-                for i in ids[plane.stale[ids]].tolist():
-                    plane._sync(i)
-                for i, digits, enqueued in zip(ids.tolist(),
-                                               plane.dig[ids].tolist(),
-                                               plane.enq[ids].tolist()):
-                    message = plane.obj[i]
-                    message.digits = digits
-                    message.enqueued_cycle = enqueued
-            obj = plane.obj
+                get = plane._request
             for x, i in zip(sel.tolist(), ids.tolist()):
-                found[x] = obj[i]
+                found[x] = get(i)
         return found
 
     def flush(self) -> None:
@@ -1987,26 +2026,66 @@ class _MemorySide:
         planes' threshold)."""
         return self.planes[0].vector_min
 
-    def _apply(self, mm: int, plane: "_MessagePlane", i: int,
-               cycle: int) -> Optional[int]:
-        """The access of request ``i`` at module ``mm``; returns its
-        reply's value."""
-        plane._sync(i)
-        message = plane.obj[i]
-        op = message.op
-        module = self.modules[mm]
-        effect = module.apply(op)
-        module.accesses += 1
-        if self._trace is not None:
-            self._trace.record("mm_serve", cycle, tag=message.tag, mm=mm)
-        return effect.result if op.expects_value else None
+    def _columns(self, refs: Any, names: tuple[str, ...]) -> list[list[int]]:
+        """The plane columns ``names`` of the requests ``refs``, as lists."""
+        copies, planes = self.copies, self.planes
+        if copies == 1:
+            return [getattr(planes[0], name)[refs].tolist() for name in names]
+        ids, at = np.divmod(refs, copies)
+        out = [np.empty(refs.size, dtype=np.int64) for _ in names]
+        for copy, plane in enumerate(planes):
+            sel = at == copy
+            for column, name in zip(out, names):
+                column[sel] = getattr(plane, name)[ids[sel]]
+        return [column.tolist() for column in out]
+
+    def _access(self, mms: list[int], refs: Any, cycle: int) -> list[Optional[int]]:
+        """The memory accesses of the requests ``refs`` at the modules
+        ``mms`` (ascending), in that order; returns their replies'
+        values.  A Load, Store or F&A of a vectorized kind (its operand
+        exact in int64, its offset the low bits of its key) is applied
+        to its module's storage straight from the plane's columns, as
+        ``MemoryModule.apply`` would; any other goes through
+        ``MemoryModule.apply`` with its Message's op."""
+        modules, planes, copies = self.modules, self.planes, self.copies
+        trace = self._trace
+        names = ("vk", "key", "opnd") if trace is None else (
+            "vk", "key", "opnd", "tag")
+        columns = self._columns(refs, names)
+        values: list[Optional[int]] = []
+        for x, (mm, kind, key, operand) in enumerate(zip(mms, *columns[:3])):
+            module = modules[mm]
+            if kind:
+                storage = module.storage
+                offset = key & _OFFSET
+                if kind == _LOAD:
+                    values.append(storage.setdefault(offset, 0))
+                elif kind == _FA:
+                    old = storage.get(offset, 0)
+                    storage[offset] = old + operand
+                    values.append(old)
+                else:
+                    storage[offset] = operand
+                    values.append(None)
+                if self._instr_on:
+                    module._access_counter.inc()
+            else:
+                ref = refs.item(x)
+                op = planes[ref % copies]._request(ref // copies).op
+                effect = module.apply(op)
+                values.append(effect.result if op.expects_value else None)
+            module.accesses += 1
+            if trace is not None:
+                trace.record("mm_serve", cycle, tag=columns[3][x], mm=mm)
+        return values
 
     def _complete_one(self, mm: int, cycle: int) -> None:
         """Apply the request in service at ``mm`` at its module; it
         turns into its reply and queues for the link."""
         ref = self.svc.item(mm)
         plane, i = self.planes[ref % self.copies], ref // self.copies
-        plane._turn_one(i, self._apply(mm, plane, i, cycle))
+        (value,) = self._access([mm], self.svc[mm:mm + 1], cycle)
+        plane._turn_one(i, value)
         self.outbound.push_one(mm, ref)
         self.served[mm] = self.served.item(mm) + 1
         self.svc[mm] = -1
@@ -2019,8 +2098,7 @@ class _MemorySide:
         them), then each copy's replies as one batch."""
         refs = self.svc[mms]
         copies, planes = self.copies, self.planes
-        values = [self._apply(mm, planes[ref % copies], ref // copies, cycle)
-                  for mm, ref in zip(mms.tolist(), refs.tolist())]
+        values = self._access(mms.tolist(), refs, cycle)
         if copies == 1:
             planes[0]._turn(refs, values)
         else:
@@ -2218,12 +2296,14 @@ class BatchKernel(DenseKernel):
     def _deliver(self, pes: list[int], tags: list[int],
                  values: list[Optional[int]]) -> None:
         """``Ultracomputer._pe_sink`` for replies given by PE, tag and
-        value (the PE side always takes them)."""
+        value (the PE side always takes them): one application of the
+        delivery rule to the whole batch, which completes the PNIs'
+        rows and builds no record."""
         m = self.machine
-        pnis, cycle = m.pnis, m.cycle
-        for pe, tag, value in zip(pes, tags, values):
-            pnis[pe].deliver(tag, value, cycle)
-        _consume(map(m._copy_by_tag.pop, tags, itertools.repeat(None)))
+        deliver_replies(list(map(m.pnis.__getitem__, pes)), tags, values,
+                        m.cycle)
+        if m._copy_by_tag:
+            _consume(map(m._copy_by_tag.pop, tags, itertools.repeat(None)))
 
     def _inject_heads(self, cycle: int) -> None:
         """``PNI.tick_outbound`` for every PNI holding requests: the
@@ -2234,29 +2314,39 @@ class BatchKernel(DenseKernel):
         m = self.machine
         pnis = m.pnis
         copy_by_tag = m._copy_by_tag
-        offers: dict[int, tuple[list[int], list["Message"]]] = {}
+        healthy = m._healthy_copies
+        offers = [([], [], []) for _ in self._states]
         for pe in sorted(self._pni_out):
             pni = pnis[pe]
             if cycle >= pni._link_busy_until:
-                head = pni.outbound[0]
-                index = copy_by_tag.get(head.tag)
+                head = pni._queue[0]
+                if type(head) is not Request:  # a reader built its Message
+                    head = pni._outstanding_tags[head.tag]
+                tag = head.tag
+                # ``Ultracomputer._copy_for_request``'s striping; a
+                # request is remembered by copy only if refused (a plane
+                # keeps its reply)
+                index = copy_by_tag.get(tag)
                 if index is None:
-                    m._copy_for_request(head)
-                    index = copy_by_tag[head.tag]
-                group = offers.get(index)
-                if group is None:
-                    group = offers[index] = ([], [])
-                group[0].append(pe)
-                group[1].append(head)
-        for index, (pes, heads) in offers.items():
-            taken = self._states[index].inject_requests(pes, heads, cycle)
-            for pe, head, ok in zip(pes, heads, taken):
+                    index = healthy[tag % len(healthy)]
+                pes, heads, queued = offers[index]
+                pes.append(pe)
+                heads.append(head)
+                queued.append(pni)
+        for index, (state, (pes, heads, queued)) in enumerate(
+                zip(self._states, offers)):
+            if not pes:
+                continue
+            taken = state.inject_requests(pes, heads, cycle)
+            for pni, head, ok in zip(queued, heads, taken):
                 if ok:
-                    pni = pnis[pe]
-                    pni.outbound.popleft()
-                    pni._link_busy_until = cycle + head.packets
-                    if not pni.outbound:
-                        self._pni_out.discard(pe)
+                    queue = pni._queue
+                    queue.popleft()
+                    pni._link_busy_until = cycle + head.op.request_packets
+                    if not queue:
+                        self._pni_out.discard(pni.pe_id)
+                else:
+                    copy_by_tag[head.tag] = index
 
     # ------------------------------------------------------------------
     # one executed cycle (dense phase order, array-scheduled)

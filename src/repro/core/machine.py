@@ -16,12 +16,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, fields
-from typing import Any, Mapping, Optional, Protocol
+from typing import Any, Mapping, Optional, Protocol, Sequence
 
-from ..instrumentation import DISABLED, Instrumentation
+from ..instrumentation import DISABLED, LATENCY_BUCKETS, Instrumentation
 from ..memory.hashing import AddressTranslation, make_translation
 from ..memory.module import BankedMemory
-from ..network.interfaces import MNI, PNI
+from ..network.interfaces import MNI, PNI, issue_requests
 from ..network.message import Message
 from ..network.multistage import MultistageNetwork, NetworkConfig
 from ..network.topology import make_topology, topology_names, validate_topology_size
@@ -286,7 +286,8 @@ class ProgramDriver:
     and the trace follow a full sweep's order):
 
     * newly spawned PEs, whose generators are primed;
-    * PEs holding an op, retried on ``can_issue`` every tick and
+    * PEs holding an op, which issue together through
+      :meth:`Ultracomputer.issue_many` and are retried every tick,
       charged one idle cycle per refused try;
     * computing PEs whose countdown reaches zero this cycle, kept in
       buckets keyed by that cycle;
@@ -387,6 +388,7 @@ class ProgramDriver:
             self._fresh = []
         acting.sort()
         pes = self.pes
+        issuing: list[int] = []
         for i in acting:
             pe = pes[i]
             if pe.waiting_tag is not None:
@@ -401,18 +403,26 @@ class ProgramDriver:
                 pe.compute_remaining = 0
                 self._advance(pe, None, cycle)
             elif pe.pending_op is not None:
-                op = pe.pending_op
-                if pe.pni.can_issue(op):
-                    pe.waiting_tag = pe.pni.issue(op, cycle)
-                    pe.pending_op = None
-                    pe.ops_issued += 1
-                    self._pending.discard(i)
-                    waiting[i] = cycle + 1
-                else:
-                    pe.idle_cycles += 1
+                issuing.append(i)
             else:
                 # Fresh PE: prime the generator.
                 self._advance(pe, None, cycle)
+        if not issuing:
+            return
+        # The PEs holding an op issue in one call, in ascending-PE order
+        # (no PE's step above reads another's PNI).
+        tags = self.machine.issue_many(
+            issuing, [pes[i].pending_op for i in issuing], cycle)
+        for i, tag in zip(issuing, tags):
+            pe = pes[i]
+            if tag is None:
+                pe.idle_cycles += 1
+                continue
+            pe.waiting_tag = tag
+            pe.pending_op = None
+            pe.ops_issued += 1
+            self._pending.discard(i)
+            waiting[i] = cycle + 1
 
     def done(self) -> bool:
         return not (self._fresh or self._pending or self._waiting or self._due)
@@ -531,16 +541,26 @@ class Ultracomputer:
         # delivery, and a driver that consumes replies drains the set in
         # ascending-PE order instead of polling every PNI.
         self._pni_replied: set[int] = set()
+        # The PNIs share two instruments, looked up here once.
+        instr = self.instrumentation
+        shared = {}
+        if instr.enabled:
+            shared = {
+                "issue_counter": instr.counter("machine.requests_issued"),
+                "rtt_histogram": instr.histogram("machine.round_trip_cycles",
+                                                 buckets=LATENCY_BUCKETS),
+            }
         self.pnis = [
             PNI(
                 pe,
                 self.topology,
                 self.translation,
                 max_outstanding=config.max_outstanding,
-                instrumentation=self.instrumentation,
+                instrumentation=instr,
                 tag_counter=self._tags,
                 ready=self._pni_ready,
                 replied=self._pni_replied,
+                **shared,
             )
             for pe in range(config.n_pes)
         ]
@@ -606,13 +626,14 @@ class Ultracomputer:
             )
         self._healthy_copies.remove(index)
 
-    def _copy_for_request(self, message: Message) -> MultistageNetwork:
-        """Stripe new requests over the healthy copies; remember the
-        choice so the reply returns on the same copy (its switches hold
-        the amalgam digits and wait-buffer records)."""
-        index = self._healthy_copies[message.tag % len(self._healthy_copies)]
-        self._copy_by_tag[message.tag] = index
-        return self._networks[index]
+    def _copy_for_request(self, request: Any) -> int:
+        """Stripe new requests (a Message or a PNI's row) over the
+        healthy copies by tag; remember the choice so the reply returns
+        on the same copy (its switches hold the amalgam digits and
+        wait-buffer records).  Returns the copy's index."""
+        index = self._healthy_copies[request.tag % len(self._healthy_copies)]
+        self._copy_by_tag[request.tag] = index
+        return index
 
     # ------------------------------------------------------------------
     # wiring callbacks
@@ -631,10 +652,8 @@ class Ultracomputer:
         # assignment is recorded on first attempt).
         index = self._copy_by_tag.get(message.tag)
         if index is None:
-            network = self._copy_for_request(message)
-        else:
-            network = self._networks[index]
-        return network.offer_request(pe, message)
+            index = self._copy_for_request(message)
+        return self._networks[index].offer_request(pe, message)
 
     def _inject_reply(self, mm: int, message: Message) -> bool:
         return self._networks[self._copy_by_tag[message.tag]].offer_reply(
@@ -654,6 +673,15 @@ class Ultracomputer:
 
     def attach_driver(self, driver: Driver) -> None:
         self.drivers.append(driver)
+
+    def issue_many(self, pes: Sequence[int], ops: Sequence[Op],
+                   cycle: int) -> list[Optional[int]]:
+        """Issue ``ops[x]`` at PE ``pes[x]`` (ascending PE order, as a
+        sweep of the PEs issues) through their PNIs: each request's tag,
+        or None where its PNI refuses it as ``PNI.can_issue`` would (a
+        full window, or a reference to the same cell outstanding).  The
+        drivers issue a cycle's requests with one call."""
+        return issue_requests(list(map(self.pnis.__getitem__, pes)), ops, cycle)
 
     # ------------------------------------------------------------------
     # shared-memory access from outside the simulation (tests/examples)
@@ -689,7 +717,8 @@ class Ultracomputer:
             all(driver.done() for driver in self.drivers)
             and all(network.is_drained() for network in self._networks)
             and all(mni.pending == 0 for mni in self._mnis)
-            and all(not pni.outbound and pni.outstanding() == 0 for pni in self.pnis)
+            # (a request is outstanding from issue, so also while queued)
+            and all(pni.outstanding() == 0 for pni in self.pnis)
         )
 
     def run(self, max_cycles: int = 1_000_000) -> RunResult:

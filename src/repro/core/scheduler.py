@@ -230,7 +230,7 @@ class DenseKernel:
             for pe in sorted(ready):
                 pni = pnis[pe]
                 pni.tick_outbound(cycle, m._inject_request)
-                if not pni.outbound:
+                if not pni._queue:
                     ready.discard(pe)
         for network in m._networks:
             network.step_return()

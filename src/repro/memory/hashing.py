@@ -26,6 +26,7 @@ would corrupt memory, not just slow it down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 class AddressTranslation:
@@ -47,7 +48,21 @@ class AddressTranslation:
                 f"virtual address {address} outside capacity {self.capacity}"
             )
 
+    def _check_many(self, addresses: Sequence[int]) -> None:
+        """:meth:`_check` of every address, by one bounds test."""
+        if addresses and not (0 <= min(addresses) and max(addresses)
+                              < self.n_modules * self.words_per_module):
+            for address in addresses:
+                self._check(address)
+
     def translate(self, address: int) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def translate_many(self, addresses: Sequence[int]
+                       ) -> list[tuple[int, int]]:
+        """:meth:`translate` of every address at once, as a list of
+        (module, offset) cells (the PNIs translate a batch of requests
+        with one call)."""
         raise NotImplementedError
 
     def untranslate(self, module: int, offset: int) -> int:
@@ -61,6 +76,12 @@ class InterleavedTranslation(AddressTranslation):
         self._check(address)
         return address % self.n_modules, address // self.n_modules
 
+    def translate_many(self, addresses: Sequence[int]
+                       ) -> list[tuple[int, int]]:
+        self._check_many(addresses)
+        n = self.n_modules
+        return [(a % n, a // n) for a in addresses]
+
     def untranslate(self, module: int, offset: int) -> int:
         return offset * self.n_modules + module
 
@@ -71,6 +92,12 @@ class BlockedTranslation(AddressTranslation):
     def translate(self, address: int) -> tuple[int, int]:
         self._check(address)
         return address // self.words_per_module, address % self.words_per_module
+
+    def translate_many(self, addresses: Sequence[int]
+                       ) -> list[tuple[int, int]]:
+        self._check_many(addresses)
+        w = self.words_per_module
+        return [divmod(a, w) for a in addresses]
 
     def untranslate(self, module: int, offset: int) -> int:
         return module * self.words_per_module + offset
@@ -128,6 +155,13 @@ class HashedTranslation(AddressTranslation):
         # still 0 mod 8), but diffuses them thoroughly into the high
         # bits — exactly where the module number must come from.
         return divmod(mixed, self.words_per_module)
+
+    def translate_many(self, addresses: Sequence[int]
+                       ) -> list[tuple[int, int]]:
+        self._check_many(addresses)
+        multiplier, mask = self._mixer.multiplier, self._mixer.mask
+        w = self.words_per_module
+        return [divmod((a * multiplier) & mask, w) for a in addresses]
 
     def untranslate(self, module: int, offset: int) -> int:
         return self._mixer.unmix(module * self.words_per_module + offset)

@@ -232,6 +232,8 @@ class OmegaTopology:
     """Wiring and routing of a k-ary Omega network with ``n`` ports."""
 
     name = "omega"
+    #: a route depends on the destination alone (see :meth:`route_tuple`)
+    routes_by_destination = True
 
     def __init__(self, n_ports: int, k: int = 2) -> None:
         if k < 2:

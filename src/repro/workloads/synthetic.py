@@ -106,36 +106,43 @@ class SyntheticTrafficDriver:
         return Load(address)
 
     def tick(self, cycle: int) -> None:
+        """Draw every PE's coin (and a firing PE's op right after its
+        coin), then issue the firing PEs' requests with one call."""
         spec = self.spec
-        for pe, pni in enumerate(self.machine.pnis):
-            if (
-                spec.requests_per_pe is not None
-                and self._issued_per_pe[pe] >= spec.requests_per_pe
-            ):
-                continue
-            if self._rng.random() >= spec.rate:
-                continue
-            self.offered += 1
-            op = self._next_op(pe)
-            if pni.can_issue(op):
-                pni.issue(op, cycle)
-                self._issued_per_pe[pe] += 1
-            else:
-                self.blocked += 1
+        rate = spec.rate
+        coin = self._rng.random
+        next_op = self._next_op
+        issued = self._issued_per_pe
+        n = len(issued)
+        candidates = range(n) if spec.requests_per_pe is None else [
+            pe for pe in range(n) if issued[pe] < spec.requests_per_pe]
+        # (a firing PE draws its op before the next PE's coin)
+        fired = [(pe, next_op(pe)) for pe in candidates if coin() < rate]
+        if fired:
+            self.offered += len(fired)
+            pes, ops = zip(*fired)
+            for pe, tag in zip(pes, self.machine.issue_many(pes, ops, cycle)):
+                if tag is None:
+                    self.blocked += 1
+                else:
+                    issued[pe] += 1
         self._collect()
 
     def _collect(self) -> None:
-        """Pop every reply the PNIs received, in ascending-PE order: the
-        machine's replied set names the PNIs that may hold one."""
+        """Take every reply the PNIs received, in ascending-PE order, and
+        keep its round trip (no record is built): the machine's replied
+        set names the PNIs that may hold one."""
         replied = self.machine._pni_replied
         if not replied:
             return
         pnis = self.machine.pnis
-        latencies = self.latencies
+        keep = self.latencies.append
         for pe in sorted(replied):
-            completed = pnis[pe].completed
-            while completed:
-                latencies.append(completed.popleft().round_trip)
+            replies = pnis[pe]._replies
+            # (tag, op, value, issued cycle, completed cycle)
+            for reply in replies:
+                keep(reply[4] - reply[3])
+            replies.clear()
         replied.clear()
 
     def done(self) -> bool:

@@ -1,11 +1,13 @@
 """The PE boundary: route digits as network state, replies in one pass.
 
-A PNI issues each request with its topology's interned route tuple and
-makes no digit list.  The network first offered the request rewrites a
-private copy of the digits (``MultistageNetwork.offer_request``), and
-the batch plane writes the interned tuples into its arrays.  Replies
-reach the PNIs through the one delivery rule, ``PNI.deliver``, which the
-batch kernel applies to each reply of an exit batch.
+A PNI records each request as a row and makes no digit list.  Under
+dense the request's Message carries its topology's interned route
+tuple, and the network first offered it rewrites a private copy of the
+digits (``MultistageNetwork.offer_request``); the batch plane admits
+the row and writes the interned digits into its arrays.  Replies reach
+the PNIs through the one delivery rule, ``interfaces.deliver_replies``,
+which ``PNI.deliver`` applies to one reply and the batch kernel to a
+whole exit batch.
 
 Each check here compares against the every-component oracle
 (``tests/eager_kernel.py``) or against per-reply delivery, and the work
@@ -188,10 +190,12 @@ def test_dense_refused_request_keeps_its_private_list(topology):
     _check_interned_routes(machine, topology, 64)
 
 
-def test_plane_resident_requests_carry_the_interned_tuple():
-    """Under batch a request's ``Message`` keeps the topology's interned
-    tuple while it is in the plane (nothing writes the object view back
-    during a run): the identity holds for every forward-queue resident."""
+def test_plane_resident_requests_are_rows():
+    """Under batch a request in the plane is its PNI's row and has no
+    ``Message`` (nothing writes the object view back during a run): for
+    every forward-queue resident the plane holds the very row the PNI
+    keeps as outstanding, and the digits of the stages still ahead are
+    the topology's interned route."""
     machine = _machine("batch", "omega", n_pes=256, queue_capacity_packets=6)
     driver = SyntheticTrafficDriver(
         machine, TrafficSpec(rate=0.5, pattern="uniform", seed=1))
@@ -203,8 +207,12 @@ def test_plane_resident_requests_carry_the_interned_tuple():
     for lane in plane.fwd:
         ids, _ = lane.contents(np.flatnonzero(lane.len))
         for i in ids.tolist():
-            message = plane.obj[i]
-            assert message.digits is topo.route_tuple(message.mm, message.origin)
+            assert plane.obj[i] is None
+            row = plane.rows[i]
+            assert row is machine.pnis[row.origin]._outstanding_tags[row.tag]
+            ahead = slice(lane.stage + 1, None)
+            assert (plane.dig[i, ahead].tolist()
+                    == list(topo.route_tuple(row.mm, row.origin)[ahead]))
             resident += 1
     assert resident > 0
 
@@ -286,15 +294,21 @@ def test_instrumented_batch_trace_equals_dense():
 # pinned work counts
 # ----------------------------------------------------------------------
 def test_each_reply_is_one_application_of_the_rule(monkeypatch):
-    """A seed-1 64-PE batch run delivers every reply by exactly one
-    ``PNI.deliver`` call, a whole exit batch per ``_deliver``."""
-    applied, batches = [], []
-    deliver = interfaces.PNI.deliver
+    """A seed-1 64-PE batch run delivers every reply as one row of an
+    application of the delivery rule (``interfaces.deliver_replies``),
+    a whole exit batch per ``_deliver``, and makes no per-reply
+    ``PNI.deliver`` call."""
+    applied, batches, single = [], [], []
+    rule = batch_kernel.deliver_replies
     exit_batch = batch_kernel.BatchKernel._deliver
-    monkeypatch.setattr(interfaces.PNI, "deliver",
-                        lambda self, *a: applied.append(a) or deliver(self, *a))
+    deliver = interfaces.PNI.deliver
+    monkeypatch.setattr(batch_kernel, "deliver_replies",
+                        lambda pnis, tags, *a: applied.append(tags)
+                        or rule(pnis, tags, *a))
     monkeypatch.setattr(batch_kernel.BatchKernel, "_deliver",
                         lambda self, *a: batches.append(a) or exit_batch(self, *a))
+    monkeypatch.setattr(interfaces.PNI, "deliver",
+                        lambda self, *a: single.append(a) or deliver(self, *a))
     machine = _machine("batch", n_pes=64)
     driver = SyntheticTrafficDriver(
         machine, TrafficSpec(rate=0.3, pattern="uniform", seed=1))
@@ -302,10 +316,12 @@ def test_each_reply_is_one_application_of_the_rule(monkeypatch):
     machine.run_cycles(OFFERED)
     driver.drain(DRAIN)
     result = machine.stats()
-    assert len(applied) == result.replies_received == result.requests_issued
-    assert sum(len(pes) for pes, _, _ in batches) == len(applied)
+    replies = sum(map(len, applied))
+    assert replies == result.replies_received == result.requests_issued
+    assert [len(pes) for pes, _, _ in batches] == list(map(len, applied))
+    assert single == []
     # pinned: 342 replies in 41 exit batches
-    assert (len(batches), len(applied)) == (41, 342)
+    assert (len(batches), replies) == (41, 342)
 
 
 def test_run_ends_without_writing_the_object_view_back(monkeypatch):

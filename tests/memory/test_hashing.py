@@ -29,6 +29,24 @@ class TestBijection:
             seen.add((module, offset))
             assert translation.untranslate(module, offset) == address
 
+    @pytest.mark.parametrize("scheme", ["interleaved", "blocked", "hashed"])
+    def test_translate_many_is_translate_everywhere(self, scheme):
+        translation = make_translation(scheme, 8, 32)
+        addresses = list(range(translation.capacity))
+        cells = translation.translate_many(addresses)
+        assert cells == [translation.translate(a) for a in addresses]
+        assert len(set(cells)) == translation.capacity
+        assert translation.translate_many([]) == []
+
+    @pytest.mark.parametrize("scheme", ["interleaved", "blocked", "hashed"])
+    @settings(max_examples=50, deadline=None)
+    @given(addresses=st.lists(st.integers(0, 8 * 1024 - 1), max_size=40))
+    def test_translate_many_property(self, scheme, addresses):
+        translation = make_translation(scheme, 8, 1024)
+        cells = translation.translate_many(addresses)
+        assert cells == [translation.translate(a) for a in addresses]
+        assert [translation.untranslate(*cell) for cell in cells] == addresses
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 8 * 1024 - 1))
     def test_hashed_round_trip_property(self, address):
@@ -79,6 +97,15 @@ class TestValidation:
             translation.translate(16)
         with pytest.raises(ValueError):
             translation.translate(-1)
+
+    @pytest.mark.parametrize("scheme", ["interleaved", "blocked", "hashed"])
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_translate_many_rejects_out_of_range(self, scheme, bad):
+        """One address outside the capacity rejects the batch with the
+        error :meth:`translate` raises for it."""
+        translation = make_translation(scheme, 4, 4)
+        with pytest.raises(ValueError, match=f"virtual address {bad} outside"):
+            translation.translate_many([0, 5, bad, 15])
 
     def test_hashed_requires_power_of_two(self):
         with pytest.raises(ValueError, match="power-of-two"):

@@ -14,22 +14,24 @@ whole stage of them per vectorized step:
   key of its ``(mm, offset)`` cell, its amalgam digits and its latest
   forward enqueue cycle, from which every accepted forward offer (append
   or combine, vectorized or not) adds the sending stage's delay to the
-  network's stage-delay counters.  A ``Message``
-  object is built only for the per-message combining path, the object
-  view's write-back or a reply value not exact in int64; a reply
-  reaches its PNI as a tag and a value.
+  network's stage-delay counters.  A request's op is its kind and
+  operand columns when the kind is vectorized, else the op a
+  per-message combine rewrote it to, else its PNI row's op at its
+  offset (:meth:`_MessagePlane._op`); a reply's value is its
+  ``val``/``vst`` columns, or a plain per-id store when it is not exact
+  in int64.  A ``Message`` or ``WaitRecord`` is built only when the
+  object view is written back (:meth:`_MessagePlane._messages` is the
+  one builder); a reply reaches its PNI as a tag and a value.
 * **Rows at the PE boundary.**  A PNI records each request as a row of
   plain values (``interfaces.Request``: tag, PE, module, offset, the op
   as issued, issue cycle), and the plane admits a batch of those rows
   by columns, keeping each id's row beside its arrays: the route digits
   come from the topology's interned tuples (or, on a fabric whose
   routes depend on the destination alone, from a per-geometry table),
-  and no Message or physical op is made.  :meth:`_MessagePlane._request`
-  builds an id's Message from its row and columns when one is needed.
-  On the way out an exit batch is one application of the delivery rule
-  (``interfaces.deliver_replies``), which completes the PNIs' rows and
-  builds no record, and the exits release their ids without a Python
-  statement per id.
+  and no Message or physical op is made.  On the way out an exit batch
+  is one application of the delivery rule (``interfaces.deliver_replies``),
+  which completes the PNIs' rows and builds no record, and the exits
+  release their ids without a Python statement per id.
 * **Wiring from the topology.**  Each lane's per-queue tables (target
   kind, next switch and port, endpoint line) come from the targets
   :class:`~repro.network.multistage.MultistageNetwork` resolved at
@@ -70,20 +72,20 @@ whole stage of them per vectorized step:
   position among this step's offers to a queue), so a head meets every
   earlier-rank head as a queue resident.  A head whose first uncombined
   same-cell resident is a homogeneous F&A/Load/Store partner combines
-  by array operations: the operand is scatter-added, the record
-  appended, and the partner's ``op`` is written back lazily.  On the
-  way back a reply whose tag has such a record at its target stage
-  decombines in one vectorized commit — Y for R-old, Y+e (or Y, or an
-  acknowledgement) for R-new, all or nothing against the target
-  switch's ToPE capacity — and R-new's reply ``Message`` is built only
-  when it exits to its PNI.  This covers the paper's pairwise switch
+  by array operations: the operand is scatter-added and the record
+  appended.  On the way back a reply whose tag has such a record at its
+  target stage decombines in one vectorized commit — Y for R-old, Y+e
+  (or Y, or an acknowledgement) for R-new, all or nothing against the
+  target switch's ToPE capacity — and R-new's id leaves as its reply.
+  This covers the paper's pairwise switch
   (``pairwise_only``) with operands and values that stay exact in
   int64 (:data:`_EXACT`).  Mixed kinds, other phis, the
   unlimited-combining ablation and stage steps with few senders take
-  the per-message path: the same
-  ``try_combine`` plans, ``ReplyRule.materialize`` and
-  ``Message.make_reply`` the switches use, against the same record
-  store.  ``decombine_fits`` is the combine-refusal rule on both paths.
+  the per-message path: the same ``try_combine`` plans and
+  ``ReplyRule.materialize`` the switches use, on the ids' ops and
+  values, against the same record store.  ``decombine_fits``, given
+  each record's arrival port and plan, is the combine-refusal rule on
+  both paths.
 * **The memory side on arrays.**  The MNIs are :class:`_MemorySide`:
   per memory module an inbound ring (with ready cycles and packets,
   checked against ``mni_inbound_capacity_packets``), the request in
@@ -113,9 +115,9 @@ whole stage of them per vectorized step:
   instrumented probes here use those handles.  The planes and the
   memory side start empty at the first step, from the config, the
   topology, the resolved wiring and the instruments.
-  :meth:`BatchKernel.sync` writes the arrays back — queue contents,
-  combined requests' ``op``/``combine_depth``, port state, wait
-  buffers, switch counters and MNIs, for what was touched since the
+  :meth:`BatchKernel.sync` writes the arrays back — queue contents
+  (Messages built afresh from the ids' rows and columns), port state,
+  wait buffers, switch counters and MNIs, for what was touched since the
   previous write only (the first write carries every change since
   cycle 0 onto the fresh objects) — when a cycle has run since then
   and a public reader looks.  ``step()`` itself writes nothing back;
@@ -168,7 +170,8 @@ from ..network.switch import decombine_fits
 from ..network.systolic_queue import _Slot
 from ..network.wait_buffer import WaitRecord
 from .combining import Combined, try_combine
-from .memory_ops import PACKETS_WITH_DATA, PACKETS_WITHOUT_DATA, FetchAdd, Load, Store
+from .memory_ops import (PACKETS_WITH_DATA, PACKETS_WITHOUT_DATA, FetchAdd, Load,
+                         Op, Store)
 from .scheduler import DenseKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -204,14 +207,11 @@ _OFFSET = (1 << 32) - 1
 _POOL = (
     ("pk", np.int64, 0), ("key", np.int64, 0), ("comb", bool, 0),
     ("tag", np.int64, 0), ("depth", np.int64, 0),
-    # vectorized combining: kind and operand of a request; ``stale``
-    # marks a combined request whose op is not yet written back to its
-    # Message
-    ("vk", np.int8, 0), ("opnd", np.int64, 0), ("stale", bool, 0),
+    # a request's kind and operand (its op when the kind is vectorized)
+    ("vk", np.int8, 0), ("opnd", np.int64, 0),
     # replies: the value when it is exact in int64 (``vst`` 1), None
-    # (``vst`` 0) or only in the Message (``vst`` 2); ``lazy`` marks a
-    # decombined reply whose Message is not built yet
-    ("val", np.int64, 0), ("vst", np.int8, 0), ("lazy", bool, 0),
+    # (``vst`` 0) or in the plane's ``wide`` store (``vst`` 2)
+    ("val", np.int64, 0), ("vst", np.int8, 0),
     # wait records (the id is R-new's): flat wait-buffer index (-1: no
     # record), the next older record with the same key and location,
     # insertion order, creation cycle, datum (R-old's operand), key tag
@@ -328,9 +328,9 @@ def _plane_wiring(network: "MultistageNetwork") -> tuple:
     resolved wiring is: each lane's :class:`_Wiring` by direction and
     stage (stages wired alike share one), each PE's stage-0 switch and
     port as a list of pairs and as two read-only arrays, and, on a
-    fabric whose routes depend on the destination alone
-    (``routes_by_destination``), each destination's route digits as a
-    read-only row (else None)."""
+    fabric whose routes depend on the destination alone (it has a
+    ``route_table``), each destination's route digits as a read-only
+    row (else None)."""
     topo = network.topology
     key = wiring_key(topo)
     tables = _PLANE_WIRING.get(key)
@@ -347,10 +347,9 @@ def _plane_wiring(network: "MultistageNetwork") -> tuple:
         returns = [wires[id(targets)] for targets in network.return_targets]
         assert not any(_END in w.kinds and _HOP in w.kinds for w in returns), (
             "a return lane both exits and hops (the trace order: _move)")
-        routes = None
-        if getattr(topo, "routes_by_destination", False):
-            routes = np.array([topo.route_tuple(mm) for mm in range(topo.n_ports)],
-                              dtype=np.int32)
+        routes = getattr(topo, "route_table", None)
+        if routes is not None:
+            routes = np.array(routes(), dtype=np.int32)
             routes.setflags(write=False)
         tables = _PLANE_WIRING[key] = (
             [wires[id(targets)] for targets in network.forward_targets],
@@ -574,16 +573,20 @@ class _MessagePlane:
             plan = try_combine(op, op)
             for same in (0, 1):
                 self.fits[kind, same] = decombine_fits(
-                    self.cap, 0, 0, (), 1 - same, plan)
+                    self.cap, 0, (), 1 - same, plan)
 
     # ------------------------------------------------------------------
     # message ids
     # ------------------------------------------------------------------
     def _new_pool(self, size: int) -> None:
         #: per id, the request's row (``interfaces.Request``) as its PNI
-        #: issued it, and its Message once one is built (None until then)
+        #: issued it
         self.rows: list[Optional["Request"]] = [None] * size
-        self.obj: list[Optional["Message"]] = [None] * size
+        #: by id, the op a per-message combine rewrote a request of no
+        #: vectorized kind to (see :meth:`_op`)
+        self.ops: dict[int, "Op"] = {}
+        #: by id, a reply value not exact in int64 (``vst`` 2)
+        self.wide: dict[int, int] = {}
         self.w_plan: list[Optional[Combined]] = [None] * size
         for name, dtype, fill in _POOL:
             setattr(self, name, np.full(size, fill, dtype=dtype))
@@ -594,9 +597,8 @@ class _MessagePlane:
         self._free = list(range(size - 1, -1, -1))
 
     def _grow_pool(self) -> None:
-        size = len(self.obj)
+        size = len(self.rows)
         self.rows.extend([None] * size)
-        self.obj.extend([None] * size)
         self.w_plan.extend([None] * size)
         for name, dtype, fill in _POOL + (("dig", np.int32, 0),
                                           ("link", np.int32, -1)):
@@ -607,9 +609,9 @@ class _MessagePlane:
         self._free.extend(range(2 * size - 1, size - 1, -1))
 
     def _admit(self, row: "Request") -> int:
-        """Give the request ``row`` an id (its entry into the plane),
-        building no Message.  A free id has no links and is neither
-        stale nor lazy (see :meth:`_exit_replies`)."""
+        """Give the request ``row`` an id (its entry into the plane).  A
+        free id has no links, rewritten op or wide value (see
+        :meth:`_exit_replies`)."""
         if not self._free:
             self._grow_pool()
         i = self._free.pop()
@@ -652,10 +654,37 @@ class _MessagePlane:
         return ids
 
     def _release(self, i: int) -> None:
-        self.rows[i] = self.obj[i] = None
+        self.rows[i] = None
+        if self.ops:
+            self.ops.pop(i, None)
         self._free.append(i)
 
-    def _note_value(self, i: int, value: Optional[int]) -> None:
+    def _op(self, i: int) -> "Op":
+        """The op request ``i`` carries now: from its kind and operand
+        (which a vectorized combine rewrites) when the kind is
+        vectorized, else the op a per-message combine rewrote it to, else
+        the op its PE issued, at its offset.  A reply's is its request's
+        op at its memory access."""
+        kind = self.vk.item(i)
+        if kind:
+            return _op_of(kind, self.rows[i].offset, self.opnd.item(i))
+        op = self.ops.get(i)
+        if op is None:
+            _, _, _, offset, op, _ = self.rows[i]
+            op = physical_op(op, offset)
+        return op
+
+    def _value(self, i: int) -> Optional[int]:
+        """The value reply ``i`` carries."""
+        status = self.vst.item(i)
+        return (self.val.item(i) if status == 1 else None if status == 0
+                else self.wide[i])
+
+    def _set_value(self, i: int, value: Optional[int]) -> None:
+        """Make ``value`` the value reply ``i`` carries (its memory
+        access or a decombine), with its packet count."""
+        if self.wide:
+            self.wide.pop(i, None)
         if value is None:
             self.vst[i] = 0
         elif type(value) is int and -_EXACT < value < _EXACT:
@@ -663,70 +692,19 @@ class _MessagePlane:
             self.val[i] = value
         else:
             self.vst[i] = 2
-
-    def _request(self, i: int) -> "Message":
-        """The request Message of id ``i``, its op, digits and enqueue
-        cycle written back; built from its row and columns now if it has
-        none.  A request of a vectorized kind takes its op from its
-        kind and operand, which a combine may have rewritten; any other
-        has the op its PE issued, at its offset (until a per-message
-        combine builds its Message and rewrites that).  A built Message
-        that a vectorized combine left ``stale`` gets the combined op
-        and depth written back."""
-        message = self.obj[i]
-        if message is None:
-            tag, pe, mm, offset, op, cycle = self.rows[i]
-            kind = self.vk.item(i)
-            message = self.obj[i] = Message(
-                op=_op_of(kind, offset, self.opnd.item(i)) if kind
-                else physical_op(op, offset),
-                mm=mm, offset=offset, origin=pe, tag=tag, digits=(),
-                combine_depth=self.depth.item(i), issued_cycle=cycle)
-        elif self.stale.item(i):
-            message.replace_op(_op_of(self.vk.item(i), message.op.address,
-                                      self.opnd.item(i)))
-            message.combine_depth = self.depth.item(i)
-        self.stale[i] = False
-        message.digits = self.dig[i].tolist()
-        message.enqueued_cycle = self.enq.item(i)
-        return message
-
-    def _value(self, i: int) -> Optional[int]:
-        """The value reply ``i`` carries."""
-        status = self.vst.item(i)
-        return (self.val.item(i) if status == 1 else None if status == 0
-                else self.obj[i].value)
-
-    def _set_value(self, i: int, value: Optional[int]) -> None:
-        """Rewrite the value reply ``i`` carries (decombining), building
-        its Message only if the value is not exact in int64."""
-        if self.lazy.item(i):
-            self._note_value(i, value)
-            self.pk[i] = packets_for(value is not None)
-            if self.vst.item(i) != 2:
-                return
-            self._build_replies(np.array([i]))
-        message = self.obj[i]
-        message.set_value(value)
-        self.pk[i] = message.packets
-        self._note_value(i, value)
+            self.wide[i] = value
+        self.pk[i] = packets_for(value is not None)
 
     def _turn_one(self, i: int, value: Optional[int]) -> None:
         """:meth:`_turn` for one request (also a partner's reply that a
         per-message decombine makes of R-new's id)."""
-        self._note_value(i, value)
-        self.pk[i] = PACKETS_WITHOUT_DATA if value is None else PACKETS_WITH_DATA
+        self._set_value(i, value)
         self.comb[i] = False
-        if self.vst.item(i) == 2:
-            self.obj[i] = self._request(i).make_reply(value)
-        else:
-            self.lazy[i] = True
 
     def _turn(self, ids: Any, values: list[Optional[int]]) -> None:
         """Turn the requests ``ids``, served at their memory modules,
         into their replies carrying ``values``, keeping each id (and so
-        its wait-record links).  A reply whose value is exact in int64
-        or None stays lazy; any other is built now by ``make_reply``."""
+        its wait-record links)."""
         status = [0 if v is None else 1 if type(v) is int and -_EXACT < v < _EXACT
                   else 2 for v in values]
         vst = np.array(status, dtype=np.int8)
@@ -734,45 +712,31 @@ class _MessagePlane:
         self.val[ids] = [v if st == 1 else 0 for v, st in zip(values, status)]
         self.pk[ids] = np.where(vst == 0, PACKETS_WITHOUT_DATA, PACKETS_WITH_DATA)
         self.comb[ids] = False  # a return queue's slots are never combined
-        eager = vst == 2
-        self.lazy[ids] = ~eager
-        if eager.any():
-            for i, value in zip(ids[eager].tolist(),
-                                (v for v, st in zip(values, status) if st == 2)):
-                self.obj[i] = self._request(i).make_reply(value)
+        wide = vst == 2
+        if wide.any():
+            self.wide.update(zip(ids[wide].tolist(),
+                                 (v for v, st in zip(values, status) if st == 2)))
 
-    def _build_replies(self, ids: Any) -> None:
-        """Build the reply Messages of the lazy ids ``ids``: what
-        ``make_reply`` makes of the request (its Message if one was
-        built, frozen at its combine, else its row and columns) with the
-        decombined value."""
-        obj, rows = self.obj, self.rows
-        values = np.where(self.vst[ids] == 1, self.val[ids], 0).tolist()
-        for i, value, exact, stale, kind, operand, depth, digits in zip(
-            ids.tolist(), values, (self.vst[ids] == 1).tolist(),
-            self.stale[ids].tolist(), self.vk[ids].tolist(),
-            self.opnd[ids].tolist(), self.depth[ids].tolist(),
-            self.dig[ids].tolist(),
+    def _messages(self, ids: Any, reply: bool) -> list["Message"]:
+        """The object view's Messages of ``ids``, built from each id's
+        row and columns: its request as it stands (op, digits, latest
+        enqueue cycle) or, with ``reply``, the reply its memory access
+        made of it (what ``Message.make_reply`` makes, with its value)."""
+        rows, op, value = self.rows, self._op, self._value
+        messages = []
+        for i, digits, depth, enqueued in zip(
+            ids.tolist(), self.dig[ids].tolist(), self.depth[ids].tolist(),
+            self.enq[ids].tolist(),
         ):
-            request = obj[i]
-            if request is None:
-                tag, pe, mm, offset, op, cycle = rows[i]
-                op = (_op_of(kind, offset, operand) if kind
-                      else physical_op(op, offset))
-            else:
-                tag, pe, mm, offset, op, cycle = (
-                    request.tag, request.origin, request.mm, request.offset,
-                    request.op, request.issued_cycle)
-                if stale:
-                    op = _op_of(kind, op.address, operand)
-            obj[i] = Message(
-                op=op, mm=mm, offset=offset, origin=pe, tag=tag,
-                digits=digits, is_reply=True,
-                value=value if exact else None, combine_depth=depth,
-                issued_cycle=cycle,
-            )
-        self.lazy[ids] = False
-        self.stale[ids] = False
+            tag, pe, mm, offset, _, cycle = rows[i]
+            message = Message(op=op(i), mm=mm, offset=offset, origin=pe, tag=tag,
+                              digits=digits, is_reply=reply,
+                              value=value(i) if reply else None,
+                              combine_depth=depth, issued_cycle=cycle)
+            if not reply:
+                message.enqueued_cycle = enqueued
+            messages.append(message)
+        return messages
 
     # ------------------------------------------------------------------
     # the wait-record store
@@ -795,13 +759,6 @@ class _MessagePlane:
         offset = self.rows[r].offset
         return try_combine(_op_of(kind, offset, self.w_dat.item(r)),
                            _op_of(kind, offset, self.opnd.item(r)))
-
-    def _wait_record(self, r: int) -> WaitRecord:
-        """The object view of record ``r``."""
-        return WaitRecord(key_tag=self.w_tag.item(r), plan=self._plan(r),
-                          new_message=self._request(r),
-                          stage=self.w_at.item(r) // self.Q,
-                          created_cycle=self.w_made.item(r))
 
     def _insert_record(self, i: int, j: int, stage: int, wb: int, cycle: int,
                        plan: Combined) -> None:
@@ -847,7 +804,6 @@ class _MessagePlane:
         build would hold them."""
         self._bind()
         pairwise = self.pairwise
-        obj = self.obj
         for lane in self.fwd + self.ret:
             # only a combining queue keeps a key index (a ToPE queue or
             # a ToMM queue of a non-combining network is never searched)
@@ -857,17 +813,11 @@ class _MessagePlane:
                                      | (sends != 0))
             if touched.size:
                 ids, lengths = lane.contents(touched)
-                ids_l = ids.tolist()
+                messages = self._messages(ids, not lane.forward)
                 # a return queue's slots are never combined (a decombined
                 # R-new may still carry the mark of its forward trip)
                 combined_l = (self.comb[ids].tolist() if lane.forward
-                              else [False] * len(ids_l))
-                if lane.forward:
-                    _consume(map(self._request, ids_l))
-                else:
-                    lazy = ids[self.lazy[ids]]
-                    if lazy.size:
-                        self._build_replies(lazy)
+                              else [False] * ids.size)
                 queues, ports = lane.queues, lane.ports
                 start = 0
                 for f, n, used, peak, ins, combs, busy, sent in zip(
@@ -882,9 +832,8 @@ class _MessagePlane:
                         if indexed:
                             slots = deque()
                             index: dict[tuple[int, int], list[_Slot]] = {}
-                            for i, combined in zip(ids_l[start:end],
+                            for m, combined in zip(messages[start:end],
                                                    combined_l[start:end]):
-                                m = obj[i]
                                 slot = _Slot(m, combined)
                                 slots.append(slot)
                                 if not (pairwise and combined):
@@ -895,9 +844,8 @@ class _MessagePlane:
                                         index[key] = [slot]
                             queue._by_key = index
                         else:
-                            slots = deque([_Slot(obj[i], combined) for i, combined
-                                           in zip(ids_l[start:end],
-                                                  combined_l[start:end])])
+                            slots = deque(map(_Slot, messages[start:end],
+                                              combined_l[start:end]))
                         queue._slots = slots
                         start = end
                     elif queue._slots:
@@ -939,13 +887,19 @@ class _MessagePlane:
         records = np.flatnonzero(np.isin(self.w_at, touched))
         records = records[np.argsort(self.w_seq[records], kind="stable")]
         held: dict[int, dict[int, list[WaitRecord]]] = {}
-        for r, at in zip(records.tolist(), self.w_at[records].tolist()):
-            record = self._wait_record(r)
+        for r, at, tag, made, message in zip(
+            records.tolist(), self.w_at[records].tolist(),
+            self.w_tag[records].tolist(), self.w_made[records].tolist(),
+            self._messages(records, False),
+        ):
+            record = WaitRecord(key_tag=tag, plan=self._plan(r),
+                                new_message=message, stage=at // self.Q,
+                                created_cycle=made)
             keyed = held.setdefault(at, {})
-            if record.key_tag in keyed:
-                keyed[record.key_tag].append(record)
+            if tag in keyed:
+                keyed[tag].append(record)
             else:
-                keyed[record.key_tag] = [record]
+                keyed[tag] = [record]
         for at, occupancy, peak, ins in zip(
             touched.tolist(), self.wb_occ[touched].tolist(),
             self.wb_peak[touched].tolist(), self.wb_ins[touched].tolist(),
@@ -1058,7 +1012,7 @@ class _MessagePlane:
         q = sw_i * self.k + out
         stage = lane.stage
         wb = stage * self.Q + q
-        obj, rows = self.obj, self.rows
+        rows = self.rows
         partner = None
         held = lane.len.item(q)
         if self.combining and held and (
@@ -1072,13 +1026,11 @@ class _MessagePlane:
                     continue
                 if rows[j][2:4] != cell:
                     continue
-                # a same-cell pair: only now are Messages needed
-                queued, message = self._request(j), self._request(i)
-                plan = try_combine(queued.op, message.op)
+                plan = try_combine(self._op(j), self._op(i))
                 if plan is not None:
-                    if decombine_fits(self.cap, stage, self.dig.item(j, stage),
-                                      [self._wait_record(r) for r in
-                                       reversed(self._chain(j, stage))],
+                    if decombine_fits(self.cap, self.dig.item(j, stage),
+                                      [(self.dig.item(r, stage), self._plan(r))
+                                       for r in reversed(self._chain(j, stage))],
                                       in_port, plan):
                         partner = (j, plan)
                     break
@@ -1099,17 +1051,13 @@ class _MessagePlane:
                                  (self.tag.item(i),), (self.org.item(i),), stage)
         else:
             j, plan = partner
-            queued = obj[j]
-            before = queued.packets
-            queued.replace_op(plan.forward)
-            depth = max(self.depth.item(j), self.depth.item(i)) + 1
-            queued.combine_depth = depth
-            self.depth[j] = depth
-            _, self.vk[j], self.opnd[j] = _request_fields(
-                queued.mm, queued.offset, queued.op)
+            op = self.ops[j] = plan.forward
+            self.depth[j] = max(self.depth.item(j), self.depth.item(i)) + 1
+            _, self.vk[j], self.opnd[j] = _request_fields(*cell, op)
             self.comb[j] = True
-            self.pk[j] = queued.packets
-            used = lane.used.item(q) + queued.packets - before
+            before = self.pk.item(j)
+            self.pk[j] = op.request_packets
+            used = lane.used.item(q) + op.request_packets - before
             lane.used[q] = used
             if used > lane.peak.item(q):
                 lane.peak[q] = used
@@ -1121,7 +1069,7 @@ class _MessagePlane:
             if self._trace is not None:
                 self._trace.hold((self.okey.item(i),), "combine", cycle,
                                  (self.tag.item(i),), (self.org.item(i),), stage,
-                                 (queued.tag,))
+                                 (self.tag.item(j),))
         lane.routed[sw_i] = lane.routed.item(sw_i) + 1
         return True
 
@@ -1364,10 +1312,10 @@ class _MessagePlane:
 
     def _exit_replies(self, lane: _Lane, src: Any, cycle: int) -> None:
         """Deliver the sending heads of ``src`` to their PNIs, which
-        always take them, by tag and value: a lazy reply needs no
-        Message at all.  A reply leaves with no links left, and its
-        freed id is made neither lazy nor stale (see :meth:`_admit`)."""
-        obj = self.obj
+        always take them, by tag and value.  A reply leaves with no links
+        left, and its freed id keeps no rewritten op or wide value (see
+        :meth:`_admit`)."""
+        wide = self.wide
         if src.size < self.vector_min:
             ring, head, line = lane.ring, lane.head, lane.wire.to_l
             pes, tags, values = [], [], []
@@ -1377,9 +1325,8 @@ class _MessagePlane:
                 pes.append(line[f])
                 tags.append(self.tag.item(i))
                 values.append(self.val.item(i) if status == 1 else None
-                              if status == 0 else obj[i].value)
+                              if status == 0 else wide.pop(i))
                 self._pop(lane, f, self.pk.item(i), cycle)
-                self.lazy[i] = self.stale[i] = False
                 self._release(i)
             self.kernel._deliver(pes, tags, values)
             return
@@ -1388,12 +1335,12 @@ class _MessagePlane:
         status = self.vst[ids]
         self.kernel._deliver(
             lane.wire.to[src].tolist(), self.tag[ids].tolist(),
-            [v if st == 1 else None if st == 0 else obj[i].value for v, st, i in
+            [v if st == 1 else None if st == 0 else wide.pop(i) for v, st, i in
              zip(np.where(status == 1, self.val[ids], 0).tolist(),
                  status.tolist(), ids_l)])
-        self.lazy[ids] = self.stale[ids] = False
-        _consume(map(obj.__setitem__, ids_l, itertools.repeat(None)))
         _consume(map(self.rows.__setitem__, ids_l, itertools.repeat(None)))
+        if self.ops:
+            _consume(map(self.ops.pop, ids_l, itertools.repeat(None)))
         self._free.extend(ids_l)
         self._pop_many(lane, src, self.pk[ids], np.arange(src.size), cycle)
 
@@ -1626,7 +1573,6 @@ class _MessagePlane:
             self.opnd[j] = total[go]
             self.depth[j] = np.maximum(self.depth[j], self.depth[h]) + 1
             self.comb[j] = True
-            self.stale[j] = True
             self.w_at[h] = wb
             self.w_prev[h] = self.link[j, stage]
             self.link[j, stage] = h
@@ -1748,7 +1694,6 @@ class _MessagePlane:
         self.val[r] = value
         self.vst[r] = kind != _STORE
         self.pk[r] = p_new
-        self.lazy[r] = True
         self.w_at[r] = -1
         self.link[h, stage] = -1
         target.push_many(q_new, r, p_new)
@@ -1892,24 +1837,15 @@ class _MemorySide:
         self.clock = m.cycle
 
     def _objects(self, refs: Any, replies: bool) -> list["Message"]:
-        """The Messages of ``refs``: requests with their op and digits
-        written back, or replies (the lazy ones built now)."""
+        """The object view's Messages of ``refs``, requests or replies
+        (:meth:`_MessagePlane._messages`)."""
         copies = self.copies
         found: list[Any] = [None] * refs.size
         for copy, plane in enumerate(self.planes):
             sel = np.flatnonzero(refs % copies == copy)
-            if not sel.size:
-                continue
-            ids = refs[sel] // copies
-            if replies:
-                lazy = ids[plane.lazy[ids]]
-                if lazy.size:
-                    plane._build_replies(lazy)
-                get = plane.obj.__getitem__
-            else:
-                get = plane._request
-            for x, i in zip(sel.tolist(), ids.tolist()):
-                found[x] = get(i)
+            if sel.size:
+                _consume(map(found.__setitem__, sel.tolist(),
+                             plane._messages(refs[sel] // copies, replies)))
         return found
 
     def flush(self) -> None:
@@ -2046,7 +1982,7 @@ class _MemorySide:
         exact in int64, its offset the low bits of its key) is applied
         to its module's storage straight from the plane's columns, as
         ``MemoryModule.apply`` would; any other goes through
-        ``MemoryModule.apply`` with its Message's op."""
+        ``MemoryModule.apply`` with its id's op (:meth:`_MessagePlane._op`)."""
         modules, planes, copies = self.modules, self.planes, self.copies
         trace = self._trace
         names = ("vk", "key", "opnd") if trace is None else (
@@ -2071,7 +2007,7 @@ class _MemorySide:
                     module._access_counter.inc()
             else:
                 ref = refs.item(x)
-                op = planes[ref % copies]._request(ref // copies).op
+                op = planes[ref % copies]._op(ref // copies)
                 effect = module.apply(op)
                 values.append(effect.result if op.expects_value else None)
             module.accesses += 1
@@ -2169,7 +2105,7 @@ class _MemorySide:
                 if plane.inject_reply(i, cycle):
                     out.pop_one(mm)
                     # a reply decombined at its entry leaves with its
-                    # rewritten packet count, as the MNI's Message does
+                    # rewritten packet count, as the MNI's reply does
                     link[mm] = cycle + plane.pk.item(i)
                     self.dirty[mm] = True
                     if not out.len.item(mm):

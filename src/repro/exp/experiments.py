@@ -102,25 +102,15 @@ def fig7_simulated(params: dict) -> dict[str, Any]:
     given p sits in the regime the closed form predicts.
     """
     from ..analysis.configurations import NetworkDesign
-    from ..core.machine import MachineConfig, Ultracomputer
-    from ..workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
+    from ..workloads.synthetic import run_uniform_traffic
 
     pes = params["pes"]
     rate = params["rate"]
     cycles = params.get("cycles", 200)
     kernel = params.get("kernel", "dense")
-    config = MachineConfig(n_pes=pes, kernel=kernel)
-    machine = Ultracomputer(config)
-    driver = SyntheticTrafficDriver(
-        machine,
-        TrafficSpec(rate=rate, pattern="uniform", seed=params["seed"]),
-    )
-    machine.attach_driver(driver)
-    machine.run_cycles(cycles)
-    # Stop offering and drain in-flight requests so latencies are
-    # complete.
-    driver.drain(cycles * 4)
-    traffic = driver.stats()
+    traffic, machine = run_uniform_traffic(pes, rate, cycles,
+                                           seed=params["seed"], kernel=kernel)
+    config = machine.config
     design = NetworkDesign(k=config.k, d=config.copies)
     return {
         "pes": pes,
@@ -174,9 +164,8 @@ def fig7_cross_topology(params: dict) -> dict[str, Any]:
     """
     from ..analysis.packaging import topology_chip_budget
     from ..analysis.queueing import CapacityExceededError, predict_uniform_run
-    from ..core.machine import MachineConfig, Ultracomputer
     from ..network.topology import make_topology
-    from ..workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
+    from ..workloads.synthetic import run_uniform_traffic
 
     pes = params["pes"]
     rate = params["rate"]
@@ -186,22 +175,10 @@ def fig7_cross_topology(params: dict) -> dict[str, Any]:
     k = params.get("k", 2)
 
     topo = make_topology(topology, pes, k)
-    machine = Ultracomputer(MachineConfig(
-        n_pes=pes,
-        k=k,
-        kernel=kernel,
-        topology=topology,
-    ))
-    driver = SyntheticTrafficDriver(
-        machine,
-        TrafficSpec(rate=rate, pattern="uniform", seed=params["seed"]),
-    )
-    machine.attach_driver(driver)
-    machine.run_cycles(cycles)
-    driver.drain(cycles * 4)
-
+    traffic, machine = run_uniform_traffic(pes, rate, cycles,
+                                           seed=params["seed"], k=k,
+                                           kernel=kernel, topology=topology)
     result = machine.stats()
-    traffic = driver.stats()
     networks = machine.networks
     delay_sum = sum(sum(network.stage_delay_sum) for network in networks)
     delay_count = sum(sum(network.stage_delay_count) for network in networks)

@@ -280,13 +280,10 @@ class Histogram:
 
     def data(self) -> "HistogramData":
         """Frozen copy of the current state (what snapshots carry)."""
-        return HistogramData(
-            bounds=self.bounds,
-            bucket_counts=tuple(self.bucket_counts),
-            count=self.count,
-            total=self.total,
-            max_value=self.max_value,
-        )
+        self._fold()
+        return _frozen(HistogramData, bounds=self.bounds,
+                       bucket_counts=tuple(self._counts), count=self._count,
+                       total=self._total, max_value=self._max)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -346,37 +343,29 @@ class MetricsRegistry:
     def snapshot(self) -> "MetricsSnapshot":
         samples = []
         for instrument in self._instruments.values():
-            if isinstance(instrument, Counter):
-                samples.append(
-                    MetricSample("counter", instrument.name, instrument.labels,
-                                 instrument.value)
-                )
-            elif isinstance(instrument, Gauge):
-                samples.append(
-                    MetricSample("gauge", instrument.name, instrument.labels,
-                                 instrument.value)
-                )
+            if isinstance(instrument, Histogram):
+                kind, value = "histogram", instrument.data()
             else:
-                samples.append(
-                    MetricSample(
-                        "histogram",
-                        instrument.name,
-                        instrument.labels,
-                        HistogramData(
-                            bounds=instrument.bounds,
-                            bucket_counts=tuple(instrument.bucket_counts),
-                            count=instrument.count,
-                            total=instrument.total,
-                            max_value=instrument.max_value,
-                        ),
-                    )
-                )
+                kind = "counter" if isinstance(instrument, Counter) else "gauge"
+                value = instrument.value
+            samples.append(_frozen(MetricSample, kind=kind, name=instrument.name,
+                                   labels=instrument.labels, value=value))
         return MetricsSnapshot(tuple(samples))
 
 
 # ----------------------------------------------------------------------
 # snapshots (immutable views carried by RunResult)
 # ----------------------------------------------------------------------
+
+
+def _frozen(cls: type, **fields: Any) -> Any:
+    """An instance of the frozen dataclass ``cls`` (which has no
+    ``__post_init__``) holding ``fields``, all of its fields: they are
+    set in one step, not by a frozen ``__setattr__`` per field as its
+    constructor does, which is most of a snapshot's cost."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 @dataclass(frozen=True)

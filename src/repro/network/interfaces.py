@@ -67,7 +67,7 @@ class Request(NamedTuple):
     :class:`Message` that carries it to memory, with the physical
     ``offset`` as its address, is built only when something needs one:
     the dense kernel's injection (:meth:`PNI.tick_outbound`), a reader
-    of :attr:`PNI.outbound`, or the batch kernel's per-message paths.
+    of :attr:`PNI.outbound`, or the batch kernel's object view.
     """
 
     tag: int

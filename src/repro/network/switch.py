@@ -56,15 +56,15 @@ Deliver = Callable[[int, int, Message], bool]
 
 def decombine_fits(
     capacity: Optional[int],
-    stage: int,
     old_port: int,
-    records: Sequence[WaitRecord],
+    records: Sequence[tuple[int, Combined]],
     new_port: int,
     plan: Combined,
 ) -> bool:
     """Whether combining R-new (arriving on ``new_port``) into R-old
-    (which arrived on ``old_port`` and holds ``records`` here, oldest
-    first) leaves a decombining fan-out that fits empty ToPE queues.
+    (which arrived on ``old_port`` and holds wait records here, given
+    oldest first as ``records``: each absorbed request's arrival port
+    and plan) leaves a decombining fan-out that fits empty ToPE queues.
 
     Every reply leaves by its request's arrival port in one cycle, so a
     port that needs more than ``capacity`` packets wedges for good.
@@ -73,8 +73,8 @@ def decombine_fits(
     """
     if capacity is None or capacity >= PACKETS_WITH_DATA * (len(records) + 2):
         return True
-    replies = [(old_port, (records[0].plan if records else plan).old_rule)]
-    replies += [(r.new_message.digits[stage], r.plan.new_rule) for r in records]
+    replies = [(old_port, (records[0][1] if records else plan).old_rule)]
+    replies += [(port, prior.new_rule) for port, prior in records]
     replies.append((new_port, plan.new_rule))
     needed: dict[int, int] = {}
     for port, rule in replies:
@@ -246,9 +246,12 @@ class Switch:
         partner = queue.find_partner(message, combining=allow_combine)
         if partner is not None:
             queued = partner[0].message
+            stage = self.stage
             if not decombine_fits(
-                queue.capacity_packets, self.stage, queued.digits[self.stage],
-                wait_buffer.peek_all(queued.tag), in_port, partner[1],
+                queue.capacity_packets, queued.digits[stage],
+                [(r.new_message.digits[stage], r.plan)
+                 for r in wait_buffer.peek_all(queued.tag)],
+                in_port, partner[1],
             ):
                 partner = None
         if partner is None and not queue.can_accept(message.packets):

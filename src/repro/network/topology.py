@@ -232,8 +232,6 @@ class OmegaTopology:
     """Wiring and routing of a k-ary Omega network with ``n`` ports."""
 
     name = "omega"
-    #: a route depends on the destination alone (see :meth:`route_tuple`)
-    routes_by_destination = True
 
     def __init__(self, n_ports: int, k: int = 2) -> None:
         if k < 2:
@@ -306,6 +304,13 @@ class OmegaTopology:
     def route_digits(self, destination: int, source: int = 0) -> list[int]:
         """Destination digits consumed stage by stage (PE side first)."""
         return list(self.route_tuple(destination))
+
+    def route_table(self) -> list[list[int]]:
+        """Every destination's route digits, by destination: a route
+        depends on the destination alone.  Nothing is interned, so a
+        table of every route costs no tuple per destination a run never
+        addresses."""
+        return [digits_of(mm, self.k, self.stages) for mm in range(self.n_ports)]
 
     def forward_path(self, source: int, destination: int) -> list[Hop]:
         """The unique source→destination path as a list of switch hops."""

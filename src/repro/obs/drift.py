@@ -157,23 +157,12 @@ def measure_drift(
     stage-delay counters, which count the hops the spans of a traced
     run report (``SpanSet.stage_delays``).
     """
-    from ..core.machine import MachineConfig, Ultracomputer
     from ..network.multistage import pooled_stage_delays
-    from ..workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
+    from ..workloads.synthetic import run_uniform_traffic
 
-    machine = Ultracomputer(MachineConfig(
-        n_pes=n_pes,
-        k=k,
-        mm_latency=mm_latency,
-        queue_capacity_packets=queue_capacity_packets,
-        topology=topology,
-    ))
-    driver = SyntheticTrafficDriver(machine, TrafficSpec(rate=rate, seed=seed))
-    machine.attach_driver(driver)
-    machine.run_cycles(cycles)
-    # Drain in-flight requests so every span completes.
-    driver.drain(cycles * 4)
-
+    _, machine = run_uniform_traffic(
+        n_pes, rate, cycles, seed=seed, k=k, mm_latency=mm_latency,
+        queue_capacity_packets=queue_capacity_packets, topology=topology)
     result = machine.stats()
     observed_rate = result.requests_issued / (n_pes * cycles)
     prediction = predict_uniform_run(

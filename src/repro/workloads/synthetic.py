@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Any, Optional
 
 from ..core.machine import Ultracomputer
 from ..core.memory_ops import FetchAdd, Load, Op
@@ -139,10 +139,11 @@ class SyntheticTrafficDriver:
         keep = self.latencies.append
         for pe in sorted(replied):
             replies = pnis[pe]._replies
-            # (tag, op, value, issued cycle, completed cycle)
-            for reply in replies:
+            # (tag, op, value, issued cycle, completed cycle), taken one
+            # by one: a deque's clear() leaves a spare block behind
+            while replies:
+                reply = replies.popleft()
                 keep(reply[4] - reply[3])
-            replies.clear()
         replied.clear()
 
     def done(self) -> bool:
@@ -182,31 +183,17 @@ class SyntheticTrafficDriver:
 
 
 def run_uniform_traffic(
-    n_pes: int,
-    rate: float,
-    cycles: int,
-    *,
-    k: int = 2,
-    queue_capacity_packets: Optional[int] = 15,
-    combining: bool = True,
-    translation: str = "interleaved",
-    seed: int = 0,
-    topology: str = "omega",
+    n_pes: int, rate: float, cycles: int, *, seed: int = 0, **config: Any,
 ) -> tuple[TrafficStats, Ultracomputer]:
-    """Convenience harness: build a machine, run uniform traffic, then
-    drain, returning (stats, machine) for further inspection."""
+    """The uniform-traffic harness: build a machine of ``n_pes`` PEs
+    (``config`` holds any other :class:`~repro.core.machine.MachineConfig`
+    fields, which keep its defaults otherwise), offer uniform
+    Bernoulli(``rate``) traffic for ``cycles`` cycles, then drain for up
+    to ``cycles * 4`` more; returns (stats, machine) for further
+    inspection."""
     from ..core.machine import MachineConfig
 
-    machine = Ultracomputer(
-        MachineConfig(
-            n_pes=n_pes,
-            k=k,
-            queue_capacity_packets=queue_capacity_packets,
-            combining=combining,
-            translation=translation,
-            topology=topology,
-        )
-    )
+    machine = Ultracomputer(MachineConfig(n_pes=n_pes, **config))
     driver = SyntheticTrafficDriver(machine, TrafficSpec(rate=rate, seed=seed))
     machine.attach_driver(driver)
     machine.run_cycles(cycles)

@@ -143,6 +143,13 @@ def _forced_vector(machine):
     return machine
 
 
+def _huge_increments(scale, pe):
+    """PE ``pe``'s increments in the lockstep rounds that take a counter
+    from 0 to huge and back (see :class:`TestExactness`)."""
+    return [scale + pe, 3, -(scale + pe), pe - 1, scale // 2 - pe,
+            -(scale // 2 - pe), scale // 128, scale // 128 + pe, 5]
+
+
 class TestExactness:
     @pytest.mark.parametrize("scale", [2**62, 2**70])
     def test_huge_operands_stay_exact(self, scale):
@@ -153,8 +160,7 @@ class TestExactness:
         values, and fetched values whose sum with a datum crosses it,
         next to rounds the vectorized path takes."""
         def increments(pe):
-            return [scale + pe, 3, -(scale + pe), pe - 1, scale // 2 - pe,
-                    -(scale // 2 - pe), scale // 128, scale // 128 + pe, 5]
+            return _huge_increments(scale, pe)
 
         outcomes = []
         for kernel in ("dense", "batch"):
@@ -201,6 +207,21 @@ class _Probe:
         return True
 
 
+def _spawn_mixed(machine):
+    machine.spawn_many(16, _program, 4, 11)
+
+
+def _spawn_huge(machine):
+    """:class:`TestExactness`'s lockstep rounds at 2**62 and then 2**70,
+    every batch step vectorized: replies carry values not exact in
+    int64."""
+    if machine.kernel.name == "batch":
+        _forced_vector(machine)
+    for pe in range(16):
+        machine.spawn(_barrier, _huge_increments(2**62, pe)
+                      + _huge_increments(2**70, pe), 5)
+
+
 class TestPublicReaders:
     @pytest.mark.parametrize("copies", [1, 2])
     @pytest.mark.parametrize("mni_capacity", [None, 3])
@@ -208,31 +229,38 @@ class TestPublicReaders:
         """After every ``step()`` each public reader sees what it sees
         under dense; the reader that looks first rotates, so each one
         is the one that writes the view back at some cut.  A driver
-        reading mid-cycle sees dense's view too."""
-        machines, probes = [], []
-        for kernel in ("dense", "batch"):
-            machine = Ultracomputer(MachineConfig(
-                n_pes=16, kernel=kernel, copies=copies,
-                mni_inbound_capacity_packets=mni_capacity))
-            machine.spawn_many(16, _program, 4, 11)
-            probes.append(_Probe(machine))
-            machine.attach_driver(probes[-1])
-            machines.append(machine)
-        names = list(_READERS)
-        cut = 0
-        while not machines[0].quiescent():
-            assert cut < 1000, "the workload did not finish"
-            views = []
-            for machine in machines:
-                machine.step()
-                views.append(_read_all(machine, names[cut % len(names)]))
-            for name in names:
-                assert views[0][name] == views[1][name], (
-                    f"{name} differs from dense after cycle {cut}")
-            assert probes[0].views[-1] == probes[1].views[-1], (
-                f"a mid-cycle read differs from dense in cycle {cut}")
-            cut += 1
-        assert machines[1].quiescent()
+        reading mid-cycle sees dense's view too.  The inputs are a mix
+        of kinds and cells, and lockstep F&A rounds whose replies carry
+        values not exact in int64 while the view is read."""
+        for spawn in (_spawn_mixed, _spawn_huge):
+            machines, probes = [], []
+            for kernel in ("dense", "batch"):
+                machine = Ultracomputer(MachineConfig(
+                    n_pes=16, kernel=kernel, copies=copies,
+                    mni_inbound_capacity_packets=mni_capacity))
+                spawn(machine)
+                probes.append(_Probe(machine))
+                machine.attach_driver(probes[-1])
+                machines.append(machine)
+            names = list(_READERS)
+            cut = wide = 0
+            while not machines[0].quiescent():
+                assert cut < 1000, "the workload did not finish"
+                views = []
+                for machine in machines:
+                    machine.step()
+                    views.append(_read_all(machine, names[cut % len(names)]))
+                for name in names:
+                    assert views[0][name] == views[1][name], (
+                        f"{spawn.__name__}: {name} differs from dense after "
+                        f"cycle {cut}")
+                assert probes[0].views[-1] == probes[1].views[-1], (
+                    f"{spawn.__name__}: a mid-cycle read differs from dense "
+                    f"in cycle {cut}")
+                wide += any(plane.wide for plane in machines[1].kernel._states)
+                cut += 1
+            assert machines[1].quiescent()
+            assert (wide > 0) == (spawn is _spawn_huge)
 
 
 class TestWaitBufferRoundTrip:

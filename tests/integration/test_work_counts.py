@@ -6,7 +6,8 @@ something reads it.  These gates count, inside a seed-1 uninstrumented
 batch run of each benchmark workload (run as ``perfbench`` runs it),
 the per-request objects and calls that the rows replaced:
 
-* ``Message`` objects (only the per-message combining path builds one);
+* ``Message`` and ``WaitRecord`` objects (only the object view's
+  write-back builds one, and nothing reads the view during these runs);
 * ``dataclasses.replace`` of an op to its physical address;
 * ``AddressTranslation.translate`` (a batch is translated by
   ``translate_many``);
@@ -16,7 +17,9 @@ the per-request objects and calls that the rows replaced:
   program driver pops each reply, the traffic driver reads round trips
   from the rows).
 
-A count may not rise unless the change that raises it says why.
+A count may not rise unless the change that raises it says why.  The
+switch objects are the object view too: a 4096-PE batch run, plain or
+instrumented, builds none until a public reader looks.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from repro.memory import hashing
 from repro.memory.module import MemoryModule
 from repro.network.interfaces import ReplyRecord
 from repro.network.message import Message
+from repro.network.switch import Switch
+from repro.network.wait_buffer import WaitRecord
 from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 
 PES = 4096
@@ -53,6 +58,7 @@ def counts(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting(Message, "__init__", "Message")
+    counting(WaitRecord, "__init__", "WaitRecord")
     counting(dataclasses, "replace", "replace")
     for cls in (hashing.InterleavedTranslation, hashing.BlockedTranslation,
                 hashing.HashedTranslation):
@@ -80,11 +86,9 @@ def test_fig7_boundary_work(counts):
         machine.step()
     result = machine.stats()
     assert result.replies_received == result.requests_issued == 40_911
-    for label in ("replace", "translate", "apply", "ReplyRecord"):
+    for label in ("Message", "WaitRecord", "replace", "translate", "apply",
+                  "ReplyRecord"):
         assert counts[label] == 0, (label, counts[label])
-    assert counts["Message"] < result.requests_issued // 100
-    # pinned (per-message combines of the run)
-    assert counts["Message"] == 2
 
 
 def barrier_program(pe_id, increments, gap):
@@ -105,10 +109,32 @@ def test_barrier_boundary_work(counts):
         machine.spawn(barrier_program, increments[pe], 100)
     result = machine.run()
     assert result.requests_issued == 24 * PES
-    for label in ("replace", "translate", "apply"):
+    for label in ("Message", "WaitRecord", "replace", "translate", "apply"):
         assert counts[label] == 0, (label, counts[label])
-    assert counts["Message"] < result.requests_issued // 100
-    # pinned: the per-message combines near the root of each round's
-    # tree, and one record per reply the program driver pops
-    assert counts["Message"] == 384
+    # pinned: one record per reply the program driver pops
     assert counts["ReplyRecord"] == result.requests_issued
+
+
+@pytest.mark.parametrize("knobs", [
+    {}, {"instrument": True, "trace_capacity": 4096},
+], ids=["plain", "instrumented"])
+def test_no_switch_objects_until_read(monkeypatch, knobs):
+    """A 4096-PE batch run of uniform traffic builds no ``Switch`` until
+    the first public read, which builds all 12 stages of 2048."""
+    built = collections.Counter()
+    init = Switch.__init__
+
+    def counted(self, *args, **kwargs):
+        built["Switch"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Switch, "__init__", counted)
+    machine = Ultracomputer(MachineConfig(n_pes=PES, kernel="batch", **knobs))
+    machine.attach_driver(SyntheticTrafficDriver(
+        machine, TrafficSpec(rate=0.05, pattern="uniform", seed=1)))
+    machine.run_cycles(20)
+    payload = machine.stats().to_dict()
+    assert payload["requests_issued"] > 0, payload["requests_issued"]
+    assert built["Switch"] == 0
+    machine.network
+    assert built["Switch"] == 12 * 2048

@@ -491,9 +491,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     events = list(stats.trace or [])
     dropped = stats.trace_dropped
     if args.chrome:
-        from repro.obs import write_chrome_trace
+        from repro.obs import chrome_trace, write_chrome_trace
 
-        write_chrome_trace(args.chrome, events, dropped=dropped)
+        write_chrome_trace(args.chrome, chrome_trace(events, dropped=dropped))
     shown = events if args.limit is None else events[: args.limit]
     if args.json:
         extra: dict[str, Any] = {
@@ -954,7 +954,7 @@ def _cmd_fleet_trace(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.obs.events import iter_batch_events
-    from repro.obs.perfetto import fleet_chrome_trace
+    from repro.obs.perfetto import fleet_chrome_trace, write_chrome_trace
 
     batch = Path(args.batch_dir)
     if not batch.is_dir():
@@ -963,10 +963,7 @@ def _cmd_fleet_trace(args: argparse.Namespace) -> int:
     if not events:
         raise SystemExit(f"no fleet events under {batch}/events")
     document = fleet_chrome_trace(events, trace=args.trace)
-    import json as _json
-
-    with open(args.out, "w", encoding="utf-8") as handle:
-        _json.dump(document, handle)
+    write_chrome_trace(args.out, document)
     workers = document["otherData"]["workers"]
     print(f"wrote {args.out}: {len(document['traceEvents'])} trace events "
           f"from {len(events)} log events across {len(workers)} processes")

@@ -45,9 +45,7 @@ from .events import (
 from .perfetto import (
     chrome_trace,
     fleet_chrome_trace,
-    fleet_trace_from_batch,
     write_chrome_trace,
-    write_fleet_trace,
 )
 from .prometheus import render_prometheus
 from .spans import (
@@ -73,7 +71,6 @@ __all__ = [
     "chrome_trace",
     "collect_timeline",
     "fleet_chrome_trace",
-    "fleet_trace_from_batch",
     "flight_dump",
     "iter_batch_events",
     "measure_drift",
@@ -85,5 +82,4 @@ __all__ = [
     "render_prometheus",
     "validate_event",
     "write_chrome_trace",
-    "write_fleet_trace",
 ]

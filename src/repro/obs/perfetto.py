@@ -17,40 +17,50 @@ Maps the simulator's cycle trace onto the `Trace Event Format
 One simulated cycle is exported as one microsecond — Perfetto's native
 unit — so cycle arithmetic survives the UI's measurements verbatim.
 
-Unlike :func:`repro.obs.spans.reconstruct_spans` the exporter is
-*tolerant* of truncated traces: a ring-buffered suffix still renders
-(events whose request heads were dropped appear as orphan slices), so
-``repro trace --chrome`` stays usable for eyeballing long runs.  The
-truncation itself is surfaced in the trace metadata.
+Requests come from the join :func:`repro.obs.spans.reconstruct_spans`
+uses, run *tolerantly*: a ring-buffered suffix still renders (a request
+whose ``issue`` was dropped keeps its stage, memory and decombine
+slices, without a PE slice), so ``repro trace --chrome`` stays usable
+for eyeballing long runs.  The truncation itself is surfaced in the
+trace metadata.
+
+The fleet trace (:func:`fleet_chrome_trace`) is built into the same
+document shape, and :func:`write_chrome_trace` writes either.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from ..instrumentation import TraceEvent
-from .events import FleetEvent, iter_batch_events
+from .events import FleetEvent
+from .spans import _join
 
 #: Exported process ids (Perfetto groups tracks by pid).
 PID_PES = 1
 PID_NETWORK = 2
 PID_MEMORY = 3
 
+#: A named track: (pid, process name, tid, thread name); a tid of None
+#: names the process alone.
+_Track = tuple[int, str, Optional[int], Optional[str]]
 
-def _meta(pid: int, name: str, tid: Optional[int] = None,
-          tname: Optional[str] = None) -> list[dict[str, Any]]:
-    out: list[dict[str, Any]] = [{
-        "ph": "M", "pid": pid, "name": "process_name",
-        "args": {"name": name},
-    }]
-    if tid is not None:
-        out.append({
-            "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
-            "args": {"name": tname},
-        })
-    return out
+
+def _document(tracks: Iterable[_Track], events: list[dict[str, Any]],
+              other: dict[str, Any]) -> dict[str, Any]:
+    """The one Chrome trace-event document both exports build: the
+    track names as metadata, then ``events`` (slices, flows, instants)
+    in the order given."""
+    meta: list[dict[str, Any]] = []
+    for pid, name, tid, tname in tracks:
+        meta.append({"ph": "M", "pid": pid, "name": "process_name",
+                     "args": {"name": name}})
+        if tid is not None:
+            meta.append({"ph": "M", "pid": pid, "tid": tid,
+                         "name": "thread_name", "args": {"name": tname}})
+    return {"traceEvents": meta + events, "displayTimeUnit": "ms",
+            "otherData": other}
 
 
 def _slice(pid: int, tid: int, name: str, ts: int, dur: int,
@@ -64,109 +74,102 @@ def _slice(pid: int, tid: int, name: str, ts: int, dur: int,
     return event
 
 
+def _flow(ph: str, pid: int, tid: int, ts: int, flow_id: int, name: str,
+          cat: str) -> dict[str, Any]:
+    """One end of a flow arc: ``ph`` "s" starts it, "f" ends it on the
+    enclosing slice."""
+    event: dict[str, Any] = {"ph": ph, "pid": pid, "tid": tid, "ts": ts,
+                             "id": flow_id, "name": name, "cat": cat}
+    if ph == "f":
+        event["bp"] = "e"
+    return event
+
+
+def write_chrome_trace(path: str, document: dict[str, Any]) -> None:
+    """Write a :func:`chrome_trace` or :func:`fleet_chrome_trace`
+    document to ``path`` as compact JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, separators=(",", ":"))
+
+
 def chrome_trace(
     events: Sequence[TraceEvent], *, dropped: int = 0
 ) -> dict[str, Any]:
     """Build the Chrome trace-event JSON document for a cycle trace."""
-    trace_events: list[dict[str, Any]] = []
+    slices: list[dict[str, Any]] = []
     pes: set[int] = set()
     stages: set[int] = set()
     mms: set[int] = set()
-
-    # First pass: group each tag's events so slice durations (departure
-    # cycles) can be read off the next event in the request's life.
-    by_tag: dict[int, list[TraceEvent]] = {}
-    for event in events:
-        if event.tag is not None:
-            by_tag.setdefault(event.tag, []).append(event)
-
-    for tag, life in by_tag.items():
-        issue = next((e for e in life if e.kind == "issue"), None)
-        reply = next((e for e in life if e.kind == "reply"), None)
-        if issue is not None:
-            pes.add(issue.pe)
-            end = reply.cycle if reply is not None else life[-1].cycle
-            trace_events.append(_slice(
-                PID_PES, issue.pe, f"req {tag}", issue.cycle,
-                end - issue.cycle, "request",
-                args={"tag": tag, "mm": issue.mm},
+    for span in _join(events, strict=False).values():
+        tag = span.tag
+        if span.issued_cycle is not None:
+            pes.add(span.pe)
+            end = span.reply_cycle
+            if end is None:  # still in flight: up to its last event
+                end = max(c for c in (
+                    span.issued_cycle, span.combined_cycle,
+                    span.mm_serve_cycle, span.decombine_cycle,
+                    *(hop.cycle for hop in span.hops)) if c is not None)
+            slices.append(_slice(
+                PID_PES, span.pe, f"req {tag}", span.issued_cycle,
+                end - span.issued_cycle, "request",
+                args={"tag": tag, "mm": span.mm},
             ))
-        forward = [e for e in life if e.kind in ("enqueue", "combine")]
-        for i, event in enumerate(forward):
-            if event.stage is None:
+        # A hop lasts until the next forward point: the next stage's
+        # enqueue, the absorption, or the memory's service.
+        departures = [hop.cycle for hop in span.hops[1:]]
+        departures.append(span.combined_cycle if span.combined else
+                          span.mm_serve_cycle)
+        for hop, depart in zip(span.hops, departures):
+            if hop.stage is None:
                 continue
-            stages.add(event.stage)
-            if event.kind == "combine":
-                trace_events.append(_slice(
-                    PID_NETWORK, event.stage, f"combine {tag}",
-                    event.cycle, 1, "combining",
-                    args={"tag": tag, "into": event.tag2},
-                ))
-                trace_events.append({
-                    "ph": "s", "pid": PID_NETWORK, "tid": event.stage,
-                    "ts": event.cycle, "id": tag, "name": "combined",
-                    "cat": "combining",
-                })
-                continue
-            if i + 1 < len(forward):
-                depart = forward[i + 1].cycle
-            else:
-                serve = next((e for e in life if e.kind == "mm_serve"), None)
-                depart = serve.cycle if serve is not None else event.cycle + 1
-            trace_events.append(_slice(
-                PID_NETWORK, event.stage, f"req {tag}", event.cycle,
-                depart - event.cycle, "forward", args={"tag": tag},
+            stages.add(hop.stage)
+            if depart is None:
+                depart = hop.cycle + 1
+            slices.append(_slice(
+                PID_NETWORK, hop.stage, f"req {tag}", hop.cycle,
+                depart - hop.cycle, "forward", args={"tag": tag},
             ))
-        for event in life:
-            if event.kind == "mm_serve" and event.mm is not None:
-                mms.add(event.mm)
-                trace_events.append(_slice(
-                    PID_MEMORY, event.mm, f"serve {tag}", event.cycle, 1,
-                    "memory", args={"tag": tag},
-                ))
-            elif event.kind == "decombine" and event.stage is not None:
-                stages.add(event.stage)
-                trace_events.append(_slice(
-                    PID_NETWORK, event.stage, f"decombine {tag}",
-                    event.cycle, 1, "combining",
-                    args={"tag": tag, "reply_of": event.tag2},
-                ))
-                trace_events.append({
-                    "ph": "f", "pid": PID_NETWORK, "tid": event.stage,
-                    "ts": event.cycle, "id": tag, "name": "combined",
-                    "cat": "combining", "bp": "e",
-                })
+        if span.combined_stage is not None:
+            stages.add(span.combined_stage)
+            slices.append(_slice(
+                PID_NETWORK, span.combined_stage, f"combine {tag}",
+                span.combined_cycle, 1, "combining",
+                args={"tag": tag, "into": span.combined_into},
+            ))
+            slices.append(_flow("s", PID_NETWORK, span.combined_stage,
+                                span.combined_cycle, tag, "combined",
+                                "combining"))
+        if span.mm_serve_cycle is not None and span.mm is not None:
+            mms.add(span.mm)
+            slices.append(_slice(
+                PID_MEMORY, span.mm, f"serve {tag}", span.mm_serve_cycle, 1,
+                "memory", args={"tag": tag},
+            ))
+        if span.decombine_stage is not None:
+            stages.add(span.decombine_stage)
+            slices.append(_slice(
+                PID_NETWORK, span.decombine_stage, f"decombine {tag}",
+                span.decombine_cycle, 1, "combining",
+                args={"tag": tag, "reply_of": span.combined_into},
+            ))
+            slices.append(_flow("f", PID_NETWORK, span.decombine_stage,
+                                span.decombine_cycle, tag, "combined",
+                                "combining"))
 
-    metadata = _meta(PID_PES, "PEs") + _meta(PID_NETWORK, "network") \
-        + _meta(PID_MEMORY, "memory")
-    for pe in sorted(pes):
-        metadata += _meta(PID_PES, "PEs", pe, f"PE {pe}")
-    for stage in sorted(stages):
-        metadata += _meta(PID_NETWORK, "network", stage, f"stage {stage}")
-    for mm in sorted(mms):
-        metadata += _meta(PID_MEMORY, "memory", mm, f"MM {mm}")
-
-    return {
-        "traceEvents": metadata + sorted(
-            trace_events, key=lambda e: (e["ts"], e["pid"], e["tid"])
-        ),
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "source": "repro cycle trace (1 cycle = 1us)",
-            "events": len(events),
-            "dropped": dropped,
-        },
-    }
-
-
-def write_chrome_trace(
-    path: str, events: Sequence[TraceEvent], *, dropped: int = 0
-) -> dict[str, Any]:
-    """Write :func:`chrome_trace` output to ``path``; returns the doc."""
-    doc = chrome_trace(events, dropped=dropped)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-    return doc
+    tracks: list[_Track] = [(PID_PES, "PEs", None, None),
+                           (PID_NETWORK, "network", None, None),
+                           (PID_MEMORY, "memory", None, None)]
+    tracks += [(PID_PES, "PEs", pe, f"PE {pe}") for pe in sorted(pes)]
+    tracks += [(PID_NETWORK, "network", stage, f"stage {stage}")
+               for stage in sorted(stages)]
+    tracks += [(PID_MEMORY, "memory", mm, f"MM {mm}") for mm in sorted(mms)]
+    slices.sort(key=lambda e: (e["ts"], e["pid"], e["tid"]))
+    return _document(tracks, slices, {
+        "source": "repro cycle trace (1 cycle = 1us)",
+        "events": len(events),
+        "dropped": dropped,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +222,8 @@ def fleet_chrome_trace(
         events = [e for e in events if e.trace == trace or not e.trace]
     events = sorted(events, key=lambda e: e.ts)
     if not events:
-        return {
-            "traceEvents": [],
-            "displayTimeUnit": "ms",
-            "otherData": {"source": "repro fleet trace", "events": 0},
-        }
+        return _document([], [], {"source": "repro fleet trace",
+                                  "events": 0})
 
     t0 = events[0].ts
     workers = {e.worker for e in events if e.worker}
@@ -231,11 +231,6 @@ def fleet_chrome_trace(
     pid_of = {name: pid for pid, name in enumerate(ordered, start=1)}
 
     trace_events: list[dict[str, Any]] = []
-    for name in ordered:
-        trace_events.extend(
-            _meta(pid_of[name], name, _FLEET_TID, name)
-        )
-
     open_blocks: dict[tuple[str, str], FleetEvent] = {}
     flow_open: dict[int, int] = {}  # block id -> steal ts (us)
     for event in events:
@@ -250,11 +245,8 @@ def fleet_chrome_trace(
             block = event.fields.get("block")
             if generation > 1 and isinstance(block, int) \
                     and block in flow_open:
-                trace_events.append({
-                    "ph": "f", "pid": pid, "tid": _FLEET_TID, "ts": ts,
-                    "id": block, "name": "stolen", "cat": "steal",
-                    "bp": "e",
-                })
+                trace_events.append(_flow("f", pid, _FLEET_TID, ts, block,
+                                          "stolen", "steal"))
                 del flow_open[block]
         elif kind == "result_write" and event.span is not None:
             start = open_blocks.pop((event.worker, event.span), None)
@@ -281,10 +273,8 @@ def fleet_chrome_trace(
                 args=dict(event.fields),
             ))
             if isinstance(block, int):
-                trace_events.append({
-                    "ph": "s", "pid": pid, "tid": _FLEET_TID, "ts": ts,
-                    "id": block, "name": "stolen", "cat": "steal",
-                })
+                trace_events.append(_flow("s", pid, _FLEET_TID, ts, block,
+                                          "stolen", "steal"))
                 flow_open[block] = ts
         elif kind in ("batch_start", "worker_start"):
             open_blocks[(event.worker, f"__life_{kind}")] = event
@@ -308,35 +298,13 @@ def fleet_chrome_trace(
                 "args": dict(event.fields),
             })
 
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {
+    return _document(
+        [(pid_of[name], name, _FLEET_TID, name) for name in ordered],
+        trace_events,
+        {
             "source": "repro fleet trace (1 second = 1e6 us)",
             "events": len(events),
             "workers": ordered,
             "trace": trace or "",
         },
-    }
-
-
-def fleet_trace_from_batch(
-    batch_dir: os.PathLike, *, trace: Optional[str] = None
-) -> dict[str, Any]:
-    """Merge a batch directory's event logs into one Chrome trace."""
-    return fleet_chrome_trace(
-        iter_batch_events(batch_dir, trace=trace), trace=trace
     )
-
-
-def write_fleet_trace(
-    path: str,
-    events: Sequence[FleetEvent],
-    *,
-    trace: Optional[str] = None,
-) -> dict[str, Any]:
-    """Write :func:`fleet_chrome_trace` output to ``path``."""
-    doc = fleet_chrome_trace(events, trace=trace)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-    return doc

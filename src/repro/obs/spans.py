@@ -20,7 +20,8 @@ delays and end-to-end transit latencies fall out:
 Reconstruction requires a *complete* trace: the ring buffer must not
 have dropped events (:class:`IncompleteTraceError` otherwise — a
 truncated trace has lost the heads of its oldest requests, so joins
-would silently produce wrong latencies).
+would silently produce wrong latencies).  The Chrome export
+(:mod:`repro.obs.perfetto`) draws from the same join run tolerantly.
 """
 
 from __future__ import annotations
@@ -67,12 +68,14 @@ class Span:
     reaches the memory side and has ``mm_serve_cycle``).  ``absorbed``
     lists the tags this request carried for (the combine tree, one level
     deep — each absorbed tag has its own span with the full subtree).
+    ``issued_cycle`` is None only in the Chrome export of a truncated
+    trace, for a request whose ``issue`` event the ring dropped.
     """
 
     tag: int
     pe: int
     mm: Optional[int]
-    issued_cycle: int
+    issued_cycle: Optional[int]
     hops: tuple[Hop, ...] = ()
     combined_stage: Optional[int] = None
     combined_cycle: Optional[int] = None
@@ -97,7 +100,7 @@ class Span:
     def transit_latency(self) -> Optional[int]:
         """End-to-end cycles from issue to reply delivery (None while
         the request is still in flight at the end of the trace)."""
-        if self.reply_cycle is None:
+        if self.reply_cycle is None or self.issued_cycle is None:
             return None
         return self.reply_cycle - self.issued_cycle
 
@@ -105,7 +108,7 @@ class Span:
     def injection_wait(self) -> Optional[int]:
         """Cycles the request waited in the PNI before entering stage 0
         (link serialization + refused injections); 0 is the minimum."""
-        if not self.hops:
+        if not self.hops or self.issued_cycle is None:
             return None
         return self.hops[0].cycle - self.issued_cycle - 1
 
@@ -307,50 +310,72 @@ def reconstruct_spans(
             "be reconstructed from a truncated trace — rerun with a "
             "larger trace_capacity"
         )
+    return SpanSet(_join(events, strict=True))
+
+
+def _join(events: Iterable[TraceEvent], *, strict: bool) -> dict[int, Span]:
+    """Join trace events by tag, one :class:`Span` per request in the
+    order the requests first appear.
+
+    ``strict`` raises :class:`IncompleteTraceError` on an event whose
+    request has no captured ``issue``.  Otherwise (the Chrome export of
+    a ring that wrapped) such a request gets a span with
+    ``issued_cycle`` None holding the events that survived.
+    """
     spans: dict[int, Span] = {}
     for event in events:
         kind = event.kind
-        if kind == "issue":
-            if event.tag in spans:
+        span = spans.get(event.tag)
+        if span is None:
+            if strict and kind != "issue":
+                raise IncompleteTraceError(
+                    f"{kind} event at cycle {event.cycle} references tag "
+                    f"{event.tag} with no captured issue event; the trace "
+                    "does not cover the start of the run"
+                )
+            span = spans[event.tag] = Span(
+                tag=event.tag,
+                pe=event.pe if event.pe is not None else -1,
+                mm=None,
+                issued_cycle=None,
+            )
+        elif kind == "issue":
+            if strict:
                 raise IncompleteTraceError(
                     f"duplicate issue event for tag {event.tag}; trace is "
                     "inconsistent"
                 )
-            spans[event.tag] = Span(
-                tag=event.tag,
-                pe=event.pe if event.pe is not None else -1,
-                mm=event.mm,
-                issued_cycle=event.cycle,
-            )
             continue
-        span = spans.get(event.tag)
-        if span is None:
-            raise IncompleteTraceError(
-                f"{kind} event at cycle {event.cycle} references tag "
-                f"{event.tag} with no captured issue event; the trace "
-                "does not cover the start of the run"
-            )
-        if kind == "enqueue":
+        if kind == "issue":
+            span.mm = event.mm
+            span.issued_cycle = event.cycle
+        elif kind == "enqueue":
             span.hops = span.hops + (Hop(stage=event.stage, cycle=event.cycle),)
         elif kind == "combine":
             span.combined_stage = event.stage
             span.combined_cycle = event.cycle
             span.combined_into = event.tag2
             survivor = spans.get(event.tag2) if event.tag2 is not None else None
-            if survivor is None:
+            if survivor is not None:
+                survivor.absorbed = survivor.absorbed + (event.tag,)
+            elif strict:
                 raise IncompleteTraceError(
                     f"combine event at cycle {event.cycle} references "
                     f"survivor tag {event.tag2} with no captured issue event"
                 )
-            survivor.absorbed = survivor.absorbed + (event.tag,)
         elif kind == "mm_serve":
             span.mm_serve_cycle = event.cycle
+            if span.mm is None:
+                span.mm = event.mm
         elif kind == "decombine":
+            # tag2 is the survivor whose reply regenerated this one: the
+            # combine's partner, kept when the ring dropped the combine.
             span.decombine_stage = event.stage
             span.decombine_cycle = event.cycle
+            span.combined_into = event.tag2
         elif kind == "reply":
             span.reply_cycle = event.cycle
             span.reply_value = event.value
         # Unknown kinds are ignored: forward compatibility with richer
         # probe sets, same stance the CLI trace printer takes.
-    return SpanSet(spans)
+    return spans

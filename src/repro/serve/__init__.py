@@ -18,9 +18,10 @@ accepts :class:`~repro.exp.ExperimentSpec` submissions and
 * **fans out** the residual distinct work over a persistent process
   pool (:class:`SweepService`), streaming per-point progress to every
   subscribed client;
-* **observes itself** with server-side request spans
-  (:class:`ServeStats`) reporting p50/p99 service latency and the
-  measured coalescing ratio through ``GET /stats``.
+* **observes itself**: each finished request is counted in
+  :class:`ServeStats`, which reports p50/p99 service latency and the
+  measured coalescing ratio through ``GET /stats``, and is logged once
+  as a ``served`` fleet event.
 
 Entry points::
 
@@ -36,7 +37,7 @@ the modern descendant of the combining network.
 
 from .client import AsyncServeClient, ServeClient, ServeError
 from .coalesce import CoalesceOutcome, ManualClock, PendingTable
-from .obs import ServeStats, ServerSpan
+from .obs import ServeStats
 from .server import ServeApp, run_server
 from .service import SweepService, WorkerCrashError
 
@@ -49,7 +50,6 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "ServeStats",
-    "ServerSpan",
     "SweepService",
     "WorkerCrashError",
     "run_server",

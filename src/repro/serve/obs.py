@@ -1,9 +1,8 @@
-"""Server-side request spans and the serving-tier stats surface.
+"""The serving-tier stats surface: one record per finished request.
 
-The simulator's observability (PR 5) reconstructs per-request spans
-from the cycle trace; the serving tier records the same shape one layer
-up: one :class:`ServerSpan` per HTTP request, classified by how it was
-served —
+The simulator's observability reconstructs per-request spans from the
+cycle trace (:mod:`repro.obs.spans`); the serving tier records each
+HTTP request one layer up, classified by how it was served —
 
 * ``"computed"`` — this request was the leader that triggered the
   underlying sweep computation;
@@ -13,7 +12,10 @@ served —
   (:class:`~repro.exp.ResultCache`), no worker touched;
 * ``"error"`` — the request failed (bad spec, worker crash, ...).
 
-:class:`ServeStats` aggregates the spans into the simulator's own
+A finished request is counted here and, with its key, status and
+duration, emitted as the ``served`` event of the server's fleet log
+(:meth:`~repro.serve.server.ServeApp._served`); no other copy of it is
+kept.  :class:`ServeStats` holds the counts in the simulator's own
 instrument types — a :class:`~repro.instrumentation.MetricsRegistry`
 of per-class counters (``serve.requests``) and fixed-bucket latency
 histograms (``serve.latency_us``) — so ``GET /stats`` and the
@@ -35,7 +37,6 @@ combining absorbs hot-spot traffic before it reaches memory.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..instrumentation import (
@@ -44,7 +45,7 @@ from ..instrumentation import (
     merge_histograms,
 )
 
-#: span classifications, in display order
+#: request classes, in display order
 SERVED_BY = ("computed", "coalesced", "cache", "error")
 
 #: Bucket upper edges for request latency in microseconds — spanning
@@ -57,41 +58,6 @@ SERVE_LATENCY_BUCKETS_US: tuple[int, ...] = (
 
 #: Quantiles both ``/stats`` and ``/metrics`` consumers read.
 SERVE_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
-
-
-@dataclass(frozen=True)
-class ServerSpan:
-    """One finished HTTP request, timed on the server's clock."""
-
-    method: str
-    path: str
-    status: int
-    served_by: str
-    #: arrival and finish on the injected monotonic clock (seconds)
-    arrival: float
-    finish: float
-    #: the spec hash for /run requests ("" otherwise)
-    key: str = ""
-
-    @property
-    def service_time(self) -> float:
-        return self.finish - self.arrival
-
-    @property
-    def service_us(self) -> int:
-        return max(0, round(self.service_time * 1_000_000))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "method": self.method,
-            "path": self.path,
-            "status": self.status,
-            "served_by": self.served_by,
-            "arrival": self.arrival,
-            "finish": self.finish,
-            "service_us": self.service_us,
-            "key": self.key,
-        }
 
 
 def _summary_dict(data: HistogramData) -> dict[str, Any]:
@@ -108,7 +74,7 @@ def _summary_dict(data: HistogramData) -> dict[str, Any]:
 
 
 class ServeStats:
-    """Aggregated spans: a metrics registry of counters + histograms."""
+    """Finished requests: a metrics registry of counters + histograms."""
 
     def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
         self.clock = clock
@@ -126,40 +92,19 @@ class ServeStats:
             )
             for name in SERVED_BY
         }
-        #: most recent spans, newest last (bounded ring for debugging)
-        self.recent: list[ServerSpan] = []
-        self.recent_cap = 64
 
     @property
     def by_class(self) -> dict[str, int]:
         return {name: self._counters[name].value for name in SERVED_BY}
 
-    def span(
-        self,
-        method: str,
-        path: str,
-        *,
-        key: str = "",
-        arrival: Optional[float] = None,
-    ) -> "_OpenSpan":
-        """Open a span at ``arrival`` (defaults to now on the clock)."""
-        return _OpenSpan(
-            stats=self,
-            method=method,
-            path=path,
-            key=key,
-            arrival=self.clock() if arrival is None else arrival,
-        )
-
-    def record(self, span: ServerSpan) -> None:
-        if span.served_by not in self._counters:
-            raise ValueError(f"unknown span class {span.served_by!r}")
+    def record(self, served_by: str, seconds: float) -> None:
+        """Count one finished request of class ``served_by`` that took
+        ``seconds`` on the clock."""
+        if served_by not in self._counters:
+            raise ValueError(f"unknown request class {served_by!r}")
         self.requests += 1
-        self._counters[span.served_by].inc()
-        self._histograms[span.served_by].observe(span.service_us)
-        self.recent.append(span)
-        if len(self.recent) > self.recent_cap:
-            del self.recent[: len(self.recent) - self.recent_cap]
+        self._counters[served_by].inc()
+        self._histograms[served_by].observe(max(0, round(seconds * 1_000_000)))
 
     # -- derived -------------------------------------------------------
     @property
@@ -205,31 +150,3 @@ class ServeStats:
             if data.count:
                 out["latency_us"][name] = _summary_dict(data)
         return out
-
-
-@dataclass
-class _OpenSpan:
-    """A span being timed; :meth:`close` records it exactly once."""
-
-    stats: ServeStats
-    method: str
-    path: str
-    key: str
-    arrival: float
-    closed: bool = False
-
-    def close(self, status: int, served_by: str) -> ServerSpan:
-        if self.closed:
-            raise RuntimeError("span already closed")
-        self.closed = True
-        span = ServerSpan(
-            method=self.method,
-            path=self.path,
-            status=status,
-            served_by=served_by,
-            arrival=self.arrival,
-            finish=self.stats.clock(),
-            key=self.key,
-        )
-        self.stats.record(span)
-        return span

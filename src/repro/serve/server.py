@@ -3,13 +3,13 @@
 One :class:`ServeApp` wires the three serving-tier pieces together —
 :class:`~repro.serve.coalesce.PendingTable` (in-flight dedup),
 :class:`~repro.serve.service.SweepService` (content store + persistent
-worker pool), :class:`~repro.serve.obs.ServeStats` (request spans) —
+worker pool), :class:`~repro.serve.obs.ServeStats` (request counts) —
 behind a small route table:
 
 ========================  =============================================
 ``GET /healthz``          liveness: ``{"ok": true}`` plus uptime
 ``GET /experiments``      registered point-function names
-``GET /stats``            spans, latency percentiles, coalescing ratio,
+``GET /stats``            requests, latency percentiles, coalescing ratio,
                           pending-table and pool/cache counters
 ``POST /run``             run an :class:`~repro.exp.ExperimentSpec`
                           (JSON body: the spec dict, or ``{"spec": ...}``);
@@ -233,15 +233,18 @@ class ServeApp:
         return render_prometheus(samples)
 
     # -- /run ----------------------------------------------------------
-    def _close_span(self, span, status: int, served_by: str,
-                    payload: Optional[dict[str, Any]] = None) -> None:
-        """Close a request span and mirror it into the fleet log —
-        the serve tier's coalesce-leader/-follower/cache/error event,
-        linked to the sweep's own trace when one was computed."""
-        finished = span.close(status, served_by)
+    def _served(self, arrival: float, key: str, status: int,
+                served_by: str,
+                payload: Optional[dict[str, Any]] = None) -> None:
+        """Count a finished request in :attr:`stats` and emit its one
+        record, the fleet log's ``served`` event — the serve tier's
+        coalesce-leader/-follower/cache/error event, linked to the
+        sweep's own trace when one was computed."""
+        dur = self.clock() - arrival
+        self.stats.record(served_by, dur)
         fields: dict[str, Any] = {
-            "key": finished.key, "status": status,
-            "served_by": served_by, "dur": finished.service_time,
+            "key": key, "status": status,
+            "served_by": served_by, "dur": dur,
         }
         if payload is not None and payload.get("trace_id"):
             fields["sweep_trace"] = payload["trace_id"]
@@ -296,16 +299,15 @@ class ServeApp:
         self, request: Request, writer: asyncio.StreamWriter
     ) -> bool:
         streaming = request.query.get("stream") in ("1", "true", "yes")
-        span = self.stats.span("POST", "/run")
+        arrival = self.clock()
         try:
             spec = self._parse_spec(request)
         except HttpError as exc:
-            self._close_span(span, exc.status, "error")
+            self._served(arrival, "", exc.status, "error")
             json_response(writer, exc.status,
                           _error_payload(exc.status, exc.message))
             return request.keep_alive
         key = spec.spec_hash()
-        span.key = key
 
         def compute(publish: Callable[[Any], None]):
             return self.service.execute(spec, on_progress=publish)
@@ -314,16 +316,16 @@ class ServeApp:
             try:
                 outcome = await self.table.join(key, compute)
             except WorkerCrashError as exc:
-                self._close_span(span, 500, "error")
+                self._served(arrival, key, 500, "error")
                 json_response(writer, 500, _error_payload(500, str(exc)))
                 return request.keep_alive
             except Exception as exc:
-                self._close_span(span, 500, "error")
+                self._served(arrival, key, 500, "error")
                 json_response(writer, 500, _error_payload(
                     500, f"sweep failed: {exc}"))
                 return request.keep_alive
             served_by = self._classify(outcome.role, outcome.payload)
-            self._close_span(span, 200, served_by, outcome.payload)
+            self._served(arrival, key, 200, served_by, outcome.payload)
             json_response(
                 writer, 200, self._envelope(outcome.payload, served_by)
             )
@@ -350,21 +352,21 @@ class ServeApp:
         except (ConnectionResetError, BrokenPipeError):
             # The computation is table-owned; drop only our wait.
             join_task.cancel()
-            self._close_span(span, 500, "error")
+            self._served(arrival, key, 500, "error")
             raise
         except WorkerCrashError as exc:
-            self._close_span(span, 500, "error")
+            self._served(arrival, key, 500, "error")
             stream.send({"event": "error", "error": str(exc), "status": 500})
             await stream.finish()
             return request.keep_alive
         except Exception as exc:
-            self._close_span(span, 500, "error")
+            self._served(arrival, key, 500, "error")
             stream.send({"event": "error",
                          "error": f"sweep failed: {exc}", "status": 500})
             await stream.finish()
             return request.keep_alive
         served_by = self._classify(outcome.role, outcome.payload)
-        self._close_span(span, 200, served_by, outcome.payload)
+        self._served(arrival, key, 200, served_by, outcome.payload)
         final = self._envelope(outcome.payload, served_by)
         final["event"] = "result"
         stream.send(final)

@@ -2,14 +2,21 @@
 
 import json
 
+import pytest
+
 from repro import FetchAdd, MachineConfig, Ultracomputer
-from repro.obs import chrome_trace, write_chrome_trace
+from repro.obs import (
+    IncompleteTraceError,
+    chrome_trace,
+    reconstruct_spans,
+    write_chrome_trace,
+)
 from repro.obs.perfetto import PID_MEMORY, PID_NETWORK, PID_PES
 
 
-def _traced_run(pes=8, rounds=2, capacity=4096):
+def _traced_run(pes=8, rounds=2, capacity=4096, kernel="dense"):
     machine = Ultracomputer(MachineConfig(
-        n_pes=pes, instrument=True, trace_capacity=capacity,
+        n_pes=pes, instrument=True, trace_capacity=capacity, kernel=kernel,
     ))
 
     def program(pe_id):
@@ -58,7 +65,7 @@ class TestChromeTrace:
     def test_write_is_valid_json(self, tmp_path):
         result = _traced_run()
         path = tmp_path / "trace.json"
-        write_chrome_trace(path, result.trace)
+        write_chrome_trace(path, chrome_trace(result.trace))
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
         assert doc["displayTimeUnit"] == "ms"
@@ -76,3 +83,56 @@ class TestChromeTrace:
         doc = chrome_trace([])
         assert all(e["ph"] == "M" for e in doc["traceEvents"])
         assert doc["otherData"]["events"] == 0
+
+
+@pytest.mark.parametrize("kernel", ["dense", "batch"])
+class TestAgreesWithSpans:
+    """The export draws each request from the join that
+    :func:`reconstruct_spans` makes, so its slices and flows agree with
+    the spans field by field."""
+
+    @pytest.fixture
+    def run(self, kernel):
+        result = _traced_run(pes=16, rounds=3, kernel=kernel)
+        assert result.combines > 0
+        return chrome_trace(result.trace)["traceEvents"], \
+            reconstruct_spans(result.trace)
+
+    def test_pe_slice_lasts_the_transit_latency(self, run):
+        events, spans = run
+        slices = [e for e in events if e["ph"] == "X" and e["pid"] == PID_PES]
+        assert len(slices) == len(spans)
+        for event in slices:
+            span = spans[event["args"]["tag"]]
+            assert event["name"] == f"req {span.tag}"
+            assert event["dur"] == span.transit_latency
+
+    def test_flow_ids_are_the_absorbed_tags(self, run):
+        events, spans = run
+        absorbed = [s.tag for s in spans if s.combined_into is not None]
+        assert absorbed
+        for ph in ("s", "f"):
+            ids = [e["id"] for e in events if e["ph"] == ph]
+            assert sorted(ids) == sorted(absorbed)
+
+    def test_one_forward_slice_per_hop(self, run):
+        events, spans = run
+        forward = [e for e in events if e["ph"] == "X"
+                   and e["pid"] == PID_NETWORK and e["cat"] == "forward"]
+        assert len(forward) == sum(len(span.hops) for span in spans)
+
+
+@pytest.mark.parametrize("kernel", ["dense", "batch"])
+def test_truncated_ring_draws_requests_without_issue(kernel):
+    result = _traced_run(capacity=16, kernel=kernel)
+    assert result.trace_dropped > 0
+    events = chrome_trace(result.trace, dropped=result.trace_dropped)[
+        "traceEvents"]
+    slices = [e for e in events if e["ph"] == "X"]
+    on_pes = {e["args"]["tag"] for e in slices if e["pid"] == PID_PES}
+    on_stages = {e["args"]["tag"] for e in slices if e["pid"] == PID_NETWORK}
+    assert on_stages - on_pes
+    with pytest.raises(IncompleteTraceError):
+        reconstruct_spans(result.trace)
+    with pytest.raises(IncompleteTraceError):
+        reconstruct_spans(result.trace, dropped=result.trace_dropped)
